@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import annotate, corpus, infer, learn, synth
+from . import annotate, corpus, exprtree, infer, learn, synth
 from .corpus import CorpusError
 from .evalharness import RunConfig, run_eval
 from .learn import ClassifierSuite, FeatureConfig
@@ -173,26 +173,21 @@ def _cmd_solve(args) -> int:
     candidates = infer.JointCandidates(
         tables, problem.values, lambda_rel=params.lambda_rel, beam=args.beam
     )
-    result = candidates.solve(params)
-    obj = {
+    print(json.dumps(_result_obj(candidates.solve(params), problem), sort_keys=True, indent=1))
+    if args.trace:
+        for trace_tuple in candidates.top_k(params, args.trace):
+            print(json.dumps(_result_obj(trace_tuple, problem), sort_keys=True))
+    return 0
+
+
+def _result_obj(result: infer.ScoredTuple, problem: corpus.Problem) -> dict:
+    return {
         "value": corpus.format_rational(result.value),
-        "tree": corpus.exprtree.serialize(result.tree, problem.values),
+        "tree": exprtree.serialize(result.tree, problem.values),
         "udg": result.graph.to_json_obj(),
         "score": result.score,
         "breakdown": result.breakdown(),
     }
-    print(json.dumps(obj, sort_keys=True, indent=1))
-    if args.trace:
-        for trace_tuple in candidates.top_k(params, args.trace):
-            line = {
-                "value": corpus.format_rational(trace_tuple.value),
-                "tree": corpus.exprtree.serialize(trace_tuple.tree, problem.values),
-                "udg": trace_tuple.graph.to_json_obj(),
-                "score": trace_tuple.score,
-                "breakdown": trace_tuple.breakdown(),
-            }
-            print(json.dumps(line, sort_keys=True))
-    return 0
 
 
 _COMMANDS = {

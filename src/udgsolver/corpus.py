@@ -166,9 +166,6 @@ class DatasetSplit:
     dev_fraction: float
     seed: int
 
-    def test_ids(self, fold: int) -> tuple[str, ...]:
-        return self.folds[fold]
-
     def train_dev_test(self, fold: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
         test = self.folds[fold]
         pool = [pid for i, f in enumerate(self.folds) if i != fold for pid in f]

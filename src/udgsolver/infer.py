@@ -1,10 +1,14 @@
 """Constrained inference over classifier scores.
 
-Three entry points: standalone graph prediction (vertex scores of rate
-vertices plus scaled edge scores), expression tree scoring (scaled relevance
-of unused quantities plus LCA-operation scores over used pairs), and joint
-two-stage beam search over (graph, tree) tuples where the graph must be
-consistent with the tree.
+Three entry points: standalone graph prediction (scaled vertex scores of
+rate vertices plus scaled edge scores), expression tree scoring (scaled
+relevance of unused quantities plus LCA-operation scores over used pairs),
+and joint two-stage beam search over (graph, tree) tuples where the graph
+must be consistent with the tree.
+
+Both graph searches pick a vertex labeling and give each pair its best
+permitted label. ``udg`` says which labels a pair may carry (with or without
+a tree); ``_labeling_entry`` scores one labeling's choices for both.
 
 All scoring runs off immutable ScoreTables, so tests can drive inference
 from hand-set mock tables and candidate scoring is safe to parallelize.
@@ -13,9 +17,10 @@ from hand-set mock tables and candidate scoring is safe to parallelize.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import exprtree, learn, udg
 from .corpus import QUESTION, Problem
@@ -37,16 +42,15 @@ class ScalingParams:
     """Scale factors for the score terms; zeroing vertex and edge scales
     reduces joint inference to the base tree solver."""
 
-    lambda_udg: float = 1.0
     lambda_rel: float = 1.0
     lambda_vertex: float = 1.0
     lambda_edge: float = 1.0
 
     def __post_init__(self):
-        for name in ("lambda_udg", "lambda_rel", "lambda_vertex", "lambda_edge"):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +151,10 @@ def score_tree(tree: Expr, tables: ScoreTables, params: ScalingParams) -> float:
 
 
 def score_udg(graph: UnitDependencyGraph, tables: ScoreTables, params: ScalingParams) -> float:
-    """Rate-vertex scores plus lambda-scaled edge scores; not-rate vertices
+    """Scaled rate-vertex scores plus scaled edge scores; not-rate vertices
     contribute nothing."""
     vertex_sum, edge_sum = graph_term_sums(graph, tables)
-    return vertex_sum + params.lambda_udg * edge_sum
+    return params.lambda_vertex * vertex_sum + params.lambda_edge * edge_sum
 
 
 def values_match(predicted: Fraction, gold: Fraction, tolerance: Fraction = ANSWER_TOLERANCE) -> bool:
@@ -158,46 +162,60 @@ def values_match(predicted: Fraction, gold: Fraction, tolerance: Fraction = ANSW
 
 
 # ---------------------------------------------------------------------------
+# labeling entries
+
+@dataclass(frozen=True)
+class _LabelingEntry:
+    """One vertex labeling with its vertex sum and two edge picks: each
+    pair's best permitted label (ties keep the earlier label), and each
+    pair's first permitted label."""
+
+    labeling: tuple[bool, ...]
+    vertex_sum: float
+    edge_sum_max: float
+    edges_max: tuple[EdgeType, ...]
+    edge_sum_lex: float
+    edges_lex: tuple[EdgeType, ...]
+
+    def edges(self, params: ScalingParams) -> tuple[float, tuple[EdgeType, ...]]:
+        """(edge sum, edges) of the labeling's best graph. With a zero edge
+        scale every label ties, so the lexicographically first is taken."""
+        if params.lambda_edge > 0:
+            return self.edge_sum_max, self.edges_max
+        return self.edge_sum_lex, self.edges_lex
+
+    def score(self, params: ScalingParams) -> float:
+        return params.lambda_vertex * self.vertex_sum + params.lambda_edge * self.edges(params)[0]
+
+
+def _labeling_entry(
+    tables: ScoreTables, labeling: tuple[bool, ...], choices: Sequence[tuple[EdgeType, ...]]
+) -> _LabelingEntry:
+    """Score a labeling whose pairs, in ``vertex_pairs`` order, may carry
+    ``choices``; the labeling may be a prefix over its first vertices."""
+    vertex_sum = sum(tables.vertex_score(v, RATE) for v, flag in enumerate(labeling) if flag)
+    e_max = e_lex = 0.0
+    edges_max: list[EdgeType] = []
+    for (i, j), options in zip(udg.vertex_pairs(len(labeling) - 1), choices):
+        best = options[0]
+        best_score = first_score = tables.edge_score(i, j, best)
+        for label in options[1:]:
+            s = tables.edge_score(i, j, label)
+            if s > best_score:
+                best, best_score = label, s
+        edges_max.append(best)
+        e_max += best_score
+        e_lex += first_score
+    edges_lex = tuple(options[0] for options in choices)
+    return _LabelingEntry(labeling, vertex_sum, e_max, tuple(edges_max), e_lex, edges_lex)
+
+
+def _valid_entry(tables: ScoreTables, labeling: tuple[bool, ...]) -> _LabelingEntry:
+    return _labeling_entry(tables, labeling, udg.valid_edge_choices(labeling))
+
+
+# ---------------------------------------------------------------------------
 # standalone graph prediction
-
-_VALID_EDGES: dict[tuple[bool, bool], tuple[EdgeType, ...]] = {
-    (li, lj): tuple(e for e in EdgeType if udg.edge_structurally_valid(e, li, lj))
-    for li in (False, True)
-    for lj in (False, True)
-}
-
-
-def _best_labeling_edges(
-    tables: ScoreTables, labeling: tuple[bool, ...], lambda_edge_positive: bool = True
-) -> tuple[float, tuple[EdgeType, ...]]:
-    """Per-pair argmax over structurally valid edges for a fixed labeling.
-
-    With a zero edge scale every label ties, so the first valid EdgeType is
-    taken to keep the encoding lexicographically minimal."""
-    n = tables.n_quantities
-    total = 0.0
-    chosen = []
-    for i, j in udg.vertex_pairs(n):
-        options = _VALID_EDGES[(labeling[i], labeling[j])]
-        if not lambda_edge_positive:
-            best = options[0]
-        else:
-            best = options[0]
-            best_score = tables.edge_score(i, j, best)
-            for label in options[1:]:
-                s = tables.edge_score(i, j, label)
-                if s > best_score:
-                    best, best_score = label, s
-        chosen.append(best)
-        total += tables.edge_score(i, j, best)
-    return total, tuple(chosen)
-
-
-def _labeling_vertex_sum(tables: ScoreTables, labeling: tuple[bool, ...]) -> float:
-    return sum(
-        tables.vertex_score(v, RATE) for v, flag in enumerate(labeling) if flag
-    )
-
 
 def predict_udg_from_tables(
     tables: ScoreTables, params: ScalingParams, beam: int = 200
@@ -209,41 +227,29 @@ def predict_udg_from_tables(
     smallest encoding."""
     n = tables.n_quantities
     if n + 1 <= 6:
-        labelings: Iterator[tuple[bool, ...]] = itertools.product((False, True), repeat=n + 1)
+        entries: Iterable[_LabelingEntry] = (
+            _valid_entry(tables, labeling)
+            for labeling in itertools.product((False, True), repeat=n + 1)
+        )
     else:
-        labelings = iter(_beam_labelings(tables, params, beam))
-    best = None
-    for labeling in labelings:
-        vsum = _labeling_vertex_sum(tables, labeling)
-        esum, edges = _best_labeling_edges(tables, labeling, params.lambda_udg > 0)
-        total = vsum + params.lambda_udg * esum
-        if best is None or total > best[0]:
-            best = (total, labeling, edges)
-    total, labeling, edges = best
-    rates = frozenset(v for v, flag in enumerate(labeling) if flag)
-    return UnitDependencyGraph(n_quantities=n, rates=rates, edges=edges)
+        entries = _beam_labelings(tables, params, beam)
+    best = max(entries, key=lambda e: e.score(params))  # first of equal scores
+    rates = frozenset(v for v, flag in enumerate(best.labeling) if flag)
+    return UnitDependencyGraph(n_quantities=n, rates=rates, edges=best.edges(params)[1])
 
 
 def _beam_labelings(
     tables: ScoreTables, params: ScalingParams, beam: int
-) -> list[tuple[bool, ...]]:
-    n = tables.n_quantities
-    states: list[tuple[bool, ...]] = [()]
-    for v in range(n + 1):
-        extended = [prefix + (flag,) for prefix in states for flag in (False, True)]
-
-        def partial_score(prefix: tuple[bool, ...]) -> float:
-            vsum = _labeling_vertex_sum(tables, prefix)
-            esum = 0.0
-            for i in range(len(prefix)):
-                for j in range(i + 1, len(prefix)):
-                    options = _VALID_EDGES[(prefix[i], prefix[j])]
-                    esum += max(tables.edge_score(i, j, e) for e in options)
-            return vsum + params.lambda_udg * esum
-
-        extended.sort(key=lambda p: (-partial_score(p), p))
-        states = extended[: max(beam, 1)]
-    return states
+) -> list[_LabelingEntry]:
+    prefixes: list[tuple[bool, ...]] = [()]
+    for _ in range(tables.n_quantities + 1):
+        extended = [
+            _valid_entry(tables, prefix + (flag,)) for prefix in prefixes for flag in (False, True)
+        ]
+        extended.sort(key=lambda e: (-e.score(params), e.labeling))
+        kept = extended[: max(beam, 1)]
+        prefixes = [e.labeling for e in kept]
+    return kept
 
 
 def predict_udg(
@@ -284,16 +290,6 @@ class ScoredTuple:
 
 
 @dataclass(frozen=True)
-class _LabelingEntry:
-    labeling: tuple[bool, ...]
-    vertex_sum: float
-    edge_sum_max: float
-    edges_max: tuple[EdgeType, ...]
-    edge_sum_lex: float
-    edges_lex: tuple[EdgeType, ...]
-
-
-@dataclass(frozen=True)
 class _TreeEntry:
     tree: Expr
     serial: str
@@ -301,40 +297,6 @@ class _TreeEntry:
     rel_sum: float
     lca_sum: float
     labelings: tuple[_LabelingEntry, ...]
-
-
-def _tree_labeling_entries(tree: Expr, tables: ScoreTables) -> tuple[_LabelingEntry, ...]:
-    n = tables.n_quantities
-    used = exprtree.used_indices(tree)
-    pairs = udg.vertex_pairs(n)
-    entries = []
-    for labeling in itertools.product((False, True), repeat=n + 1):
-        if not udg._labeling_passes_path_conditions(tree, used, n, labeling):
-            continue
-        vsum = _labeling_vertex_sum(tables, labeling)
-        e_max = e_lex = 0.0
-        edges_max: list[EdgeType] = []
-        edges_lex: list[EdgeType] = []
-        for i, j in pairs:
-            pair_defined = i in used and (j == n or j in used)
-            if pair_defined:
-                options = udg.permitted_edge_labels(tree, i, j, labeling)
-            else:
-                options = _VALID_EDGES[(labeling[i], labeling[j])]
-            best = options[0]
-            best_score = tables.edge_score(i, j, best)
-            for label in options[1:]:
-                s = tables.edge_score(i, j, label)
-                if s > best_score:
-                    best, best_score = label, s
-            edges_max.append(best)
-            e_max += best_score
-            edges_lex.append(options[0])
-            e_lex += tables.edge_score(i, j, options[0])
-        entries.append(
-            _LabelingEntry(labeling, vsum, e_max, tuple(edges_max), e_lex, tuple(edges_lex))
-        )
-    return tuple(entries)
 
 
 class JointCandidates:
@@ -374,18 +336,19 @@ class JointCandidates:
                 nodes=exprtree.node_count(tree),
                 rel_sum=rel_sum,
                 lca_sum=lca_sum,
-                labelings=_tree_labeling_entries(tree, tables),
+                labelings=tuple(
+                    _labeling_entry(tables, labeling, choices)
+                    for labeling, choices in udg.consistent_edge_choices(tree, tables.n_quantities)
+                ),
             )
             for _, tree, rel_sum, lca_sum in scored
         )
 
     def _candidates(self, params: ScalingParams) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry, float, tuple[EdgeType, ...]]]:
-        use_max = params.lambda_edge > 0
         for entry in self.entries:
             base = params.lambda_rel * entry.rel_sum + entry.lca_sum
             for lab in entry.labelings:
-                esum = lab.edge_sum_max if use_max else lab.edge_sum_lex
-                edges = lab.edges_max if use_max else lab.edges_lex
+                esum, edges = lab.edges(params)
                 total = base + params.lambda_vertex * lab.vertex_sum + params.lambda_edge * esum
                 key = (
                     -total,

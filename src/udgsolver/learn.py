@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import annotate, exprtree, units
 from .corpus import QUESTION, Problem
-from .udg import EdgeType
+from .udg import EdgeType, vertex_pairs
 
 RATE, NOT_RATE = "Rate", "NotRate"
 RELEVANT, IRRELEVANT = "Relevant", "Irrelevant"
@@ -269,11 +269,6 @@ def train_model(
     return LinearModel(labels=tuple(labels), weights=averaged, epochs=epochs, seed=seed)
 
 
-def score(model: LinearModel, fv: Mapping[str, float], label: str) -> float:
-    """Raw linear score of one label; used unnormalized by inference."""
-    return model.score(fv, label)
-
-
 # ---------------------------------------------------------------------------
 # classifier suite
 
@@ -302,14 +297,27 @@ class ClassifierSuite:
 
     @classmethod
     def load(cls, path) -> "ClassifierSuite":
+        """Read a suite written by ``save``. A malformed file raises
+        ValueError naming the file and the missing or bad key."""
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"model {path}: expected a JSON object")
+
+        def part(key, build):
+            if key not in obj:
+                raise ValueError(f"model {path}: missing key {key!r}")
+            try:
+                return build(obj[key])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"model {path}: bad {key!r}: {exc!r}") from exc
+
         return cls(
-            vertex=LinearModel.from_json_obj(obj["vertex"]),
-            edge=LinearModel.from_json_obj(obj["edge"]),
-            relevance=LinearModel.from_json_obj(obj["relevance"]),
-            lca=LinearModel.from_json_obj(obj["lca"]),
-            config=FeatureConfig(**obj["config"]),
+            vertex=part("vertex", LinearModel.from_json_obj),
+            edge=part("edge", LinearModel.from_json_obj),
+            relevance=part("relevance", LinearModel.from_json_obj),
+            lca=part("lca", LinearModel.from_json_obj),
+            config=part("config", lambda cfg: FeatureConfig(**cfg)),
         )
 
 
@@ -334,7 +342,7 @@ def build_training_sets(
         qlabel = RATE if derived.vertex_labels[n] else NOT_RATE
         sets["vertex"].append((vertex_features(problem, QUESTION, config), qlabel))
         graph = derived.to_graph()
-        for i, j in _all_pairs(n):
+        for i, j in vertex_pairs(n):
             vi = i
             vj = QUESTION if j == n else j
             sets["edge"].append(
@@ -349,12 +357,6 @@ def build_training_sets(
                     op = exprtree.op_lca(tree, i, j)
                     sets["lca"].append((lca_features(problem, i, j, config), op))
     return sets
-
-
-def _all_pairs(n: int):
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            yield i, j
 
 
 def train_suite(

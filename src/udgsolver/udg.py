@@ -19,6 +19,11 @@ unit A and x carrying unit B:
 and their tree path has no multiplicative node (SameUnit), or when the labels
 differ and the path has exactly one multiplicative node sitting in one of the
 three configurations above. Everything else is undetermined.
+
+This module alone decides which labels a pair may carry.
+``consistent_edge_choices`` gives them per vertex labeling under a tree
+(joint inference and consistent-graph enumeration); ``valid_edge_choices``
+gives them for a labeling bound by no tree (standalone graph prediction).
 """
 
 from __future__ import annotations
@@ -65,6 +70,14 @@ def edge_structurally_valid(label: EdgeType, vi_rate: bool, vj_rate: bool) -> bo
     if label in (EdgeType.NUM_REV, EdgeType.DEN_REV):
         return vj_rate
     return True
+
+
+# structurally valid labels, in declaration order, by the pair's two rate flags
+_VALID_EDGES: dict[tuple[bool, bool], tuple[EdgeType, ...]] = {
+    (li, lj): tuple(e for e in EdgeType if edge_structurally_valid(e, li, lj))
+    for li in (False, True)
+    for lj in (False, True)
+}
 
 
 @lru_cache(maxsize=None)
@@ -263,9 +276,8 @@ def _permitted_cached(tree: Expr, vi: int, vj: int, li: bool, lj: bool, n: int) 
         return (determined,)
     data = _path_data(tree, vi, QUESTION if vj == n else vj)
     return tuple(
-        e for e in EdgeType
-        if edge_structurally_valid(e, li, lj)
-        and not (e is EdgeType.SAME_UNIT and data.muldiv_count == 1)
+        e for e in _VALID_EDGES[(li, lj)]
+        if not (e is EdgeType.SAME_UNIT and data.muldiv_count == 1)
     )
 
 
@@ -349,14 +361,44 @@ def is_consistent(graph: UnitDependencyGraph, tree: Expr) -> ConsistencyResult:
     return ConsistencyResult(ok=not violations, violations=tuple(violations))
 
 
-def _labeling_passes_path_conditions(
-    tree: Expr, used: frozenset[int], n: int, vlabels: Sequence[bool]
-) -> bool:
-    question_rate = bool(vlabels[n])
-    for leaf in used:
-        if bool(vlabels[leaf]) != question_rate and _addsub_only_to_root(tree, leaf):
-            return False
-    return True
+def valid_edge_choices(labeling: Sequence[bool]) -> tuple[tuple[EdgeType, ...], ...]:
+    """Structurally valid labels of every pair in
+    ``vertex_pairs(len(labeling) - 1)``, for a graph bound by no tree.
+
+    A prefix of a labeling gets the choices of the pairs among its vertices.
+    """
+    return tuple(
+        _VALID_EDGES[(labeling[i], labeling[j])] for i, j in vertex_pairs(len(labeling) - 1)
+    )
+
+
+def consistent_edge_choices(
+    tree: Expr, n: int
+) -> Iterator[tuple[tuple[bool, ...], tuple[tuple[EdgeType, ...], ...]]]:
+    """Yield (labeling, per-pair label choices) for every vertex labeling
+    that meets consistency conditions 1 and 2 for the tree.
+
+    Labelings come lexicographically (not-rate first). Pairs the tree defines
+    (both endpoints used, or a used quantity and the question) get
+    ``permitted_edge_labels``; every other pair gets its structurally valid
+    labels. The graphs consistent with the tree under a labeling are exactly
+    the product of its choices, in ``vertex_pairs(n)`` order.
+    """
+    used = exprtree.used_indices(tree)
+    if used and max(used) >= n:
+        raise UdgError(f"tree uses quantity {max(used)} but graph has {n} quantities")
+    pairs = vertex_pairs(n)
+    defined = [i in used and (j == n or j in used) for i, j in pairs]
+    additive = [leaf for leaf in sorted(used) if _addsub_only_to_root(tree, leaf)]
+    for labeling in itertools.product((False, True), repeat=n + 1):
+        if any(labeling[leaf] != labeling[n] for leaf in additive):
+            continue
+        yield labeling, tuple(
+            permitted_edge_labels(tree, i, j, labeling)
+            if pair_defined
+            else _VALID_EDGES[(labeling[i], labeling[j])]
+            for (i, j), pair_defined in zip(pairs, defined)
+        )
 
 
 def enumerate_consistent_udgs(tree: Expr, n: int) -> Iterator[UnitDependencyGraph]:
@@ -367,26 +409,7 @@ def enumerate_consistent_udgs(tree: Expr, n: int) -> Iterator[UnitDependencyGrap
     vertex labelings lexicographically (not-rate first), then free edges in
     pair order by EdgeType declaration order.
     """
-    used = exprtree.used_indices(tree)
-    if used and max(used) >= n:
-        raise UdgError(f"tree uses quantity {max(used)} but graph has {n} quantities")
-    pairs = vertex_pairs(n)
-    question = n
-    for labeling in itertools.product((False, True), repeat=n + 1):
-        if not _labeling_passes_path_conditions(tree, used, n, labeling):
-            continue
-        choices: list[tuple[EdgeType, ...]] = []
-        for i, j in pairs:
-            pair_defined = i in used and (j == question or j in used)
-            if pair_defined:
-                choices.append(permitted_edge_labels(tree, i, j, labeling))
-            else:
-                choices.append(
-                    tuple(
-                        e for e in EdgeType
-                        if edge_structurally_valid(e, labeling[i], labeling[j])
-                    )
-                )
+    for labeling, choices in consistent_edge_choices(tree, n):
         rates = frozenset(v for v in range(n + 1) if labeling[v])
         for combo in itertools.product(*choices):
             yield UnitDependencyGraph(n_quantities=n, rates=rates, edges=combo)

@@ -106,6 +106,25 @@ def test_solve_no_numbers_is_data_error(model_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_infinite_lambda_is_data_error(model_file, capsys):
+    code = cli.main(["solve", "--model", str(model_file), "--text", FIG1_TEXT, "--lambda-edge", "inf"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Infinity" not in captured.out
+    assert "lambda_edge must be finite" in captured.err
+
+
+def test_solve_malformed_model_is_data_error(tmp_path, model_file, capsys):
+    no_lca = json.loads(model_file.read_text())
+    del no_lca["lca"]
+    for name, obj, key in (("empty.json", {}, "'vertex'"), ("no_lca.json", no_lca, "'lca'")):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        assert cli.main(["solve", "--model", str(path), "--text", FIG1_TEXT]) == 2
+        err = capsys.readouterr().err
+        assert name in err and f"missing key {key}" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["solve"]) == 1  # missing required arguments
     assert "usage" in capsys.readouterr().err.lower()

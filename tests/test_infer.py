@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,7 +43,7 @@ def test_score_udg_not_rate_contributes_nothing():
 def test_score_udg_lambda_zero_keeps_vertex_terms():
     tables = _tables(1, vertex={(0, "Rate"): 5.0}, edge={(0, 1, EdgeType.SAME_UNIT): 9.0})
     graph = UnitDependencyGraph.from_edge_map(1, {0}, {(0, 1): EdgeType.SAME_UNIT})
-    assert score_udg(graph, tables, ScalingParams(lambda_udg=0.0)) == 5.0
+    assert score_udg(graph, tables, ScalingParams(lambda_edge=0.0)) == 5.0
 
 
 def test_score_udg_fig1_hand_sum():
@@ -58,7 +60,7 @@ def test_score_udg_fig1_hand_sum():
     )
     # vertex: Rate(8)=3; edges: 2+2+2+2 for gold labels, 1+1 for NoRelation pairs
     assert score_udg(gold, tables, ScalingParams()) == pytest.approx(3 + 10.0)
-    assert score_udg(gold, tables, ScalingParams(lambda_udg=2.0)) == pytest.approx(3 + 20.0)
+    assert score_udg(gold, tables, ScalingParams(lambda_edge=2.0)) == pytest.approx(3 + 20.0)
 
 
 # --- predict_udg -----------------------------------------------------------------
@@ -101,6 +103,46 @@ def test_predict_udg_structural_constraint():
     graph = predict_udg_from_tables(tables, ScalingParams())
     if 0 not in graph.rates:
         assert graph.edge(0, 1) is not EdgeType.NUM_FWD
+
+
+def _random_graph_tables(n, seed):
+    rng = random.Random(seed)
+    vertex = {(v, "Rate"): rng.uniform(-2.0, 2.0) for v in range(n + 1)}
+    edge = {(i, j, e): rng.uniform(-2.0, 2.0) for i, j in vertex_pairs(n) for e in EdgeType}
+    return _tables(n, vertex=vertex, edge=edge)
+
+
+def _valid_options(labeling, i, j):
+    return [e for e in EdgeType if udg.edge_structurally_valid(e, labeling[i], labeling[j])]
+
+
+def test_predict_udg_beam_path_equals_argmax():
+    # seven vertices take the beam path; a beam of 2**7 keeps every labeling
+    n = 6
+    tables = _random_graph_tables(n, seed=5)
+    params = ScalingParams()
+    best = None
+    for labeling in itertools.product((False, True), repeat=n + 1):
+        edges = tuple(
+            max(_valid_options(labeling, i, j), key=lambda e: tables.edge_score(i, j, e))
+            for i, j in vertex_pairs(n)
+        )
+        rates = frozenset(v for v, flag in enumerate(labeling) if flag)
+        graph = UnitDependencyGraph(n, rates, edges)
+        total = score_udg(graph, tables, params)
+        if best is None or total > best[0]:
+            best = (total, graph)
+    assert predict_udg_from_tables(tables, params, beam=128) == best[1]
+
+
+def test_predict_udg_beam_path_zero_edge_scale_takes_first_edges():
+    n = 6
+    tables = _random_graph_tables(n, seed=6)
+    graph = predict_udg_from_tables(tables, ScalingParams(lambda_edge=0.0), beam=128)
+    rates = frozenset(v for v in range(n + 1) if tables.vertex_score(v, "Rate") > 0)
+    labeling = [v in rates for v in range(n + 1)]
+    edges = tuple(_valid_options(labeling, i, j)[0] for i, j in vertex_pairs(n))
+    assert graph == UnitDependencyGraph(n, rates, edges)
 
 
 def test_predict_udg_neutral_deterministic():
@@ -233,6 +275,13 @@ def test_values_match_tolerance():
 def test_negative_lambda_rejected():
     with pytest.raises(ValueError):
         ScalingParams(lambda_edge=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["lambda_rel", "lambda_vertex", "lambda_edge"])
+def test_non_finite_lambda_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScalingParams(**{name: value})
 
 
 # --- tuning -----------------------------------------------------------------------

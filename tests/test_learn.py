@@ -13,7 +13,6 @@ from udgsolver.learn import (
     edge_features,
     lca_features,
     relevance_features,
-    score,
     train_model,
     vertex_features,
 )
@@ -116,19 +115,19 @@ def test_train_empty():
 
 def test_score_empty_fv_is_zero():
     model = LinearModel(("A", "B"), {"A": {"x": 2.0}, "B": {}})
-    assert score(model, {}, "A") == 0.0
-    assert score(model, {}, "B") == 0.0
+    assert model.score({}, "A") == 0.0
+    assert model.score({}, "B") == 0.0
 
 
 def test_score_single_term():
     model = LinearModel(("A",), {"A": {"a": 2.0}})
-    assert score(model, {"a": 1.0}, "A") == 2.0
+    assert model.score({"a": 1.0}, "A") == 2.0
 
 
 def test_score_unknown_label():
     model = LinearModel(("A",), {"A": {}})
     with pytest.raises(KeyError):
-        score(model, {"a": 1.0}, "B")
+        model.score({"a": 1.0}, "B")
 
 
 def test_argmax_invariant_to_positive_scaling():
@@ -150,8 +149,8 @@ def test_score_linear(fv1, fv2):
     combined = dict(fv1)
     for k, v in fv2.items():
         combined[k] = combined.get(k, 0.0) + v
-    assert score(model, combined, "A") == pytest.approx(
-        score(model, fv1, "A") + score(model, fv2, "A")
+    assert model.score(combined, "A") == pytest.approx(
+        model.score(fv1, "A") + model.score(fv2, "A")
     )
 
 
