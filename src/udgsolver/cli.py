@@ -160,6 +160,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.trace < 0:
+        raise ValueError(f"--trace must be >= 0, got {args.trace}")
     suite = ClassifierSuite.load(args.model)
     problem = corpus.build_problem("cli", args.text)
     if not problem.quantities:

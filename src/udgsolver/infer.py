@@ -10,6 +10,13 @@ Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
 a tree); ``_labeling_entry`` scores one labeling's choices for both.
 
+The joint search is branch and bound over the graph stage. Trees are
+enumerated, scored and beam-truncated up front, but a tree's consistent
+labelings are built only when ``solve`` visits it. Trees are visited best
+tree score first, and the visit stops at the first tree whose best
+unconstrained graph cannot reach the incumbent total, so answers equal the
+exhaustive scan of ``top_k``.
+
 All scoring runs off immutable ScoreTables, so tests can drive inference
 from hand-set mock tables and candidate scoring is safe to parallelize.
 """
@@ -289,21 +296,39 @@ class ScoredTuple:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _TreeEntry:
     tree: Expr
     serial: str
     nodes: int
     rel_sum: float
     lca_sum: float
-    labelings: tuple[_LabelingEntry, ...]
+    # the tree's consistent labelings, built when a search first reaches it
+    consistent: tuple[_LabelingEntry, ...] | None = None
+
+    def base(self, lambda_rel: float) -> float:
+        return lambda_rel * self.rel_sum + self.lca_sum
+
+    def rank(self, lambda_rel: float) -> tuple:
+        return (-self.base(lambda_rel), self.nodes, self.serial)
 
 
 class JointCandidates:
-    """Beam-pruned candidate trees with precomputed per-labeling graph sums.
+    """Beam-pruned candidate trees whose consistent graphs are scored lazily.
 
-    Building this once per problem lets lambda tuning and ablations re-solve
-    cheaply: only the scalar mix changes across calls to solve()."""
+    The tree stage runs here: every tree is scored under ``lambda_rel`` and
+    the best ``beam`` are kept. The graph stage runs on demand: a kept tree's
+    consistent labelings are built the first time a search reaches it and
+    reused by every later call, so lambda tuning and ablations re-solve
+    cheaply; only the scalar mix changes across calls to solve().
+
+    ``solve`` visits trees best tree score first and bounds each by its tree
+    score plus the best graph over all structurally valid labelings, built
+    once here. A consistent labeling's per-pair options are a subset of its
+    valid ones and float rounding is monotone, so no total of the tree
+    exceeds the bound; the bound never rises along the visit order, so the
+    search stops at the first tree bounded strictly below the incumbent.
+    ``top_k`` scans every kept tree."""
 
     def __init__(
         self,
@@ -317,59 +342,75 @@ class JointCandidates:
             raise InferenceError("value list does not match score tables")
         self.tables = tables
         self.values = [Fraction(v) for v in values]
-        scored = []
+        entries = []
         for tree in exprtree.enumerate_trees(self.values, max_irrelevant):
             rel_sum, lca_sum = tree_term_sums(tree, tables)
-            base = lambda_rel * rel_sum + lca_sum
-            scored.append((base, tree, rel_sum, lca_sum))
-        if not scored:
-            raise InferenceError("no candidate expression trees with a positive value")
-        scored.sort(
-            key=lambda item: (-item[0], exprtree.node_count(item[1]), exprtree.serialize(item[1]))
-        )
-        if beam is not None:
-            scored = scored[: max(int(beam), 1)]
-        self.entries = tuple(
-            _TreeEntry(
-                tree=tree,
-                serial=exprtree.serialize(tree),
-                nodes=exprtree.node_count(tree),
-                rel_sum=rel_sum,
-                lca_sum=lca_sum,
-                labelings=tuple(
-                    _labeling_entry(tables, labeling, choices)
-                    for labeling, choices in udg.consistent_edge_choices(tree, tables.n_quantities)
-                ),
+            entries.append(
+                _TreeEntry(
+                    tree, exprtree.serialize(tree), exprtree.node_count(tree), rel_sum, lca_sum
+                )
             )
-            for _, tree, rel_sum, lca_sum in scored
+        if not entries:
+            raise InferenceError("no candidate expression trees with a positive value")
+        entries.sort(key=lambda e: e.rank(lambda_rel))
+        if beam is not None:
+            entries = entries[: max(int(beam), 1)]
+        self.entries = tuple(entries)
+        self.lambda_rel = lambda_rel
+        self._unconstrained = tuple(
+            _valid_entry(tables, labeling)
+            for labeling in itertools.product((False, True), repeat=tables.n_quantities + 1)
         )
 
-    def _candidates(self, params: ScalingParams) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry, float, tuple[EdgeType, ...]]]:
-        for entry in self.entries:
-            base = params.lambda_rel * entry.rel_sum + entry.lca_sum
-            for lab in entry.labelings:
-                esum, edges = lab.edges(params)
-                total = base + params.lambda_vertex * lab.vertex_sum + params.lambda_edge * esum
-                key = (
-                    -total,
-                    entry.nodes,
-                    entry.serial,
-                    lab.labeling,
-                    tuple(udg.EDGE_ORDER[e] for e in edges),
+    def _tree_candidates(self, entry: _TreeEntry, params: ScalingParams) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry, float, tuple[EdgeType, ...]]]:
+        if entry.consistent is None:
+            entry.consistent = tuple(
+                _labeling_entry(self.tables, labeling, choices)
+                for labeling, choices in udg.consistent_edge_choices(
+                    entry.tree, self.tables.n_quantities
                 )
-                yield key, entry, lab, esum, edges
+            )
+        base = entry.base(params.lambda_rel)
+        for lab in entry.consistent:
+            esum, edges = lab.edges(params)
+            total = base + params.lambda_vertex * lab.vertex_sum + params.lambda_edge * esum
+            key = (
+                -total,
+                entry.nodes,
+                entry.serial,
+                lab.labeling,
+                tuple(udg.EDGE_ORDER[e] for e in edges),
+            )
+            yield key, entry, lab, esum, edges
 
     def solve(self, params: ScalingParams) -> ScoredTuple:
+        graph_terms = [
+            (params.lambda_vertex * lab.vertex_sum, params.lambda_edge * lab.edges(params)[0])
+            for lab in self._unconstrained
+        ]
+        visit_order = self.entries
+        if params.lambda_rel != self.lambda_rel:
+            visit_order = sorted(self.entries, key=lambda e: e.rank(params.lambda_rel))
         best = None
-        for cand in self._candidates(params):
-            if best is None or cand[0] < best[0]:
-                best = cand
+        for entry in visit_order:
+            if best is not None:
+                base = entry.base(params.lambda_rel)
+                # same float expression as a candidate's total; a tie may
+                # still win on the tie-break key, so only a strict miss stops
+                if max(base + v + e for v, e in graph_terms) < -best[0][0]:
+                    break
+            for cand in self._tree_candidates(entry, params):
+                if best is None or cand[0] < best[0]:
+                    best = cand
         if best is None:
             raise InferenceError("no consistent (graph, tree) tuple exists")
         return self._build(best, params)
 
     def top_k(self, params: ScalingParams, k: int) -> list[ScoredTuple]:
-        ranked = sorted(self._candidates(params), key=lambda c: c[0])
+        ranked = sorted(
+            (c for entry in self.entries for c in self._tree_candidates(entry, params)),
+            key=lambda c: c[0],
+        )
         return [self._build(c, params) for c in ranked[:k]]
 
     def _build(self, cand, params: ScalingParams) -> ScoredTuple:

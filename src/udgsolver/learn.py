@@ -40,6 +40,13 @@ class FeatureConfig:
     rule_features: bool = True
     window: int = CONTEXT_WINDOW
 
+    def __post_init__(self):
+        for name in ("context_features", "rule_features"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if isinstance(self.window, bool) or not isinstance(self.window, int) or self.window < 0:
+            raise ValueError(f"window must be an int >= 0, got {self.window!r}")
+
 
 def _bump(fv: FeatureVector, name: str) -> None:
     fv[name] = fv.get(name, 0.0) + 1.0

@@ -177,7 +177,7 @@ class _PathData:
     single: tuple[str, str, str] | None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=200_000)
 def _path_data(tree: Expr, vi: int, vj: int | str) -> _PathData:
     walk_i = exprtree.root_path(tree, vi)
     if vj == QUESTION:

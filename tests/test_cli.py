@@ -125,6 +125,28 @@ def test_solve_malformed_model_is_data_error(tmp_path, model_file, capsys):
         assert name in err and f"missing key {key}" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("window", "3"), ("window", -1), ("window", True), ("context_features", 1), ("rule_features", "yes")],
+)
+def test_solve_bad_config_value_is_data_error(tmp_path, model_file, capsys, key, value):
+    obj = json.loads(model_file.read_text())
+    obj["config"][key] = value
+    path = tmp_path / "bad_config.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["solve", "--model", str(path), "--text", FIG1_TEXT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad_config.json" in captured.err and f"{key} must be" in captured.err
+
+
+def test_solve_negative_trace_is_data_error(model_file, capsys):
+    assert cli.main(["solve", "--model", str(model_file), "--text", FIG1_TEXT, "--trace", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trace must be >= 0" in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["solve"]) == 1  # missing required arguments
     assert "usage" in capsys.readouterr().err.lower()

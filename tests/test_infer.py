@@ -258,6 +258,68 @@ def test_solve_joint_exhaustive_equivalence_small(trained_suite, synthetic_corpu
         assert result.graph == best[2]
 
 
+def _assert_solve_is_exhaustive_top1(cands):
+    # field for field, also under a lambda_rel other than the one the beam used
+    for lam_rel, lam_vertex, lam_edge in itertools.product((0.0, 1.0, 2.5), repeat=3):
+        params = ScalingParams(lam_rel, lam_vertex, lam_edge)
+        assert cands.solve(params) == cands.top_k(params, 1)[0]
+
+
+@pytest.mark.parametrize("beam", [200, 5, None])
+def test_bounded_solve_equals_exhaustive_top1(trained_suite, synthetic_corpus, beam):
+    sample = [p for p in synthetic_corpus if p.n == 2][:3] + [p for p in synthetic_corpus if p.n == 3][:5]
+    for p in sample:
+        tables = infer.build_score_tables(p, trained_suite)
+        cands = JointCandidates(tables, p.values, lambda_rel=1.0, beam=beam)
+        _assert_solve_is_exhaustive_top1(cands)
+
+
+def test_bounded_solve_equals_exhaustive_top1_random_tables():
+    rng = random.Random(11)
+    for trial in range(40):
+        n = rng.randint(1, 3)
+        if trial % 2:
+            draw = lambda: float(rng.randint(-2, 2))  # integer scores make float ties exact
+        else:
+            draw = lambda: rng.uniform(-2.0, 2.0)
+        tables = _tables(
+            n,
+            vertex={(v, "Rate"): draw() for v in range(n + 1)},
+            edge={(i, j, e): draw() for i, j in vertex_pairs(n) for e in EdgeType},
+            relevance={(q, "Irrelevant"): draw() for q in range(n)},
+            lca={
+                (i, j, op): min(0.0, draw())
+                for i in range(n) for j in range(i + 1, n) for op in exprtree.OPS
+            },
+        )
+        values = [Fraction(rng.randint(1, 9)) for _ in range(n)]
+        cands = JointCandidates(tables, values, beam=rng.choice([200, 5, None]))
+        _assert_solve_is_exhaustive_top1(cands)
+
+
+def test_bounded_solve_scans_tree_whose_bound_ties_incumbent():
+    # (+ 3 1) has the best tree score (0) and its forced SameUnit edges add
+    # nothing, so it leads with total 0. A one-leaf tree scores -1 but may
+    # label pair (0, 1) NoRelation for +1: its bound equals the incumbent's
+    # total, and it wins the tie on node count, so it must still be scanned.
+    values = [Fraction(3), Fraction(1)]
+    lca = {(0, 1, op): -5.0 for op in exprtree.OPS} | {(0, 1, "+"): 0.0}
+    tables = _tables(
+        2,
+        edge={(0, 1, EdgeType.NO_RELATION): 1.0},
+        relevance={(0, "Irrelevant"): -1.0, (1, "Irrelevant"): -1.0},
+        lca=lca,
+    )
+    params = ScalingParams()
+    cands = JointCandidates(tables, values, beam=None)
+    assert serialize(cands.entries[0].tree) == "(+ q0 q1)"
+    result = cands.solve(params)
+    assert result == cands.top_k(params, 1)[0]
+    assert result.score == 0.0
+    assert exprtree.node_count(result.tree) == 1
+    assert result.graph.edge(0, 1) is EdgeType.NO_RELATION
+
+
 def test_no_quantities_errors(trained_suite):
     from udgsolver.corpus import build_problem
 
