@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from . import annotate, corpus, infer, learn, udg
@@ -144,14 +146,12 @@ def _classifier_metrics(
     v_hit = v_total = e_hit = e_total = 0
     for p in test:
         derived = annotate.derive_udg_gold(p)
-        for v in range(p.n + 1):
-            fv = learn.vertex_features(p, corpus.QUESTION if v == p.n else v, suite.config)
-            gold = RATE if derived.vertex_labels[v] else NOT_RATE
-            v_hit += suite.vertex.predict(fv) == gold
+        feats = learn.problem_features(p, suite.config)
+        for fv, is_rate in zip(feats.vectors, derived.vertex_labels):
+            v_hit += suite.vertex.predict(fv) == (RATE if is_rate else NOT_RATE)
             v_total += 1
         for (i, j), gold_edge in zip(udg.vertex_pairs(p.n), derived.edges):
-            fv = learn.edge_features(p, i, corpus.QUESTION if j == p.n else j, suite.config)
-            e_hit += suite.edge.predict(fv) == gold_edge.value
+            e_hit += suite.edge.predict(feats.pair(learn.EDGE_LAYOUT, i, j)) == gold_edge.value
             e_total += 1
     return v_hit / v_total, e_hit / e_total
 
@@ -231,19 +231,20 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
             )
         )
 
-    n_folds = len(fold_results)
+    def mean(values) -> float:
+        # one addition at a time, as in every Python version (3.12's sum() compensates)
+        return reduce(add, values, 0) / len(fold_results)
+
     aggregate = {
         "solve_accuracy": {
-            v: sum(f.solve_accuracy[v] for f in fold_results) / n_folds for v in SOLVE_VARIANTS
+            v: mean(f.solve_accuracy[v] for f in fold_results) for v in SOLVE_VARIANTS
         },
-        "udg_exact_accuracy": sum(f.udg_exact_accuracy for f in fold_results) / n_folds,
+        "udg_exact_accuracy": mean(f.udg_exact_accuracy for f in fold_results),
         "vertex_accuracy": {
-            v: sum(f.vertex_accuracy[v] for f in fold_results) / n_folds
-            for v in FEATURE_VARIANTS
+            v: mean(f.vertex_accuracy[v] for f in fold_results) for v in FEATURE_VARIANTS
         },
         "edge_accuracy": {
-            v: sum(f.edge_accuracy[v] for f in fold_results) / n_folds
-            for v in FEATURE_VARIANTS
+            v: mean(f.edge_accuracy[v] for f in fold_results) for v in FEATURE_VARIANTS
         },
         "test_total": sum(f.test_size for f in fold_results),
     }

@@ -27,10 +27,12 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import exprtree, learn, udg
-from .corpus import QUESTION, Problem
+from .corpus import Problem
 from .exprtree import Expr
 from .learn import IRRELEVANT, RATE, ClassifierSuite
 from .udg import EdgeType, UnitDependencyGraph
@@ -84,7 +86,12 @@ class ScoreTables:
 
 
 def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
-    """Score every inference query once.
+    """Score every inference query once, off one feature pass.
+
+    ``learn.problem_features`` computes each vertex's features and unit once;
+    each model scores all its labels at a time, and pair scores continue the
+    first vertex's block sums into the second's (``pair_scores``). Every
+    score is the float ``LinearModel.score`` gives for the query's vector.
 
     LCA scores are shifted per pair so the pair's best operation scores zero
     and every other operation is negative (the margin analogue of a log
@@ -95,30 +102,32 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     raw (every graph labels every pair, so per-pair shifts cancel).
     """
     n = problem.n
-    config = suite.config
-    vertex = {}
-    for v in range(n + 1):
-        fv = learn.vertex_features(problem, QUESTION if v == n else v, config)
-        for label in learn.VERTEX_LABELS:
-            vertex[(v, label)] = suite.vertex.score(fv, label)
-    edge = {}
-    for i, j in udg.vertex_pairs(n):
-        fv = learn.edge_features(problem, i, QUESTION if j == n else j, config)
-        for label in EdgeType:
-            edge[(i, j, label)] = suite.edge.score(fv, label.value)
-    relevance = {}
-    for q in range(n):
-        fv = learn.relevance_features(problem, q, config)
-        for label in learn.RELEVANCE_LABELS:
-            relevance[(q, label)] = suite.relevance.score(fv, label)
+    feats = learn.problem_features(problem, suite.config)
+    vertex = {
+        (v, label): s
+        for v, fv in enumerate(feats.vectors)
+        for label, s in zip(suite.vertex.labels, suite.vertex.scores(fv))
+    }
+    pairs = udg.vertex_pairs(n)
+    edge_types = [EdgeType(label) for label in suite.edge.labels]
+    edge = {
+        (i, j, label): s
+        for (i, j), scores in zip(pairs, feats.pair_scores(suite.edge, learn.EDGE_LAYOUT, pairs))
+        for label, s in zip(edge_types, scores)
+    }
+    relevance = {
+        (q, label): s
+        for q in range(n)
+        for label, s in zip(suite.relevance.labels, suite.relevance.scores(feats.relevance(q)))
+    }
     lca = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            fv = learn.lca_features(problem, i, j, config)
-            raw = {op: suite.lca.score(fv, op) for op in learn.OP_LABELS}
-            top = max(raw.values())
-            for op, s in raw.items():
-                lca[(i, j, op)] = s - top
+    quantity_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), scores in zip(
+        quantity_pairs, feats.pair_scores(suite.lca, learn.LCA_LAYOUT, quantity_pairs)
+    ):
+        top = max(scores)
+        for op, s in zip(suite.lca.labels, scores):
+            lca[(i, j, op)] = s - top
     return ScoreTables(n, vertex, edge, relevance, lca)
 
 
@@ -200,7 +209,10 @@ def _labeling_entry(
 ) -> _LabelingEntry:
     """Score a labeling whose pairs, in ``vertex_pairs`` order, may carry
     ``choices``; the labeling may be a prefix over its first vertices."""
-    vertex_sum = sum(tables.vertex_score(v, RATE) for v, flag in enumerate(labeling) if flag)
+    # one addition at a time, as in every Python version (3.12's sum() compensates)
+    vertex_sum = reduce(
+        add, (tables.vertex_score(v, RATE) for v, flag in enumerate(labeling) if flag), 0
+    )
     e_max = e_lex = 0.0
     edges_max: list[EdgeType] = []
     for (i, j), options in zip(udg.vertex_pairs(len(labeling) - 1), choices):
@@ -313,14 +325,32 @@ class _TreeEntry:
         return (-self.base(lambda_rel), self.nodes, self.serial)
 
 
+def _tree_stage(
+    tables: ScoreTables, values: Sequence[Fraction], max_irrelevant: int | None = None
+) -> tuple[_TreeEntry, ...]:
+    """Every candidate tree with its term sums, in enumeration order. Only
+    the ranking depends on ``lambda_rel``, so one stage serves every
+    ``JointCandidates`` built over the same tables and values."""
+    entries = tuple(
+        _TreeEntry(
+            tree, exprtree.serialize(tree), exprtree.node_count(tree), *tree_term_sums(tree, tables)
+        )
+        for tree in exprtree.enumerate_trees(values, max_irrelevant)
+    )
+    if not entries:
+        raise InferenceError("no candidate expression trees with a positive value")
+    return entries
+
+
 class JointCandidates:
     """Beam-pruned candidate trees whose consistent graphs are scored lazily.
 
-    The tree stage runs here: every tree is scored under ``lambda_rel`` and
-    the best ``beam`` are kept. The graph stage runs on demand: a kept tree's
-    consistent labelings are built the first time a search reaches it and
-    reused by every later call, so lambda tuning and ablations re-solve
-    cheaply; only the scalar mix changes across calls to solve().
+    The tree stage runs here, or comes from ``trees``: every tree is ranked
+    under ``lambda_rel`` and the best ``beam`` are kept. The graph stage runs
+    on demand: a kept tree's consistent labelings are built the first time a
+    search reaches it and reused by every later call, so lambda tuning and
+    ablations re-solve cheaply; only the scalar mix changes across calls to
+    solve().
 
     ``solve`` visits trees best tree score first and bounds each by its tree
     score plus the best graph over all structurally valid labelings, built
@@ -337,22 +367,19 @@ class JointCandidates:
         lambda_rel: float = 1.0,
         beam: int | None = 200,
         max_irrelevant: int | None = None,
+        *,
+        trees: Sequence[_TreeEntry] | None = None,
     ):
+        """``trees`` is the problem's tree stage from ``_tree_stage`` on the
+        same tables and values; passing it skips the enumeration, and the
+        kept trees and their order are those of a fresh build."""
         if len(values) != tables.n_quantities:
             raise InferenceError("value list does not match score tables")
         self.tables = tables
         self.values = [Fraction(v) for v in values]
-        entries = []
-        for tree in exprtree.enumerate_trees(self.values, max_irrelevant):
-            rel_sum, lca_sum = tree_term_sums(tree, tables)
-            entries.append(
-                _TreeEntry(
-                    tree, exprtree.serialize(tree), exprtree.node_count(tree), rel_sum, lca_sum
-                )
-            )
-        if not entries:
-            raise InferenceError("no candidate expression trees with a positive value")
-        entries.sort(key=lambda e: e.rank(lambda_rel))
+        if trees is None:
+            trees = _tree_stage(tables, self.values, max_irrelevant)
+        entries = sorted(trees, key=lambda e: e.rank(lambda_rel))
         if beam is not None:
             entries = entries[: max(int(beam), 1)]
         self.entries = tuple(entries)
@@ -497,11 +524,14 @@ def tune_lambdas(
         golds.append(p.gold.answer)
 
     tables = [build_score_tables(p, suite) for p in dev_problems]
+    # trees, term sums and the labelings memoized on the trees are shared by
+    # every lambda_rel; only the ranking and the beam cut are redone
+    stages = [_tree_stage(t, p.values) for t, p in zip(tables, dev_problems)]
     best: tuple[int, ScalingParams] | None = None
     for lam_rel in sorted(rel_values):
         candidates = [
-            JointCandidates(t, p.values, lambda_rel=lam_rel, beam=beam)
-            for t, p in zip(tables, dev_problems)
+            JointCandidates(t, p.values, lambda_rel=lam_rel, beam=beam, trees=stage)
+            for t, p, stage in zip(tables, dev_problems, stages)
         ]
         for lam_vertex in sorted(vertex_values):
             for lam_edge in sorted(edge_values):

@@ -3,15 +3,23 @@
 Four classifiers drive inference: a binary rate detector per vertex, a
 six-way edge classifier per vertex pair, a binary relevance classifier per
 quantity, and a six-way lowest-common-ancestor operation classifier per
-quantity pair. Feature extraction is a pure function of (problem, query);
-trained models are immutable and safe for concurrent scoring.
+quantity pair. One feature pass per (problem, config) computes each
+vertex's feature vector and unit once; every classifier's vectors are
+assembled from it, and the per-query functions run the same assembly over
+just the vertices they name. Trained models are immutable and safe for
+concurrent scoring; a dot product adds its terms one at a time in feature
+order, so scores are the same floats on every supported Python version.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from . import annotate, exprtree, units
@@ -83,8 +91,7 @@ def _vertex_window(problem: Problem, vertex: int | str, window: int) -> tuple[in
     return lo, hi, q.token_index
 
 
-def _rule_block(problem: Problem, vertex: int | str, fv: FeatureVector) -> None:
-    unit = units.extract_unit(problem, vertex)
+def _rule_block(unit: units.QuantityUnit, fv: FeatureVector) -> None:
     if unit.rule_rate_flag:
         _bump(fv, "rule:rate")
     for tok in unit.surface_unit:
@@ -95,9 +102,15 @@ def _rule_block(problem: Problem, vertex: int | str, fv: FeatureVector) -> None:
 
 
 def vertex_features(
-    problem: Problem, vertex: int | str, config: FeatureConfig = FeatureConfig()
+    problem: Problem,
+    vertex: int | str,
+    config: FeatureConfig = FeatureConfig(),
+    unit: units.QuantityUnit | None = None,
 ) -> FeatureVector:
-    """Windowed context features plus rule-based rate extraction features."""
+    """Windowed context features plus rule-based rate extraction features.
+
+    ``unit`` is the vertex's ``units.extract_unit`` result when the caller
+    already has it; otherwise it is extracted here (with rule features)."""
     fv: FeatureVector = {"bias": 1.0}
     if vertex == QUESTION:
         _bump(fv, "is_question")
@@ -105,8 +118,111 @@ def vertex_features(
         lo, hi, anchor = _vertex_window(problem, vertex, config.window)
         _context_block(problem, lo, hi, anchor, fv)
     if config.rule_features:
-        _rule_block(problem, vertex, fv)
+        _rule_block(unit if unit is not None else units.extract_unit(problem, vertex), fv)
     return fv
+
+
+@dataclass(frozen=True)
+class PairLayout:
+    """A pair vector's layout: ``bias``, the first vertex's features
+    prefixed by ``first``, the second's prefixed by ``second``, then (when
+    ``unit_flags`` and rule features are on) the shared-unit indicators.
+    The prefixes keep the blocks disjoint, so a pair vector's dot product is
+    its blocks' dot products added in that order."""
+
+    bias: str
+    first: str
+    second: str
+    unit_flags: bool
+
+
+EDGE_LAYOUT = PairLayout("pair_bias", "i|", "j|", unit_flags=True)
+LCA_LAYOUT = PairLayout("lca_bias", "lcai|", "lcaj|", unit_flags=False)
+
+
+def _prefixed(prefix: str, fv: FeatureVector) -> FeatureVector:
+    return {prefix + name: value for name, value in fv.items()}
+
+
+def _denominator_matches(rate: units.QuantityUnit, other: units.QuantityUnit) -> bool:
+    return bool(rate.den_unit and set(rate.den_unit) & set(other.surface_unit))
+
+
+@dataclass(frozen=True)
+class ProblemFeatures:
+    """One feature pass: the feature vector and (with rule features) the
+    unit of each vertex, computed once. Every classifier's vectors are
+    assembled from these; the last vertex is the question."""
+
+    vectors: tuple[FeatureVector, ...]
+    vertex_units: tuple[units.QuantityUnit, ...] | None
+
+    def _pair_flags(self, layout: PairLayout, i: int, j: int) -> FeatureVector:
+        fv: FeatureVector = {}
+        if layout.unit_flags and self.vertex_units is not None:
+            ui, uj = self.vertex_units[i], self.vertex_units[j]
+            fv["shared_unit" if units.units_share_tokens(ui, uj) else "no_shared_unit"] = 1.0
+            if _denominator_matches(ui, uj):
+                fv["i_den_matches_j"] = 1.0
+            if _denominator_matches(uj, ui):
+                fv["j_den_matches_i"] = 1.0
+        return fv
+
+    def pair(self, layout: PairLayout, i: int, j: int) -> FeatureVector:
+        fv: FeatureVector = {layout.bias: 1.0}
+        fv.update(_prefixed(layout.first, self.vectors[i]))
+        fv.update(_prefixed(layout.second, self.vectors[j]))
+        fv.update(self._pair_flags(layout, i, j))
+        return fv
+
+    def relevance(self, q: int) -> FeatureVector:
+        fv = _prefixed("rel|", self.vectors[q])
+        if self.vertex_units is not None:
+            unit_q, unit_question = self.vertex_units[q], self.vertex_units[-1]
+            match = "matches" if units.units_share_tokens(unit_q, unit_question) else "mismatch"
+            fv[f"rel|unit_{match}_question"] = 1.0
+            if _denominator_matches(unit_q, unit_question):
+                fv["rel|den_matches_question"] = 1.0
+        return fv
+
+    def pair_scores(
+        self, model: LinearModel, layout: PairLayout, pairs: Iterable[tuple[int, int]]
+    ) -> list[tuple[float, ...]]:
+        """``model.scores(self.pair(layout, i, j))`` for each pair, bit for
+        bit: each vertex's first-role block is scored once from the bias's
+        sums, and a pair continues those sums through the second vertex's
+        block (its names built once per vertex) and its flags."""
+        bias = model.scores({layout.bias: 1.0})
+        first: dict[int, tuple[float, ...]] = {}
+        second: dict[int, FeatureVector] = {}
+        out = []
+        for i, j in pairs:
+            if i not in first:
+                first[i] = model.scores(_prefixed(layout.first, self.vectors[i]), bias)
+            if j not in second:
+                second[j] = _prefixed(layout.second, self.vectors[j])
+            scores = model.scores(second[j], first[i])
+            flags = self._pair_flags(layout, i, j)
+            out.append(model.scores(flags, scores) if flags else scores)
+        return out
+
+
+def _feature_pass(
+    problem: Problem, vertices: Sequence[int | str], config: FeatureConfig
+) -> ProblemFeatures:
+    found = (
+        tuple(units.extract_unit(problem, v) for v in vertices) if config.rule_features else None
+    )
+    vectors = tuple(
+        vertex_features(problem, v, config, unit)
+        for v, unit in zip(vertices, found or repeat(None))
+    )
+    return ProblemFeatures(vectors, found)
+
+
+def problem_features(problem: Problem, config: FeatureConfig = FeatureConfig()) -> ProblemFeatures:
+    """The feature pass over quantities 0..n-1 and the question (vertex n)."""
+    return _feature_pass(problem, (*range(problem.n), QUESTION), config)
 
 
 def edge_features(
@@ -116,53 +232,39 @@ def edge_features(
     config: FeatureConfig = FeatureConfig(),
 ) -> FeatureVector:
     """Role-prefixed per-vertex features plus shared-unit indicators."""
-    fv: FeatureVector = {"pair_bias": 1.0}
-    for role, v in (("i", vi), ("j", vj)):
-        for name, weight in vertex_features(problem, v, config).items():
-            fv[f"{role}|{name}"] = fv.get(f"{role}|{name}", 0.0) + weight
-    if config.rule_features:
-        ui = units.extract_unit(problem, vi)
-        uj = units.extract_unit(problem, vj)
-        if units.units_share_tokens(ui, uj):
-            _bump(fv, "shared_unit")
-        else:
-            _bump(fv, "no_shared_unit")
-        if ui.den_unit and set(ui.den_unit) & set(uj.surface_unit):
-            _bump(fv, "i_den_matches_j")
-        if uj.den_unit and set(uj.den_unit) & set(ui.surface_unit):
-            _bump(fv, "j_den_matches_i")
-    return fv
+    return _feature_pass(problem, (vi, vj), config).pair(EDGE_LAYOUT, 0, 1)
 
 
 def relevance_features(
     problem: Problem, qi: int, config: FeatureConfig = FeatureConfig()
 ) -> FeatureVector:
-    fv = vertex_features(problem, qi, config)
-    fv = {f"rel|{k}": v for k, v in fv.items()}
-    if config.rule_features:
-        unit_q = units.extract_unit(problem, qi)
-        unit_question = units.extract_unit(problem, QUESTION)
-        if units.units_share_tokens(unit_q, unit_question):
-            _bump(fv, "rel|unit_matches_question")
-        else:
-            _bump(fv, "rel|unit_mismatch_question")
-        if unit_q.den_unit and set(unit_q.den_unit) & set(unit_question.surface_unit):
-            _bump(fv, "rel|den_matches_question")
-    return fv
+    return _feature_pass(problem, (qi, QUESTION), config).relevance(0)
 
 
 def lca_features(
     problem: Problem, qi: int, qj: int, config: FeatureConfig = FeatureConfig()
 ) -> FeatureVector:
-    fv: FeatureVector = {"lca_bias": 1.0}
-    for role, v in (("i", qi), ("j", qj)):
-        for name, weight in vertex_features(problem, v, config).items():
-            fv[f"lca{role}|{name}"] = fv.get(f"lca{role}|{name}", 0.0) + weight
-    return fv
+    return _feature_pass(problem, (qi, qj), config).pair(LCA_LAYOUT, 0, 1)
 
 
 # ---------------------------------------------------------------------------
 # averaged perceptron
+
+def _dot(fv: Mapping[str, float], weights: Mapping[str, float], start: float = 0) -> float:
+    """``start`` plus each value * weight, added one at a time in ``fv``
+    order. ``sum()`` compensates float rounding from Python 3.12 on, so it
+    would give other floats there than on 3.10 and 3.11."""
+    return reduce(add, map(mul, fv.values(), map(weights.get, fv, repeat(0.0))), start)
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -176,17 +278,21 @@ class LinearModel:
     def score(self, fv: Mapping[str, float], label: str) -> float:
         if label not in self.weights:
             raise KeyError(f"unknown label {label!r}")
-        w = self.weights[label]
-        return sum(value * w.get(name, 0.0) for name, value in fv.items())
+        return _dot(fv, self.weights[label])
+
+    def scores(
+        self, fv: Mapping[str, float], start: Sequence[float] | None = None
+    ) -> tuple[float, ...]:
+        """Every label's score, in ``labels`` order. With ``start`` (one
+        running sum per label, from an earlier block of the same vector) the
+        dot products continue from it; without, each equals ``score``."""
+        starts = repeat(0) if start is None else start
+        return tuple(_dot(fv, self.weights[label], s) for label, s in zip(self.labels, starts))
 
     def predict(self, fv: Mapping[str, float]) -> str:
-        best = self.labels[0]
-        best_score = self.score(fv, best)
-        for label in self.labels[1:]:
-            s = self.score(fv, label)
-            if s > best_score:
-                best, best_score = label, s
-        return best
+        """The best-scoring label; ties go to the earliest in ``labels``."""
+        scores = self.scores(fv)
+        return self.labels[max(range(len(scores)), key=scores.__getitem__)]
 
     def to_json_obj(self) -> dict:
         flat = {}
@@ -203,16 +309,26 @@ class LinearModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LinearModel":
-        weights: dict[str, dict[str, float]] = {label: {} for label in obj["labels"]}
+        """Inverse of ``to_json_obj``. Raises ValueError unless the labels
+        are distinct strings, ``epochs`` and ``seed`` are ints, and every
+        weight is a finite number keyed by one of the labels."""
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise ValueError(f"labels must be a list of strings, got {labels!r}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate labels in {labels!r}")
+        for key in ("epochs", "seed"):
+            if isinstance(obj[key], bool) or not isinstance(obj[key], int):
+                raise ValueError(f"{key} must be an int, got {obj[key]!r}")
+        weights: dict[str, dict[str, float]] = {label: {} for label in labels}
         for key, w in obj["weights"].items():
-            label, name = key.split("\x1f", 1)
+            label, sep, name = key.partition("\x1f")
+            if not sep or label not in weights:
+                raise ValueError(f"weight key {key!r} names no label in {labels!r}")
+            if not _finite_number(w):
+                raise ValueError(f"weight {key!r} must be a finite number, got {w!r}")
             weights[label][name] = w
-        return cls(
-            labels=tuple(obj["labels"]),
-            weights=weights,
-            epochs=obj["epochs"],
-            seed=obj["seed"],
-        )
+        return cls(labels=tuple(labels), weights=weights, epochs=obj["epochs"], seed=obj["seed"])
 
 
 def train_model(
@@ -237,8 +353,7 @@ def train_model(
     step = 0
 
     def raw_score(label: str, fv: Mapping[str, float]) -> float:
-        table = w[label]
-        return sum(v * table.get(name, 0.0) for name, v in fv.items())
+        return _dot(fv, w[label])
 
     def apply(label: str, fv: Mapping[str, float], sign: float) -> None:
         table, atab, ltab = w[label], acc[label], last[label]
@@ -319,11 +434,20 @@ class ClassifierSuite:
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"model {path}: bad {key!r}: {exc!r}") from exc
 
+        def model(key, labels):
+            loaded = part(key, LinearModel.from_json_obj)
+            if set(loaded.labels) != set(labels):
+                raise ValueError(
+                    f"model {path}: bad {key!r}: labels must be {list(labels)}, "
+                    f"got {list(loaded.labels)}"
+                )
+            return loaded
+
         return cls(
-            vertex=part("vertex", LinearModel.from_json_obj),
-            edge=part("edge", LinearModel.from_json_obj),
-            relevance=part("relevance", LinearModel.from_json_obj),
-            lca=part("lca", LinearModel.from_json_obj),
+            vertex=model("vertex", VERTEX_LABELS),
+            edge=model("edge", EDGE_LABELS),
+            relevance=model("relevance", RELEVANCE_LABELS),
+            lca=model("lca", OP_LABELS),
             config=part("config", lambda cfg: FeatureConfig(**cfg)),
         )
 
@@ -340,29 +464,22 @@ def build_training_sets(
         if problem.gold is None or problem.gold.tree is None:
             continue
         derived = annotate.derive_udg_gold(problem)
-        n = problem.n
         tree = problem.gold.tree
         used = exprtree.used_indices(tree)
-        for v in range(n):
-            label = RATE if derived.vertex_labels[v] else NOT_RATE
-            sets["vertex"].append((vertex_features(problem, v, config), label))
-        qlabel = RATE if derived.vertex_labels[n] else NOT_RATE
-        sets["vertex"].append((vertex_features(problem, QUESTION, config), qlabel))
+        feats = problem_features(problem, config)
+        for fv, is_rate in zip(feats.vectors, derived.vertex_labels):
+            sets["vertex"].append((fv, RATE if is_rate else NOT_RATE))
         graph = derived.to_graph()
-        for i, j in vertex_pairs(n):
-            vi = i
-            vj = QUESTION if j == n else j
-            sets["edge"].append(
-                (edge_features(problem, vi, vj, config), graph.edge(i, j).value)
-            )
-        for q in range(n):
+        for i, j in vertex_pairs(problem.n):
+            sets["edge"].append((feats.pair(EDGE_LAYOUT, i, j), graph.edge(i, j).value))
+        for q in range(problem.n):
             label = RELEVANT if q in used else IRRELEVANT
-            sets["relevance"].append((relevance_features(problem, q, config), label))
+            sets["relevance"].append((feats.relevance(q), label))
         for i in sorted(used):
             for j in sorted(used):
                 if i < j:
                     op = exprtree.op_lca(tree, i, j)
-                    sets["lca"].append((lca_features(problem, i, j, config), op))
+                    sets["lca"].append((feats.pair(LCA_LAYOUT, i, j), op))
     return sets
 
 

@@ -140,6 +140,28 @@ def test_solve_bad_config_value_is_data_error(tmp_path, model_file, capsys, key,
     assert "bad_config.json" in captured.err and f"{key} must be" in captured.err
 
 
+@pytest.mark.parametrize(
+    "part, edit, message",
+    [
+        ("edge", lambda m: m["weights"].update({"SameUnit\x1fpair_bias": "1.5"}), "must be a finite number"),
+        ("vertex", lambda m: m["weights"].update({"Maybe\x1fbias": 1.0}), "names no label"),
+        ("lca", lambda m: m.update(labels=m["labels"] + ["+"]), "duplicate labels"),
+        ("relevance", lambda m: m.update(seed="0"), "seed must be an int"),
+        ("edge", lambda m: m.update(labels=m["labels"][:-1], weights={}), "labels must be"),
+    ],
+)
+def test_solve_bad_model_weights_is_data_error(tmp_path, model_file, capsys, part, edit, message):
+    obj = json.loads(model_file.read_text())
+    edit(obj[part])
+    path = tmp_path / "bad_weights.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["solve", "--model", str(path), "--text", FIG1_TEXT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad_weights.json" in captured.err and f"bad {part!r}" in captured.err
+    assert message in captured.err
+
+
 def test_solve_negative_trace_is_data_error(model_file, capsys):
     assert cli.main(["solve", "--model", str(model_file), "--text", FIG1_TEXT, "--trace", "-1"]) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -5,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from udgsolver import exprtree, infer, learn, synth, udg
+from udgsolver import exprtree, infer, learn, synth, udg, units
+from udgsolver.corpus import QUESTION
 from udgsolver.exprtree import Leaf, Op, serialize
 from udgsolver.infer import (
     InferenceError,
@@ -440,3 +442,176 @@ def test_returned_tuples_always_consistent(trained_suite, synthetic_corpus):
     for p in synthetic_corpus[:30]:
         result = infer.solve_joint(p, trained_suite, params, beam=100)
         assert bool(is_consistent(result.graph, result.tree))
+
+
+# --- score tables off one feature pass -------------------------------------------
+
+def _oracle_vertex_pair(problem, vi, vj, config, bias, first, second, flags):
+    # the per-query assembly build_score_tables used before the feature pass
+    fv = {bias: 1.0}
+    for role, v in ((first, vi), (second, vj)):
+        for name, weight in learn.vertex_features(problem, v, config).items():
+            fv[f"{role}{name}"] = fv.get(f"{role}{name}", 0.0) + weight
+    if flags and config.rule_features:
+        ui, uj = units.extract_unit(problem, vi), units.extract_unit(problem, vj)
+        fv["shared_unit" if units.units_share_tokens(ui, uj) else "no_shared_unit"] = 1.0
+        if ui.den_unit and set(ui.den_unit) & set(uj.surface_unit):
+            fv["i_den_matches_j"] = 1.0
+        if uj.den_unit and set(uj.den_unit) & set(ui.surface_unit):
+            fv["j_den_matches_i"] = 1.0
+    return fv
+
+
+def _oracle_relevance(problem, q, config):
+    fv = {f"rel|{k}": v for k, v in learn.vertex_features(problem, q, config).items()}
+    if config.rule_features:
+        uq, uquestion = units.extract_unit(problem, q), units.extract_unit(problem, QUESTION)
+        key = "unit_matches_question" if units.units_share_tokens(uq, uquestion) else "unit_mismatch_question"
+        fv[f"rel|{key}"] = 1.0
+        if uq.den_unit and set(uq.den_unit) & set(uquestion.surface_unit):
+            fv["rel|den_matches_question"] = 1.0
+    return fv
+
+
+def _oracle_tables(problem, suite):
+    """Every query's vector rebuilt from vertex_features and units, scored one
+    label at a time with LinearModel.score; also checks the public per-query
+    feature functions against the rebuilt vectors."""
+    n, config = problem.n, suite.config
+    vid = lambda v: QUESTION if v == n else v
+    vertex, edge, relevance, lca = {}, {}, {}, {}
+    for v in range(n + 1):
+        fv = learn.vertex_features(problem, vid(v), config)
+        for label in learn.VERTEX_LABELS:
+            vertex[(v, label)] = suite.vertex.score(fv, label)
+    for i, j in vertex_pairs(n):
+        fv = _oracle_vertex_pair(problem, i, vid(j), config, "pair_bias", "i|", "j|", True)
+        assert list(learn.edge_features(problem, i, vid(j), config).items()) == list(fv.items())
+        for label in EdgeType:
+            edge[(i, j, label)] = suite.edge.score(fv, label.value)
+    for q in range(n):
+        fv = _oracle_relevance(problem, q, config)
+        assert list(learn.relevance_features(problem, q, config).items()) == list(fv.items())
+        for label in learn.RELEVANCE_LABELS:
+            relevance[(q, label)] = suite.relevance.score(fv, label)
+    for i in range(n):
+        for j in range(i + 1, n):
+            fv = _oracle_vertex_pair(problem, i, j, config, "lca_bias", "lcai|", "lcaj|", False)
+            assert list(learn.lca_features(problem, i, j, config).items()) == list(fv.items())
+            raw = {op: suite.lca.score(fv, op) for op in learn.OP_LABELS}
+            top = max(raw.values())
+            for op, s in raw.items():
+                lca[(i, j, op)] = s - top
+    return ScoreTables(n, vertex, edge, relevance, lca)
+
+
+def _bits(tables):
+    return [
+        [(k, type(v), float(v).hex()) for k, v in getattr(tables, part).items()]
+        for part in ("vertex", "edge", "relevance", "lca")
+    ]
+
+
+def _thinned(model, rng):
+    # drop about a third of the weights and zero (or negate-zero) another third
+    weights = {}
+    for label, table in model.weights.items():
+        kept = {}
+        for name, w in table.items():
+            pick = rng.random()
+            if pick < 0.33:
+                continue
+            kept[name] = rng.choice([0.0, -0.0]) if pick < 0.66 else w
+        weights[label] = kept
+    return learn.LinearModel(model.labels, weights, model.epochs, model.seed)
+
+
+@pytest.fixture(scope="module")
+def feature_variant_suites(synthetic_corpus):
+    train = synthetic_corpus[:150]
+    configs = (
+        learn.FeatureConfig(),
+        learn.FeatureConfig(context_features=False),
+        learn.FeatureConfig(rule_features=False),
+        learn.FeatureConfig(window=0),
+    )
+    suites = [learn.train_suite(train, config, epochs=3, seed=1) for config in configs]
+    rng = random.Random(5)
+    base = suites[0]
+    suites.append(
+        learn.ClassifierSuite(
+            *(_thinned(m, rng) for m in (base.vertex, base.edge, base.relevance, base.lca)),
+            config=base.config,
+        )
+    )
+    return suites
+
+
+def test_score_tables_bit_identical_to_per_query_oracle(feature_variant_suites):
+    held_out = synth.gen_synthetic_corpus(seed=3, size=50)[::2]
+    for suite in feature_variant_suites:
+        for p in held_out:
+            assert _bits(infer.build_score_tables(p, suite)) == _bits(_oracle_tables(p, suite))
+
+
+def test_score_tables_run_one_feature_pass(monkeypatch, trained_suite, synthetic_corpus):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(learn, "vertex_features", counted("vertex", learn.vertex_features))
+    monkeypatch.setattr(units, "extract_unit", counted("unit", units.extract_unit))
+    for p in [q for q in synthetic_corpus if q.n == 2][:2] + [q for q in synthetic_corpus if q.n == 3][:2]:
+        calls.clear()
+        infer.build_score_tables(p, trained_suite)
+        assert calls == {"vertex": p.n + 1, "unit": p.n + 1}
+
+
+# --- tuning shares one tree stage per dev problem --------------------------------
+
+def _fresh_build_tune(dev, suite, grid, beam):
+    # the tuning loop before the tree stage was shared: a fresh build per lambda_rel
+    golds = [p.gold.answer for p in dev]
+    tables = [infer.build_score_tables(p, suite) for p in dev]
+    best = None
+    for lam_rel in sorted(grid["lambda_rel"]):
+        candidates = [JointCandidates(t, p.values, lambda_rel=lam_rel, beam=beam) for t, p in zip(tables, dev)]
+        for lam_vertex in sorted(grid["lambda_vertex"]):
+            for lam_edge in sorted(grid["lambda_edge"]):
+                params = ScalingParams(lam_rel, lam_vertex, lam_edge)
+                correct = sum(values_match(c.solve(params).value, g) for c, g in zip(candidates, golds))
+                if best is None or correct > best[0]:
+                    best = (correct, params)
+    return best[1]
+
+
+@pytest.mark.parametrize("beam", [200, 5, None])
+def test_tune_equals_fresh_build_per_lambda_rel(monkeypatch, trained_suite, beam):
+    built = []
+
+    class Recorded(JointCandidates):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((args, kwargs, self))
+
+    dev = synth.gen_synthetic_corpus(seed=4, size=50)[::4]
+    rng = random.Random(beam or 0)
+    for _ in range(3):
+        grid = {axis: rng.sample(infer.LAMBDA_GRID, rng.randint(1, 3)) for axis in infer.DEFAULT_TUNE_GRID}
+        expected = _fresh_build_tune(dev, trained_suite, grid, beam)
+        monkeypatch.setattr(infer, "JointCandidates", Recorded)
+        assert tune_lambdas([], dev, trained_suite, grid=grid, beam=beam) == expected
+        monkeypatch.undo()
+    # every build off a shared tree stage keeps a fresh build's trees, in order
+    assert built
+    for args, kwargs, shared in built:
+        assert "trees" in kwargs
+        fresh = JointCandidates(*args, **{k: v for k, v in kwargs.items() if k != "trees"})
+        assert [e.serial for e in shared.entries] == [e.serial for e in fresh.entries]
+        params = ScalingParams(kwargs["lambda_rel"], 1.0, 1.0)
+        assert shared.solve(params) == fresh.solve(params)

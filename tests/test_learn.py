@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -182,11 +183,18 @@ def test_suite_label_sets(trained_suite):
     assert set(trained_suite.lca.labels) == {"+", "-", "-r", "*", "/", "/r"}
 
 
+# sha256 of json.dumps(build_training_sets(synthetic_corpus[:40])), recorded
+# before the feature pass was shared; it pins each vector's names, values and
+# insertion order (the order the dot products add in)
+TRAINING_SETS_SHA256 = "482cb5ddb84035cdcfd0ba04da0ed9131ef69df1b8c0b083ea72e1348ad140b0"
+
+
 def test_training_sets_cover_all_classifiers(synthetic_corpus):
     sets = learn.build_training_sets(synthetic_corpus[:40])
     assert all(sets[k] for k in ("vertex", "edge", "relevance", "lca"))
     labels = {label for _, label in sets["edge"]}
     assert "SameUnit" in labels and "NoRelation" in labels
+    assert hashlib.sha256(json.dumps(sets).encode()).hexdigest() == TRAINING_SETS_SHA256
 
 
 def test_vertex_classifier_sanity_on_held_out(trained_suite):
@@ -203,3 +211,99 @@ def test_vertex_classifier_sanity_on_held_out(trained_suite):
             hits += trained_suite.vertex.predict(fv) == gold
             total += 1
     assert hits / total > 0.9
+
+
+# --- all-labels scoring ----------------------------------------------------------
+
+_names = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+_values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: x != 0.0) | st.sampled_from([1.0, 2.0])
+
+
+def _old_predict(model, fv):
+    # the per-label scan predict ran before the all-labels scorer
+    best = model.labels[0]
+    best_score = model.score(fv, best)
+    for label in model.labels[1:]:
+        s = model.score(fv, label)
+        if s > best_score:
+            best, best_score = label, s
+    return best
+
+
+@settings(max_examples=80)
+@given(
+    st.dictionaries(_names, _values, max_size=5),
+    st.dictionaries(_names, _values, max_size=5),
+    st.dictionaries(_names, st.floats(-10, 10, allow_nan=False), max_size=6),
+)
+def test_scores_equal_per_label_score(fv1, fv2, table):
+    weights = {"A": table, "B": {k: -v for k, v in table.items()}, "C": {}}
+    model = LinearModel(("A", "B", "C"), weights)
+    assert model.scores(fv1) == tuple(model.score(fv1, label) for label in model.labels)
+    # continuing the sums of one block through a disjoint second one is the
+    # dot product of the joined vector, float for float
+    second = {f"2|{k}": v for k, v in fv2.items()}
+    joined = {**fv1, **second}
+    model2 = LinearModel(
+        ("A", "B", "C"),
+        {label: {**tab, **{f"2|{k}": w for k, w in tab.items()}} for label, tab in weights.items()},
+    )
+    assert model2.scores(second, model2.scores(fv1)) == model2.scores(joined)
+    assert model.predict(fv1) == _old_predict(model, fv1)
+
+
+def test_predict_ties_go_to_first_label():
+    model = LinearModel(("A", "B", "C"), {"A": {"x": 1.0}, "B": {"x": 2.0}, "C": {"x": 2.0}})
+    assert model.predict({"x": 1.0}) == "B"
+    assert model.predict({"y": 1.0}) == "A"  # all zero
+    assert model.predict({}) == _old_predict(model, {}) == "A"
+
+
+def test_score_sums_one_term_at_a_time():
+    # sum() compensates rounding from Python 3.12 on; the dot product must not
+    model = LinearModel(("A",), {"A": {"a": 1.0, "b": 1e100, "c": 1.0, "d": -1e100}})
+    assert model.score({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, "A") == 0.0
+
+
+# --- model validation ------------------------------------------------------------
+
+def _model_obj():
+    return {"labels": ["A", "B"], "epochs": 10, "seed": 0, "weights": {"A\x1fx": 1.5, "B\x1fy": -2}}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: o["weights"].update({"A\x1fz": "1.0"}), "finite number"),
+        (lambda o: o["weights"].update({"A\x1fz": True}), "finite number"),
+        (lambda o: o["weights"].update({"A\x1fz": float("nan")}), "finite number"),
+        (lambda o: o["weights"].update({"A\x1fz": float("inf")}), "finite number"),
+        (lambda o: o["weights"].update({"A\x1fz": 10**400}), "finite number"),
+        (lambda o: o["weights"].update({"C\x1fz": 1.0}), "names no label"),
+        (lambda o: o["weights"].update({"Az": 1.0}), "names no label"),
+        (lambda o: o.update(labels=["A", "B", "A"]), "duplicate labels"),
+        (lambda o: o.update(labels="AB"), "list of strings"),
+        (lambda o: o.update(epochs="10"), "epochs must be an int"),
+        (lambda o: o.update(epochs=True), "epochs must be an int"),
+        (lambda o: o.update(seed=1.0), "seed must be an int"),
+    ],
+)
+def test_model_from_json_rejects_bad_values(edit, message):
+    obj = _model_obj()
+    assert LinearModel.from_json_obj(obj).weights == {"A": {"x": 1.5}, "B": {"y": -2}}
+    edit(obj)
+    with pytest.raises(ValueError, match=message):
+        LinearModel.from_json_obj(obj)
+
+
+def test_suite_load_rejects_wrong_label_set(tmp_path, trained_suite):
+    path = tmp_path / "suite.json"
+    trained_suite.save(path)
+    obj = json.loads(path.read_text())
+    obj["edge"]["labels"] = obj["edge"]["labels"][1:]
+    obj["edge"]["weights"] = {
+        k: w for k, w in obj["edge"]["weights"].items() if k.split("\x1f")[0] in obj["edge"]["labels"]
+    }
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="bad 'edge'.*labels must be"):
+        learn.ClassifierSuite.load(path)
