@@ -12,6 +12,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from . import exprtree
@@ -310,7 +312,8 @@ def _lowest_average_overlap_half(
         return list(problems)
     scores = {}
     for i, p in enumerate(problems):
-        total = sum(pairwise(p, q) for j, q in enumerate(problems) if j != i)
+        # one addition at a time, as in every Python version (3.12's sum() compensates)
+        total = reduce(add, (pairwise(p, q) for j, q in enumerate(problems) if j != i), 0)
         scores[p.id] = total / (len(problems) - 1)
     order = sorted(problems, key=lambda p: (scores[p.id], p.id))
     keep = {p.id for p in order[: max(1, int(len(problems) * fraction))]}

@@ -7,6 +7,14 @@ maximal +/- region as a left-deep chain of additions over positive terms in
 ascending index order followed by subtractions of negative terms, and every
 maximal */ region likewise; this gives each unordered pair of used quantities
 a unique lowest-common-ancestor operation.
+
+Candidate trees over a problem's quantities are a canonical structure over k
+leaves placed on an increasing k-subset of the quantities. Each structure is
+compiled once per k into a ``TreePlan`` (node count, serial template, the LCA
+operation of every leaf-position pair), and every structure over k leaves
+shares one evaluation program, so ``enumerate_plans`` evaluates each distinct
+sub-structure once per subset and builds no tree; ``enumerate_trees``
+materializes its candidates.
 """
 
 from __future__ import annotations
@@ -306,8 +314,11 @@ def op_lca(expr: Expr, qi: int, qj: int) -> str:
     (subtrahend/divisor) side. Requires qi < qj (mention order)."""
     if qi >= qj:
         raise ExprError(f"op_lca requires mention order qi < qj, got ({qi}, {qj})")
-    path_i = root_path(expr, qi)
-    path_j = root_path(expr, qj)
+    return _lca_op(root_path(expr, qi), root_path(expr, qj))
+
+
+def _lca_op(path_i: list[tuple[Op, bool]], path_j: list[tuple[Op, bool]]) -> str:
+    # op_lca from the root paths of the earlier and the later quantity
     k = 0
     while k < len(path_i) and k < len(path_j) and path_i[k][0] is path_j[k][0]:
         k += 1
@@ -315,9 +326,9 @@ def op_lca(expr: Expr, qi: int, qj: int) -> str:
     op = base_op(lca.op)
     if is_reversed(lca.op):
         qi_left = not qi_left
-    if op in (ADD, MUL):
+    if op in (ADD, MUL) or qi_left:
         return op
-    return op if qi_left else op + "r"
+    return SUB_R if op == SUB else DIV_R
 
 
 def _set_partitions(items: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
@@ -389,7 +400,7 @@ def _trees_over(ids: tuple[int, ...]) -> list[Expr]:
     return add_rooted(ids) + mul_rooted(ids)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_ENUM_LEAVES)
 def canonical_structures(k: int) -> tuple[Expr, ...]:
     """Every distinct canonical tree over leaves 0..k-1, deterministic order."""
     if k < 1:
@@ -406,16 +417,89 @@ def _relabel(expr: Expr, mapping: Sequence[int]) -> Expr:
     return Op(expr.op, _relabel(expr.left, mapping), _relabel(expr.right, mapping))
 
 
-def enumerate_trees(
+def _template(expr: Expr) -> str:
+    """``serialize`` with each leaf position as a ``str.format`` field."""
+    if isinstance(expr, Leaf):
+        return f"q{{{expr.index}}}"
+    return f"({expr.op} {_template(expr.left)} {_template(expr.right)})"
+
+
+@dataclass(frozen=True, slots=True)
+class TreePlan:
+    """One canonical structure over k leaves, compiled for placing on any
+    increasing k-subset of the quantities.
+
+    Relabeling by an increasing subset keeps mention order, so the placed
+    tree's LCA operation of quantities ``subset[a] < subset[b]`` is the
+    structure's ``op_lca(structure, a, b)``; ``pair_ops`` holds those for
+    every position pair ``a < b`` in lexicographic order. ``root`` is the
+    structure's slot in its size's evaluation program."""
+
+    structure: Expr
+    nodes: int
+    template: str
+    pair_ops: tuple[str, ...]
+    root: int
+
+    def serial(self, subset: Sequence[int]) -> str:
+        """``serialize`` of the tree placed on ``subset``."""
+        return self.template.format(*subset)
+
+    def tree(self, subset: Sequence[int]) -> Expr:
+        return _relabel(self.structure, subset)
+
+
+@dataclass(frozen=True)
+class SizePlans:
+    """Every canonical structure over k leaves as a ``TreePlan``, in
+    ``canonical_structures`` order, plus their shared evaluation program.
+
+    Slots 0..k-1 hold the leaf values; step s computes slot k+s as
+    ``(op, left, right)`` with a base operation (reversed operations have
+    their operands swapped), and every distinct sub-structure has one slot."""
+
+    steps: tuple[tuple[str, int, int], ...]
+    plans: tuple[TreePlan, ...]
+
+
+@lru_cache(maxsize=MAX_ENUM_LEAVES)
+def size_plans(k: int) -> SizePlans:
+    """The compiled structures over k leaves (cached by k only)."""
+    structures = canonical_structures(k)
+    slots: dict[Expr, int] = {Leaf(i): i for i in range(k)}
+    steps: list[tuple[str, int, int]] = []
+
+    def slot(node: Expr) -> int:
+        if node not in slots:
+            left, right = slot(node.left), slot(node.right)
+            if is_reversed(node.op):
+                left, right = right, left
+            steps.append((base_op(node.op), left, right))
+            slots[node] = k + len(steps) - 1
+        return slots[node]
+
+    def pair_ops(structure: Expr) -> tuple[str, ...]:
+        paths = [root_path(structure, i) for i in range(k)]
+        return tuple(_lca_op(paths[a], paths[b]) for a, b in itertools.combinations(range(k), 2))
+
+    plans = tuple(
+        TreePlan(s, node_count(s), _template(s), pair_ops(s), slot(s)) for s in structures
+    )
+    return SizePlans(tuple(steps), plans)
+
+
+def enumerate_plans(
     values: Sequence[Fraction], max_irrelevant: int | None = None
-) -> Iterator[Expr]:
-    """Yield every distinct canonical tree over every subset of quantities
-    whose exact evaluation is strictly positive.
+) -> Iterator[tuple[TreePlan, tuple[int, ...], Fraction]]:
+    """Yield ``(plan, subset, value)`` for every distinct canonical tree over
+    every subset of quantities whose exact evaluation is strictly positive.
 
     Subsets are visited largest-first, lexicographically within a size, and
-    trees within a subset in a fixed deterministic order, so truncation by a
-    beam is reproducible. ``max_irrelevant`` caps how many quantities may be
-    left unused. Subsets larger than MAX_ENUM_LEAVES are not searched.
+    plans within a subset in ``canonical_structures`` order, so truncation by
+    a beam is reproducible. ``max_irrelevant`` caps how many quantities may be
+    left unused. Subsets larger than MAX_ENUM_LEAVES are not searched. A tree
+    with a division by zero anywhere in it is skipped, as ``evaluate`` would
+    raise on it.
     """
     vals = [Fraction(v) for v in values]
     n = len(vals)
@@ -425,12 +509,33 @@ def enumerate_trees(
     if min_size > MAX_ENUM_LEAVES:
         raise ExprError(f"cannot enumerate subsets of size {min_size} (max {MAX_ENUM_LEAVES})")
     for size in range(min(n, MAX_ENUM_LEAVES), min_size - 1, -1):
+        compiled = size_plans(size)
         for subset in itertools.combinations(range(n), size):
-            for structure in canonical_structures(size):
-                tree = _relabel(structure, subset)
-                try:
-                    value = evaluate(tree, vals)
-                except EvaluationError:
-                    continue
-                if value > 0:
-                    yield tree
+            # None marks a sub-structure that divides by zero
+            slots: list[Fraction | None] = [vals[i] for i in subset]
+            for op, left, right in compiled.steps:
+                lhs, rhs = slots[left], slots[right]
+                if lhs is None or rhs is None:
+                    slots.append(None)
+                elif op == ADD:
+                    slots.append(lhs + rhs)
+                elif op == SUB:
+                    slots.append(lhs - rhs)
+                elif op == MUL:
+                    slots.append(lhs * rhs)
+                else:
+                    slots.append(None if rhs == 0 else lhs / rhs)
+            for plan in compiled.plans:
+                value = slots[plan.root]
+                if value is not None and value > 0:
+                    yield plan, subset, value
+
+
+def enumerate_trees(
+    values: Sequence[Fraction], max_irrelevant: int | None = None
+) -> Iterator[Expr]:
+    """Yield every distinct canonical tree over every subset of quantities
+    whose exact evaluation is strictly positive: the candidates of
+    ``enumerate_plans``, in its order, each built as an expression tree."""
+    for plan, subset, _ in enumerate_plans(values, max_irrelevant):
+        yield plan.tree(subset)

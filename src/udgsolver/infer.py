@@ -10,12 +10,13 @@ Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
 a tree); ``_labeling_entry`` scores one labeling's choices for both.
 
-The joint search is branch and bound over the graph stage. Trees are
-enumerated, scored and beam-truncated up front, but a tree's consistent
-labelings are built only when ``solve`` visits it. Trees are visited best
-tree score first, and the visit stops at the first tree whose best
-unconstrained graph cannot reach the incumbent total, so answers equal the
-exhaustive scan of ``top_k``.
+The joint search is branch and bound over the graph stage. Candidate trees
+are scored and beam-truncated up front from compiled structures
+(``exprtree.enumerate_plans``), without building their expression trees; a
+tree is built, and its consistent labelings with it, only when ``solve``
+visits it. Trees are visited best tree score first, and the visit stops at
+the first tree whose best unconstrained graph cannot reach the incumbent
+total, so answers equal the exhaustive scan of ``top_k``.
 
 All scoring runs off immutable ScoreTables, so tests can drive inference
 from hand-set mock tables and candidate scoring is safe to parallelize.
@@ -27,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -310,13 +311,26 @@ class ScoredTuple:
 
 @dataclass(eq=False)
 class _TreeEntry:
-    tree: Expr
+    """One candidate tree: a compiled structure placed on a quantity subset,
+    with its exact value and term sums. The expression tree itself is built
+    the first time the search asks for it."""
+
+    plan: exprtree.TreePlan
+    subset: tuple[int, ...]
+    value: Fraction
     serial: str
-    nodes: int
     rel_sum: float
     lca_sum: float
     # the tree's consistent labelings, built when a search first reaches it
     consistent: tuple[_LabelingEntry, ...] | None = None
+
+    @property
+    def nodes(self) -> int:
+        return self.plan.nodes
+
+    @cached_property
+    def tree(self) -> Expr:
+        return self.plan.tree(self.subset)
 
     def base(self, lambda_rel: float) -> float:
         return lambda_rel * self.rel_sum + self.lca_sum
@@ -328,33 +342,68 @@ class _TreeEntry:
 def _tree_stage(
     tables: ScoreTables, values: Sequence[Fraction], max_irrelevant: int | None = None
 ) -> tuple[_TreeEntry, ...]:
-    """Every candidate tree with its term sums, in enumeration order. Only
-    the ranking depends on ``lambda_rel``, so one stage serves every
-    ``JointCandidates`` built over the same tables and values."""
-    entries = tuple(
-        _TreeEntry(
-            tree, exprtree.serialize(tree), exprtree.node_count(tree), *tree_term_sums(tree, tables)
-        )
-        for tree in exprtree.enumerate_trees(values, max_irrelevant)
-    )
+    """Every candidate tree with its term sums, in enumeration order.
+
+    The sums are ``tree_term_sums`` of each tree, added in the same order: the
+    irrelevance sum once per subset over the unused quantities in index order,
+    the LCA sum over the subset's pairs in lexicographic order with the plan's
+    operations."""
+    entries = []
+    subset = None
+    for plan, placed, value in exprtree.enumerate_plans(values, max_irrelevant):
+        if placed != subset:
+            subset = placed
+            rel_sum = 0.0
+            for q in range(tables.n_quantities):
+                if q not in subset:
+                    rel_sum += tables.relevance_score(q, IRRELEVANT)
+            pairs = tuple(itertools.combinations(subset, 2))
+        lca_sum = 0.0
+        for (i, j), op in zip(pairs, plan.pair_ops):
+            lca_sum += tables.lca_score(i, j, op)
+        entries.append(_TreeEntry(plan, subset, value, plan.serial(subset), rel_sum, lca_sum))
     if not entries:
         raise InferenceError("no candidate expression trees with a positive value")
-    return entries
+    return tuple(entries)
+
+
+@dataclass(frozen=True)
+class _ProblemStage:
+    """The part of a joint search that no scale changes: the tree stage and
+    the unconstrained labelings that bound each tree's graphs. Only the
+    ranking depends on ``lambda_rel``, so one stage serves every
+    ``JointCandidates`` built over the same tables and values."""
+
+    trees: tuple[_TreeEntry, ...]
+    unconstrained: tuple[_LabelingEntry, ...]
+
+
+def _problem_stage(
+    tables: ScoreTables, values: Sequence[Fraction], max_irrelevant: int | None = None
+) -> _ProblemStage:
+    trees = _tree_stage(tables, values, max_irrelevant)
+    unconstrained = tuple(
+        _valid_entry(tables, labeling)
+        for labeling in itertools.product((False, True), repeat=tables.n_quantities + 1)
+    )
+    return _ProblemStage(trees, unconstrained)
 
 
 class JointCandidates:
     """Beam-pruned candidate trees whose consistent graphs are scored lazily.
 
-    The tree stage runs here, or comes from ``trees``: every tree is ranked
-    under ``lambda_rel`` and the best ``beam`` are kept. The graph stage runs
-    on demand: a kept tree's consistent labelings are built the first time a
-    search reaches it and reused by every later call, so lambda tuning and
-    ablations re-solve cheaply; only the scalar mix changes across calls to
-    solve().
+    The problem stage runs here, or comes from ``trees``: every candidate
+    tree with its value and term sums, computed from compiled structures
+    without building the tree, and the scored unconstrained labelings. Every
+    tree is ranked under ``lambda_rel`` and the best ``beam`` are kept. The
+    graph stage runs on demand: a kept tree's expression tree and consistent
+    labelings are built the first time a search reaches it and reused by
+    every later call, so lambda tuning and ablations re-solve cheaply; only
+    the scalar mix changes across calls to solve().
 
     ``solve`` visits trees best tree score first and bounds each by its tree
-    score plus the best graph over all structurally valid labelings, built
-    once here. A consistent labeling's per-pair options are a subset of its
+    score plus the best graph over all structurally valid (unconstrained)
+    labelings. A consistent labeling's per-pair options are a subset of its
     valid ones and float rounding is monotone, so no total of the tree
     exceeds the bound; the bound never rises along the visit order, so the
     search stops at the first tree bounded strictly below the incumbent.
@@ -368,26 +417,23 @@ class JointCandidates:
         beam: int | None = 200,
         max_irrelevant: int | None = None,
         *,
-        trees: Sequence[_TreeEntry] | None = None,
+        trees: _ProblemStage | None = None,
     ):
-        """``trees`` is the problem's tree stage from ``_tree_stage`` on the
-        same tables and values; passing it skips the enumeration, and the
-        kept trees and their order are those of a fresh build."""
+        """``trees`` is the problem's stage from ``_problem_stage`` on the
+        same tables and values; passing it skips the enumeration and the
+        labeling rows, and the kept trees, their order and the bound are
+        those of a fresh build."""
         if len(values) != tables.n_quantities:
             raise InferenceError("value list does not match score tables")
         self.tables = tables
-        self.values = [Fraction(v) for v in values]
         if trees is None:
-            trees = _tree_stage(tables, self.values, max_irrelevant)
-        entries = sorted(trees, key=lambda e: e.rank(lambda_rel))
+            trees = _problem_stage(tables, values, max_irrelevant)
+        entries = sorted(trees.trees, key=lambda e: e.rank(lambda_rel))
         if beam is not None:
             entries = entries[: max(int(beam), 1)]
         self.entries = tuple(entries)
         self.lambda_rel = lambda_rel
-        self._unconstrained = tuple(
-            _valid_entry(tables, labeling)
-            for labeling in itertools.product((False, True), repeat=tables.n_quantities + 1)
-        )
+        self._unconstrained = trees.unconstrained
 
     def _tree_candidates(self, entry: _TreeEntry, params: ScalingParams) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry, float, tuple[EdgeType, ...]]]:
         if entry.consistent is None:
@@ -447,7 +493,7 @@ class JointCandidates:
         return ScoredTuple(
             tree=entry.tree,
             graph=graph,
-            value=exprtree.evaluate(entry.tree, self.values),
+            value=entry.value,
             score=-key[0],
             rel_sum=entry.rel_sum,
             lca_sum=entry.lca_sum,
@@ -524,9 +570,10 @@ def tune_lambdas(
         golds.append(p.gold.answer)
 
     tables = [build_score_tables(p, suite) for p in dev_problems]
-    # trees, term sums and the labelings memoized on the trees are shared by
-    # every lambda_rel; only the ranking and the beam cut are redone
-    stages = [_tree_stage(t, p.values) for t, p in zip(tables, dev_problems)]
+    # trees, term sums, the labelings memoized on the trees and the
+    # unconstrained rows are shared by every lambda_rel; only the ranking and
+    # the beam cut are redone
+    stages = [_problem_stage(t, p.values) for t, p in zip(tables, dev_problems)]
     best: tuple[int, ScalingParams] | None = None
     for lam_rel in sorted(rel_values):
         candidates = [

@@ -255,6 +255,19 @@ def test_fraction_answers_survive(tmp_path):
 
 # --- subsets ----------------------------------------------------------------
 
+def test_average_overlap_adds_one_term_at_a_time():
+    # sum() compensates rounding from Python 3.12 on: it would give "a" the
+    # average 1/3 and keep "b"; added one term at a time "a" averages 0.0
+    problems = [_problem(pid, f"text {pid}") for pid in "abcd"]
+    table = {"a": {"b": 1e16, "c": 1.0, "d": -1e16}, "b": {}}
+
+    def pairwise(p, q):
+        return table.get(p.id, {}).get(q.id, 0.1 if p.id == "b" else 0.5)
+
+    kept = corpus._lowest_average_overlap_half(problems, pairwise, 0.25)
+    assert [p.id for p in kept] == ["a"]
+
+
 def test_lexical_subset_smaller_and_lower_overlap(synthetic_corpus):
     sample = synthetic_corpus[:60]
     subset = corpus.lexical_subset(sample, 0.5)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -214,6 +216,20 @@ def test_max_irrelevant_bounds_subsets():
     values = [Fraction(v) for v in (2, 3, 4)]
     trees = list(enumerate_trees(values, max_irrelevant=1))
     assert all(len(used_indices(t)) >= 2 for t in trees)
+
+
+def test_enumerate_trees_output_pinned():
+    # zeros, negatives, duplicates and fractions; recorded before trees were
+    # enumerated from compiled structures
+    value_lists = [
+        [7], [2, 3], [1, 1], [0, 3, -2], [2, 3, 5], [5, 0, 5],
+        [Fraction(1, 2), Fraction(3, 4), 2, 0], [4, 4, 2, 2], [3, Fraction(-1, 3), 0, 6],
+    ]
+    out = [[serialize(t) for t in enumerate_trees([Fraction(v) for v in values])] for values in value_lists]
+    assert [len(trees) for trees in out] == [1, 7, 6, 25, 64, 38, 733, 904, 573]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "f34608509d2a7334207d13411c6391ebdb2a5719b649d2c718259cb2528958ea"
+
 
 
 # --- serialization ----------------------------------------------------------------

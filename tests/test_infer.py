@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from udgsolver import exprtree, infer, learn, synth, udg, units
+from udgsolver import corpus, exprtree, infer, learn, synth, udg, units
 from udgsolver.corpus import QUESTION
 from udgsolver.exprtree import Leaf, Op, serialize
 from udgsolver.infer import (
@@ -615,3 +615,148 @@ def test_tune_equals_fresh_build_per_lambda_rel(monkeypatch, trained_suite, beam
         assert [e.serial for e in shared.entries] == [e.serial for e in fresh.entries]
         params = ScalingParams(kwargs["lambda_rel"], 1.0, 1.0)
         assert shared.solve(params) == fresh.solve(params)
+
+
+# --- compiled tree stage --------------------------------------------------------
+
+def _relabel_stage(tables, values, max_irrelevant):
+    # the tree stage before structures were compiled: relabel each structure
+    # onto each subset, evaluate it and walk its root paths for the LCA sum
+    vals = [Fraction(v) for v in values]
+    n = len(vals)
+    min_size = 1 if max_irrelevant is None else max(1, n - max_irrelevant)
+    out = []
+    for size in range(min(n, exprtree.MAX_ENUM_LEAVES), min_size - 1, -1):
+        for subset in itertools.combinations(range(n), size):
+            for structure in exprtree.canonical_structures(size):
+                tree = exprtree._relabel(structure, subset)
+                try:
+                    value = exprtree.evaluate(tree, vals)
+                except exprtree.EvaluationError:
+                    continue
+                if value > 0:
+                    out.append((tree, value, *infer.tree_term_sums(tree, tables)))
+    return out
+
+
+def _float_bits(x):
+    return type(x), float(x).hex()
+
+
+def _assert_stage_equals_relabel_oracle(tables, values, max_irrelevant):
+    expected = _relabel_stage(tables, values, max_irrelevant)
+    if not expected:
+        with pytest.raises(InferenceError):
+            infer._tree_stage(tables, values, max_irrelevant)
+        return
+    got = infer._tree_stage(tables, values, max_irrelevant)
+    assert len(got) == len(expected)
+    for entry, (tree, value, rel_sum, lca_sum) in zip(got, expected):
+        assert entry.serial == serialize(tree)
+        assert entry.nodes == exprtree.node_count(tree)
+        assert type(entry.value) is Fraction and entry.value == value
+        assert _float_bits(entry.rel_sum) == _float_bits(rel_sum)
+        assert _float_bits(entry.lca_sum) == _float_bits(lca_sum)
+        assert entry.tree == tree
+
+
+# zeros, negatives, duplicates and fractions; several divide by zero in subtrees
+_STAGE_VALUES = {
+    1: [[5], [0], [-3], [Fraction(1, 2)]],
+    2: [[2, 3], [2, 2], [0, 3], [5, -5], [Fraction(1, 3), Fraction(2, 3)]],
+    3: [[3, 0, 3], [Fraction(1, 3), Fraction(2, 3), 1], [4, -2, 2], [0, 0, 7], [1, 1, 1]],
+    4: [[2, -1, Fraction(1, 2), 0], [4, 4, 2, 2], [0, 3, 3, Fraction(-1, 4)]],
+}
+
+
+@pytest.fixture(scope="module")
+def trained_stage_tables(trained_suite, synthetic_corpus):
+    problems = [
+        corpus.build_problem("n1", "Tom has 5 apples. How many apples does Tom have?"),
+        *[p for p in synthetic_corpus if p.n == 2][:3],
+        *[p for p in synthetic_corpus if p.n == 3][:3],
+        corpus.build_problem(
+            "n4",
+            "A shop sold 12 pens on Monday and 7 pens on Tuesday. Each pen costs 3 "
+            "dollars and 2 pens broke. How many dollars did the shop earn?",
+        ),
+    ]
+    return [(infer.build_score_tables(p, trained_suite), p.values) for p in problems]
+
+
+def test_tree_stage_equals_relabel_oracle_trained_tables(trained_stage_tables):
+    for k, (tables, own_values) in enumerate(trained_stage_tables):
+        n = tables.n_quantities
+        for m, values in enumerate([list(own_values)] + _STAGE_VALUES[n]):
+            max_irrelevant = (None, 0, 1, 2)[(k + m) % 4]
+            _assert_stage_equals_relabel_oracle(tables, values, max_irrelevant)
+
+
+def test_tree_stage_equals_relabel_oracle_random_tables():
+    rng = random.Random(23)
+    for trial in range(24):
+        n = trial % 4 + 1
+        if trial % 3 == 0:
+            draw = lambda: float(rng.randint(-2, 2))  # integer scores make float ties exact
+        else:
+            draw = lambda: rng.uniform(-2.0, 2.0)
+        tables = _tables(
+            n,
+            # some queries are left out, so their score is the 0.0 default
+            relevance={(q, "Irrelevant"): draw() for q in range(n) if rng.random() < 0.8},
+            lca={
+                (i, j, op): min(0.0, draw())
+                for i in range(n) for j in range(i + 1, n) for op in exprtree.OPS
+                if rng.random() < 0.9
+            },
+        )
+        values = rng.choice(_STAGE_VALUES[n])
+        _assert_stage_equals_relabel_oracle(tables, values, (None, 0, 1, 2)[trial // 4 % 4])
+    # scores that cancel, so a sum added in another order gives other bits
+    for n in (3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        cancelling = [1.0, 1e16, -1e16, 3.0, -1e16, 1e16]
+        tables = _tables(
+            n,
+            relevance={(q, "Irrelevant"): cancelling[q] for q in range(n)},
+            lca={(i, j, op): -cancelling[k] for k, (i, j) in enumerate(pairs) for op in exprtree.OPS},
+        )
+        _assert_stage_equals_relabel_oracle(tables, [2] * n, None)
+
+
+def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synthetic_corpus):
+    built = []
+    tree = exprtree.TreePlan.tree
+
+    def counted(plan, subset):
+        built.append((plan, subset))
+        return tree(plan, subset)
+
+    monkeypatch.setattr(exprtree.TreePlan, "tree", counted)
+    visited = kept = 0
+    for p in [q for q in synthetic_corpus if q.n == 3][:8]:
+        tables = infer.build_score_tables(p, trained_suite)
+        cands = JointCandidates(tables, p.values)
+        assert built == []
+        result = cands.solve(ScalingParams())
+        assert cands.solve(ScalingParams()) == result
+        seen = sum(e.consistent is not None for e in cands.entries)
+        assert 1 <= len(built) <= seen
+        visited += seen
+        kept += len(cands.entries)
+        built.clear()
+    assert visited < kept
+
+
+def test_shared_stage_keeps_fresh_unconstrained_rows(trained_suite, synthetic_corpus):
+    for p in [q for q in synthetic_corpus if q.n == 2][:2] + [q for q in synthetic_corpus if q.n == 3][:3]:
+        tables = infer.build_score_tables(p, trained_suite)
+        stage = infer._problem_stage(tables, p.values)
+        for lam_rel in (0.0, 1.0, 4.0):
+            shared = JointCandidates(tables, p.values, lambda_rel=lam_rel, trees=stage)
+            fresh = JointCandidates(tables, p.values, lambda_rel=lam_rel)
+            assert shared._unconstrained is stage.unconstrained
+            # repr tells -0.0 from 0.0 and round-trips every float
+            assert repr(shared._unconstrained) == repr(fresh._unconstrained)
+            for params in (ScalingParams(lam_rel, 1.0, 1.0), ScalingParams(lam_rel, 2.0, 0.0)):
+                assert shared.solve(params) == fresh.solve(params)
