@@ -172,9 +172,7 @@ def _cmd_solve(args) -> int:
         lambda_edge=args.lambda_edge,
     )
     tables = infer.build_score_tables(problem, suite)
-    candidates = infer.JointCandidates(
-        tables, problem.values, lambda_rel=params.lambda_rel, beam=args.beam
-    )
+    candidates = infer.JointCandidates(tables, problem.values, beam=args.beam)
     print(json.dumps(_result_obj(candidates.solve(params), problem), sort_keys=True, indent=1))
     if args.trace:
         for trace_tuple in candidates.top_k(params, args.trace):

@@ -30,9 +30,12 @@ class CorpusError(ValueError):
 # ---------------------------------------------------------------------------
 # tokenization
 
-_TOKEN_RE = re.compile(r"\d+(?:\.\d+)?|[A-Za-z]+(?:'[A-Za-z]+)*|\S")
+# a number is digits with an optional decimal part, the digits grouped in
+# threes by commas ("1,000", "2,500.5") or not; "4,5" is two numbers
+_NUMBER = r"(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?"
+_TOKEN_RE = re.compile(rf"{_NUMBER}|[A-Za-z]+(?:'[A-Za-z]+)*|\S")
 _SENTENCE_END = {".", "!", "?"}
-_NUMBER_TOKEN_RE = re.compile(r"^\d+(?:\.\d+)?$")
+_NUMBER_TOKEN_RE = re.compile(rf"{_NUMBER}$")
 
 #: (lowercased text, sentence index, (start, end) char span in the text)
 Token = tuple[str, int, tuple[int, int]]
@@ -185,7 +188,8 @@ def extract_quantities(text: str) -> list[Quantity]:
     out = []
     for pos, (tok, _sent, span) in enumerate(tokenize(text)):
         if _NUMBER_TOKEN_RE.match(tok):
-            out.append(Quantity(index=len(out), value=Fraction(tok), token_index=pos, span=span))
+            value = Fraction(tok.replace(",", ""))
+            out.append(Quantity(index=len(out), value=value, token_index=pos, span=span))
     return out
 
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import annotate, corpus, infer, learn, udg
 from .corpus import Problem
@@ -36,7 +36,6 @@ class RunConfig:
     epochs: int = 10
     context_features: bool = True
     rule_features: bool = True
-    lambda_grid: Mapping[str, Sequence[float]] | None = None
     fixed_lambda_vertex: float | None = None
     fixed_lambda_edge: float | None = None
 
@@ -46,7 +45,7 @@ class RunConfig:
         )
 
     def tune_grid(self) -> dict[str, Sequence[float]]:
-        grid = dict(self.lambda_grid or {})
+        grid = {}
         if self.fixed_lambda_vertex is not None:
             grid["lambda_vertex"] = (self.fixed_lambda_vertex,)
         if self.fixed_lambda_edge is not None:
@@ -183,9 +182,7 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
         udg_exact = 0
         for p in test:
             tables = build_score_tables(p, suite)
-            candidates = JointCandidates(
-                tables, p.values, lambda_rel=tuned.lambda_rel, beam=config.beam
-            )
+            candidates = JointCandidates(tables, p.values, beam=config.beam)
             record = {"fold": fold, "correct": {}}
             for name, params in variants.items():
                 result = candidates.solve(params)
@@ -193,7 +190,7 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
                 correct[name] += hit
                 record["correct"][name] = bool(hit)
             per_problem[p.id] = record
-            predicted = infer.predict_udg_from_tables(tables, ScalingParams(), beam=config.beam or 200)
+            predicted = infer.predict_udg_from_tables(tables, ScalingParams())
             udg_exact += predicted == annotate.derive_udg_gold(p).to_graph()
 
         vertex_acc = {}

@@ -28,7 +28,9 @@ from typing import Iterator, Mapping, Sequence
 ADD, SUB, SUB_R, MUL, DIV, DIV_R = "+", "-", "-r", "*", "/", "/r"
 OPS = (ADD, SUB, SUB_R, MUL, DIV, DIV_R)
 
-#: Largest leaf set enumerate_trees will search exhaustively.
+#: Most quantities a problem may have: ``enumerate_plans`` searches every
+#: subset of them and refuses more, rather than search only the smaller
+#: subsets.
 MAX_ENUM_LEAVES = 6
 
 
@@ -489,26 +491,22 @@ def size_plans(k: int) -> SizePlans:
 
 
 def enumerate_plans(
-    values: Sequence[Fraction], max_irrelevant: int | None = None
+    values: Sequence[Fraction],
 ) -> Iterator[tuple[TreePlan, tuple[int, ...], Fraction]]:
     """Yield ``(plan, subset, value)`` for every distinct canonical tree over
     every subset of quantities whose exact evaluation is strictly positive.
 
     Subsets are visited largest-first, lexicographically within a size, and
     plans within a subset in ``canonical_structures`` order, so truncation by
-    a beam is reproducible. ``max_irrelevant`` caps how many quantities may be
-    left unused. Subsets larger than MAX_ENUM_LEAVES are not searched. A tree
-    with a division by zero anywhere in it is skipped, as ``evaluate`` would
-    raise on it.
+    a beam is reproducible. More than MAX_ENUM_LEAVES quantities raise
+    ExprError before anything is yielded. A tree with a division by zero
+    anywhere in it is skipped, as ``evaluate`` would raise on it.
     """
     vals = [Fraction(v) for v in values]
     n = len(vals)
     if n < 1:
         raise ExprError("need at least one quantity")
-    min_size = 1 if max_irrelevant is None else max(1, n - max_irrelevant)
-    if min_size > MAX_ENUM_LEAVES:
-        raise ExprError(f"cannot enumerate subsets of size {min_size} (max {MAX_ENUM_LEAVES})")
-    for size in range(min(n, MAX_ENUM_LEAVES), min_size - 1, -1):
+    for size in range(n, 0, -1):
         compiled = size_plans(size)
         for subset in itertools.combinations(range(n), size):
             # None marks a sub-structure that divides by zero
@@ -531,11 +529,9 @@ def enumerate_plans(
                     yield plan, subset, value
 
 
-def enumerate_trees(
-    values: Sequence[Fraction], max_irrelevant: int | None = None
-) -> Iterator[Expr]:
+def enumerate_trees(values: Sequence[Fraction]) -> Iterator[Expr]:
     """Yield every distinct canonical tree over every subset of quantities
     whose exact evaluation is strictly positive: the candidates of
     ``enumerate_plans``, in its order, each built as an expression tree."""
-    for plan, subset, _ in enumerate_plans(values, max_irrelevant):
+    for plan, subset, _ in enumerate_plans(values):
         yield plan.tree(subset)

@@ -8,15 +8,18 @@ must be consistent with the tree.
 
 Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
-a tree); ``_labeling_entry`` scores one labeling's choices for both.
+a tree); ``_labeling_entry`` scores one labeling's choices for both, and
+``_unconstrained_rows`` scores every labeling of a problem with no tree.
 
-The joint search is branch and bound over the graph stage. Candidate trees
-are scored and beam-truncated up front from compiled structures
-(``exprtree.enumerate_plans``), without building their expression trees; a
-tree is built, and its consistent labelings with it, only when ``solve``
-visits it. Trees are visited best tree score first, and the visit stops at
-the first tree whose best unconstrained graph cannot reach the incumbent
-total, so answers equal the exhaustive scan of ``top_k``.
+The joint search is one ``JointCandidates`` per problem, holding no scale.
+Candidate trees are scored up front from compiled structures
+(``exprtree.enumerate_plans``), without building their expression trees;
+each solve ranks them under its own ``lambda_rel`` and cuts the beam. A tree
+is built, and its consistent labelings with it, only when a search visits
+it. ``solve`` is branch and bound over the graph stage: trees are visited
+best tree score first, and the visit stops at the first tree whose best
+unconstrained graph cannot reach the incumbent total, so answers equal the
+exhaustive scan of ``top_k``.
 
 All scoring runs off immutable ScoreTables, so tests can drive inference
 from hand-set mock tables and candidate scoring is safe to parallelize.
@@ -30,7 +33,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import exprtree, learn, udg
 from .corpus import Problem
@@ -230,54 +233,40 @@ def _labeling_entry(
     return _LabelingEntry(labeling, vertex_sum, e_max, tuple(edges_max), e_lex, edges_lex)
 
 
-def _valid_entry(tables: ScoreTables, labeling: tuple[bool, ...]) -> _LabelingEntry:
-    return _labeling_entry(tables, labeling, udg.valid_edge_choices(labeling))
+def _unconstrained_rows(tables: ScoreTables) -> tuple[_LabelingEntry, ...]:
+    """Every vertex labeling, lexicographically (not-rate first), with the
+    structurally valid labels of a graph bound by no tree.
+
+    There are 2^(n+1) labelings, so more quantities than a candidate tree
+    may cover (``exprtree.MAX_ENUM_LEAVES``) are refused."""
+    n = tables.n_quantities
+    if n > exprtree.MAX_ENUM_LEAVES:
+        raise InferenceError(
+            f"refusing to label graphs over {n} quantities (max {exprtree.MAX_ENUM_LEAVES})"
+        )
+    return tuple(
+        _labeling_entry(tables, labeling, udg.valid_edge_choices(labeling))
+        for labeling in itertools.product((False, True), repeat=n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
 # standalone graph prediction
 
-def predict_udg_from_tables(
-    tables: ScoreTables, params: ScalingParams, beam: int = 200
-) -> UnitDependencyGraph:
-    """Argmax of score_udg over structurally valid graphs.
-
-    Exhaustive over vertex labelings for up to 6 vertices, beam search over
-    labeling prefixes beyond; ties break toward the lexicographically
-    smallest encoding."""
-    n = tables.n_quantities
-    if n + 1 <= 6:
-        entries: Iterable[_LabelingEntry] = (
-            _valid_entry(tables, labeling)
-            for labeling in itertools.product((False, True), repeat=n + 1)
-        )
-    else:
-        entries = _beam_labelings(tables, params, beam)
-    best = max(entries, key=lambda e: e.score(params))  # first of equal scores
+def predict_udg_from_tables(tables: ScoreTables, params: ScalingParams) -> UnitDependencyGraph:
+    """Argmax of score_udg over structurally valid graphs, exhaustive over
+    vertex labelings; ties break toward the lexicographically smallest
+    encoding. More than ``exprtree.MAX_ENUM_LEAVES`` quantities raise
+    InferenceError."""
+    best = max(_unconstrained_rows(tables), key=lambda e: e.score(params))  # first of equal scores
     rates = frozenset(v for v, flag in enumerate(best.labeling) if flag)
-    return UnitDependencyGraph(n_quantities=n, rates=rates, edges=best.edges(params)[1])
-
-
-def _beam_labelings(
-    tables: ScoreTables, params: ScalingParams, beam: int
-) -> list[_LabelingEntry]:
-    prefixes: list[tuple[bool, ...]] = [()]
-    for _ in range(tables.n_quantities + 1):
-        extended = [
-            _valid_entry(tables, prefix + (flag,)) for prefix in prefixes for flag in (False, True)
-        ]
-        extended.sort(key=lambda e: (-e.score(params), e.labeling))
-        kept = extended[: max(beam, 1)]
-        prefixes = [e.labeling for e in kept]
-    return kept
+    return UnitDependencyGraph(tables.n_quantities, rates, best.edges(params)[1])
 
 
 def predict_udg(
-    problem: Problem, suite: ClassifierSuite, params: ScalingParams | None = None, beam: int = 200
+    problem: Problem, suite: ClassifierSuite, params: ScalingParams | None = None
 ) -> UnitDependencyGraph:
-    return predict_udg_from_tables(
-        build_score_tables(problem, suite), params or ScalingParams(), beam
-    )
+    return predict_udg_from_tables(build_score_tables(problem, suite), params or ScalingParams())
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +328,7 @@ class _TreeEntry:
         return (-self.base(lambda_rel), self.nodes, self.serial)
 
 
-def _tree_stage(
-    tables: ScoreTables, values: Sequence[Fraction], max_irrelevant: int | None = None
-) -> tuple[_TreeEntry, ...]:
+def _tree_stage(tables: ScoreTables, values: Sequence[Fraction]) -> tuple[_TreeEntry, ...]:
     """Every candidate tree with its term sums, in enumeration order.
 
     The sums are ``tree_term_sums`` of each tree, added in the same order: the
@@ -350,7 +337,7 @@ def _tree_stage(
     operations."""
     entries = []
     subset = None
-    for plan, placed, value in exprtree.enumerate_plans(values, max_irrelevant):
+    for plan, placed, value in exprtree.enumerate_plans(values):
         if placed != subset:
             subset = placed
             rel_sum = 0.0
@@ -367,39 +354,18 @@ def _tree_stage(
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class _ProblemStage:
-    """The part of a joint search that no scale changes: the tree stage and
-    the unconstrained labelings that bound each tree's graphs. Only the
-    ranking depends on ``lambda_rel``, so one stage serves every
-    ``JointCandidates`` built over the same tables and values."""
-
-    trees: tuple[_TreeEntry, ...]
-    unconstrained: tuple[_LabelingEntry, ...]
-
-
-def _problem_stage(
-    tables: ScoreTables, values: Sequence[Fraction], max_irrelevant: int | None = None
-) -> _ProblemStage:
-    trees = _tree_stage(tables, values, max_irrelevant)
-    unconstrained = tuple(
-        _valid_entry(tables, labeling)
-        for labeling in itertools.product((False, True), repeat=tables.n_quantities + 1)
-    )
-    return _ProblemStage(trees, unconstrained)
-
-
 class JointCandidates:
-    """Beam-pruned candidate trees whose consistent graphs are scored lazily.
+    """One problem's joint search, with its consistent graphs scored lazily.
 
-    The problem stage runs here, or comes from ``trees``: every candidate
-    tree with its value and term sums, computed from compiled structures
-    without building the tree, and the scored unconstrained labelings. Every
-    tree is ranked under ``lambda_rel`` and the best ``beam`` are kept. The
-    graph stage runs on demand: a kept tree's expression tree and consistent
-    labelings are built the first time a search reaches it and reused by
-    every later call, so lambda tuning and ablations re-solve cheaply; only
-    the scalar mix changes across calls to solve().
+    No scale is fixed here. ``entries`` holds every candidate tree with its
+    value and term sums, in enumeration order, computed from compiled
+    structures without building the tree; the unconstrained labeling rows
+    are scored once too. ``solve`` and ``top_k`` rank the trees under their
+    own ``lambda_rel`` and keep the best ``beam`` (``ranked``); the last
+    ranking is reused, so tuning and the ablation variants rank once per
+    ``lambda_rel``. A kept tree's expression tree and consistent labelings
+    are built the first time a search reaches it and reused by every later
+    call.
 
     ``solve`` visits trees best tree score first and bounds each by its tree
     score plus the best graph over all structurally valid (unconstrained)
@@ -409,31 +375,24 @@ class JointCandidates:
     search stops at the first tree bounded strictly below the incumbent.
     ``top_k`` scans every kept tree."""
 
-    def __init__(
-        self,
-        tables: ScoreTables,
-        values: Sequence[Fraction],
-        lambda_rel: float = 1.0,
-        beam: int | None = 200,
-        max_irrelevant: int | None = None,
-        *,
-        trees: _ProblemStage | None = None,
-    ):
-        """``trees`` is the problem's stage from ``_problem_stage`` on the
-        same tables and values; passing it skips the enumeration and the
-        labeling rows, and the kept trees, their order and the bound are
-        those of a fresh build."""
+    def __init__(self, tables: ScoreTables, values: Sequence[Fraction], beam: int | None = 200):
         if len(values) != tables.n_quantities:
             raise InferenceError("value list does not match score tables")
         self.tables = tables
-        if trees is None:
-            trees = _problem_stage(tables, values, max_irrelevant)
-        entries = sorted(trees.trees, key=lambda e: e.rank(lambda_rel))
-        if beam is not None:
-            entries = entries[: max(int(beam), 1)]
-        self.entries = tuple(entries)
-        self.lambda_rel = lambda_rel
-        self._unconstrained = trees.unconstrained
+        self.beam = beam
+        self.entries = _tree_stage(tables, values)
+        self._unconstrained = _unconstrained_rows(tables)
+        self._ranking: tuple[float, tuple[_TreeEntry, ...]] | None = None
+
+    def ranked(self, lambda_rel: float) -> tuple[_TreeEntry, ...]:
+        """The ``beam`` best trees under ``lambda_rel``, best first; equal
+        tree scores keep fewer nodes, then the smaller serial."""
+        if self._ranking is None or self._ranking[0] != lambda_rel:
+            kept = sorted(self.entries, key=lambda e: e.rank(lambda_rel))
+            if self.beam is not None:
+                kept = kept[: max(int(self.beam), 1)]
+            self._ranking = (lambda_rel, tuple(kept))
+        return self._ranking[1]
 
     def _tree_candidates(self, entry: _TreeEntry, params: ScalingParams) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry, float, tuple[EdgeType, ...]]]:
         if entry.consistent is None:
@@ -461,11 +420,8 @@ class JointCandidates:
             (params.lambda_vertex * lab.vertex_sum, params.lambda_edge * lab.edges(params)[0])
             for lab in self._unconstrained
         ]
-        visit_order = self.entries
-        if params.lambda_rel != self.lambda_rel:
-            visit_order = sorted(self.entries, key=lambda e: e.rank(params.lambda_rel))
         best = None
-        for entry in visit_order:
+        for entry in self.ranked(params.lambda_rel):
             if best is not None:
                 base = entry.base(params.lambda_rel)
                 # same float expression as a candidate's total; a tie may
@@ -481,7 +437,11 @@ class JointCandidates:
 
     def top_k(self, params: ScalingParams, k: int) -> list[ScoredTuple]:
         ranked = sorted(
-            (c for entry in self.entries for c in self._tree_candidates(entry, params)),
+            (
+                c
+                for entry in self.ranked(params.lambda_rel)
+                for c in self._tree_candidates(entry, params)
+            ),
             key=lambda c: c[0],
         )
         return [self._build(c, params) for c in ranked[:k]]
@@ -503,35 +463,18 @@ class JointCandidates:
         )
 
 
-def solve_joint_from_tables(
-    tables: ScoreTables,
-    values: Sequence[Fraction],
-    params: ScalingParams | None = None,
-    beam: int | None = 200,
-    max_irrelevant: int | None = None,
-) -> ScoredTuple:
-    params = params or ScalingParams()
-    candidates = JointCandidates(
-        tables, values, lambda_rel=params.lambda_rel, beam=beam, max_irrelevant=max_irrelevant
-    )
-    return candidates.solve(params)
-
-
 def solve_joint(
     problem: Problem,
     suite: ClassifierSuite,
     params: ScalingParams | None = None,
     beam: int | None = 200,
-    max_irrelevant: int | None = None,
 ) -> ScoredTuple:
     """Two-stage joint inference: beam over trees by tree score, then the
     best consistent graph per surviving tree; returns the top tuple."""
     if not problem.quantities:
         raise InferenceError(f"problem {problem.id}: no quantities to solve with")
     tables = build_score_tables(problem, suite)
-    return solve_joint_from_tables(
-        tables, problem.values, params, beam=beam, max_irrelevant=max_irrelevant
-    )
+    return JointCandidates(tables, problem.values, beam=beam).solve(params or ScalingParams())
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +512,13 @@ def tune_lambdas(
             raise ValueError(f"dev problem {p.id} has no gold answer")
         golds.append(p.gold.answer)
 
-    tables = [build_score_tables(p, suite) for p in dev_problems]
-    # trees, term sums, the labelings memoized on the trees and the
-    # unconstrained rows are shared by every lambda_rel; only the ranking and
-    # the beam cut are redone
-    stages = [_problem_stage(t, p.values) for t, p in zip(tables, dev_problems)]
+    # one search per dev problem; the lambda_rel loop is outermost, so each
+    # search ranks its trees once per lambda_rel
+    candidates = [
+        JointCandidates(build_score_tables(p, suite), p.values, beam=beam) for p in dev_problems
+    ]
     best: tuple[int, ScalingParams] | None = None
     for lam_rel in sorted(rel_values):
-        candidates = [
-            JointCandidates(t, p.values, lambda_rel=lam_rel, beam=beam, trees=stage)
-            for t, p, stage in zip(tables, dev_problems, stages)
-        ]
         for lam_vertex in sorted(vertex_values):
             for lam_edge in sorted(edge_values):
                 params = ScalingParams(

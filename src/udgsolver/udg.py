@@ -344,19 +344,18 @@ def is_consistent(graph: UnitDependencyGraph, tree: Expr) -> ConsistencyResult:
                 violations.append(
                     f"condition 2: rate vertex {leaf} reaches the root via only +/-"
                 )
-    vlabels = [graph.is_rate(v) for v in range(n + 1)]
-    for i, j in vertex_pairs(n):
+    vlabels = [v in graph.rates for v in range(n + 1)]
+    for (i, j), label in zip(vertex_pairs(n), graph.edges):
         if i not in used or (j != question and j not in used):
             continue
-        allowed = permitted_edge_labels(tree, i, j, vlabels)
-        if graph.edge(i, j) not in allowed:
+        allowed = _permitted_cached(tree, i, j, vlabels[i], vlabels[j], n)
+        if label not in allowed:
             if len(allowed) == 1:
                 detail = f"must be {allowed[0].value}"
             else:
                 detail = "cannot be SameUnit across one multiplicative node"
             violations.append(
-                f"condition 3: edge ({i}, {j}) {detail}, "
-                f"graph has {graph.edge(i, j).value}"
+                f"condition 3: edge ({i}, {j}) {detail}, graph has {label.value}"
             )
     return ConsistencyResult(ok=not violations, violations=tuple(violations))
 

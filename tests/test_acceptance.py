@@ -16,7 +16,7 @@ from udgsolver import annotate, corpus, exprtree, infer, learn, synth, udg
 from udgsolver.corpus import QUESTION
 from udgsolver.evalharness import RunConfig, run_eval
 from udgsolver.exprtree import Leaf, Op, serialize
-from udgsolver.infer import ScalingParams, solve_joint_from_tables
+from udgsolver.infer import JointCandidates, ScalingParams
 from udgsolver.udg import EdgeType, UnitDependencyGraph, enumerate_consistent_udgs, is_consistent
 
 from conftest import make_fig1_tables, oracle_edge, random_raw_tree, random_values, unit_models
@@ -38,7 +38,7 @@ def full_eval(synthetic_corpus):
 def test_criterion_1_fig1_end_to_end(fig1_problem):
     started = time.monotonic()
     tables = make_fig1_tables()
-    result = solve_joint_from_tables(tables, fig1_problem.values, ScalingParams(), beam=200)
+    result = JointCandidates(tables, fig1_problem.values, beam=200).solve(ScalingParams())
     elapsed = time.monotonic() - started
     ok = (
         result.value == 7
@@ -159,7 +159,7 @@ def test_criterion_6_beam_equals_exhaustive():
     assert all(p.n <= 3 for p in problems)
     for p in problems:
         tables = infer.build_score_tables(p, suite)
-        result = solve_joint_from_tables(tables, p.values, params, beam=None)
+        result = JointCandidates(tables, p.values, beam=None).solve(params)
         best = best_key = best_total = None
         for tree in exprtree.enumerate_trees(p.values):
             rel_sum, lca_sum = infer.tree_term_sums(tree, tables)

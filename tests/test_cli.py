@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import udgsolver
 from udgsolver import cli, corpus, synth
 
 from conftest import FIG1_TEXT, MELANIE_TEXT
@@ -167,6 +172,23 @@ def test_solve_negative_trace_is_data_error(model_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--trace must be >= 0" in captured.err
+
+
+def test_solve_too_many_quantities_exits_2(model_file):
+    # more quantities than a tree may cover are refused up front, not searched
+    text = (
+        "A farm has 1 cow, 2 pigs, 3 hens, 4 ducks, 5 goats, 6 sheep, 7 cats, "
+        "8 dogs, 9 geese and 10 horses. How many animals does the farm have?"
+    )
+    src = str(Path(udgsolver.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "udgsolver.cli", "solve", "--model", str(model_file), "--text", text],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "10 leaves (max 6)" in done.stderr
 
 
 def test_usage_error_exit_code(capsys):

@@ -91,6 +91,16 @@ def test_extract_quantities_decimals_exact():
     assert all(isinstance(q.value, Fraction) for q in qs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**12), st.one_of(st.none(), st.integers(0, 999)))
+def test_thousands_separators_round_trip(whole, decimals):
+    number = f"{whole:,}" if decimals is None else f"{whole:,}.{decimals}"
+    text = f"They sold {number} tickets, 4,5 of them late."
+    qs = extract_quantities(text)
+    assert [q.value for q in qs] == [Fraction(number.replace(",", "")), 4, 5]
+    assert text[qs[0].span[0] : qs[0].span[1]] == number
+
+
 def test_quantity_spans_point_into_text():
     text = normalize_digits(FIG1_TEXT)
     for q in extract_quantities(text):

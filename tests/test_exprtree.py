@@ -212,12 +212,6 @@ def test_enumerate_deterministic():
     assert first == second
 
 
-def test_max_irrelevant_bounds_subsets():
-    values = [Fraction(v) for v in (2, 3, 4)]
-    trees = list(enumerate_trees(values, max_irrelevant=1))
-    assert all(len(used_indices(t)) >= 2 for t in trees)
-
-
 def test_enumerate_trees_output_pinned():
     # zeros, negatives, duplicates and fractions; recorded before trees were
     # enumerated from compiled structures

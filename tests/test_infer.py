@@ -17,7 +17,6 @@ from udgsolver.infer import (
     predict_udg_from_tables,
     score_tree,
     score_udg,
-    solve_joint_from_tables,
     tune_lambdas,
     values_match,
 )
@@ -119,7 +118,7 @@ def _valid_options(labeling, i, j):
 
 
 def test_predict_udg_beam_path_equals_argmax():
-    # seven vertices take the beam path; a beam of 2**7 keeps every labeling
+    # seven vertices, the most a solvable problem has
     n = 6
     tables = _random_graph_tables(n, seed=5)
     params = ScalingParams()
@@ -134,17 +133,23 @@ def test_predict_udg_beam_path_equals_argmax():
         total = score_udg(graph, tables, params)
         if best is None or total > best[0]:
             best = (total, graph)
-    assert predict_udg_from_tables(tables, params, beam=128) == best[1]
+    assert predict_udg_from_tables(tables, params) == best[1]
 
 
 def test_predict_udg_beam_path_zero_edge_scale_takes_first_edges():
     n = 6
     tables = _random_graph_tables(n, seed=6)
-    graph = predict_udg_from_tables(tables, ScalingParams(lambda_edge=0.0), beam=128)
+    graph = predict_udg_from_tables(tables, ScalingParams(lambda_edge=0.0))
     rates = frozenset(v for v in range(n + 1) if tables.vertex_score(v, "Rate") > 0)
     labeling = [v in rates for v in range(n + 1)]
     edges = tuple(_valid_options(labeling, i, j)[0] for i, j in vertex_pairs(n))
     assert graph == UnitDependencyGraph(n, rates, edges)
+
+
+def test_predict_udg_refuses_more_quantities_than_trees_cover():
+    n = exprtree.MAX_ENUM_LEAVES + 1
+    with pytest.raises(InferenceError, match="over 7 quantities"):
+        predict_udg_from_tables(_random_graph_tables(n, seed=7), ScalingParams())
 
 
 def test_predict_udg_neutral_deterministic():
@@ -185,7 +190,7 @@ def test_score_tree_scales_relevance():
 
 def test_solve_joint_fig1_mock(fig1_problem):
     tables = make_fig1_tables()
-    result = solve_joint_from_tables(tables, fig1_problem.values, ScalingParams(), beam=200)
+    result = JointCandidates(tables, fig1_problem.values, beam=200).solve(ScalingParams())
     assert result.value == 7
     assert serialize(result.tree, fig1_problem.values) == "(/ (- 66 10) 8)"
     assert result.graph.edge(0, 2) is EdgeType.SAME_UNIT
@@ -196,7 +201,7 @@ def test_solve_joint_fig1_mock(fig1_problem):
 def test_scored_tuple_breakdown_recheck(fig1_problem):
     tables = make_fig1_tables()
     params = ScalingParams(lambda_rel=0.5, lambda_vertex=2.0, lambda_edge=0.25)
-    result = solve_joint_from_tables(tables, fig1_problem.values, params, beam=200)
+    result = JointCandidates(tables, fig1_problem.values, beam=200).solve(params)
     recomputed = (
         params.lambda_rel * result.rel_sum
         + result.lca_sum
@@ -216,7 +221,7 @@ def test_zero_lambdas_reduce_to_base_solver():
         edge={(0, 1, EdgeType.SAME_UNIT): 50.0},
     )
     params = ScalingParams(lambda_vertex=0.0, lambda_edge=0.0)
-    result = solve_joint_from_tables(tables, values, params, beam=None)
+    result = JointCandidates(tables, values, beam=None).solve(params)
     trees = list(exprtree.enumerate_trees(values))
     best_tree = max(
         trees,
@@ -229,8 +234,8 @@ def test_zero_lambdas_reduce_to_base_solver():
 def test_beam_one_matches_tree_argmax():
     tables = make_fig1_tables()
     values = (Fraction(66), Fraction(8), Fraction(10))
-    wide = solve_joint_from_tables(tables, values, ScalingParams(), beam=None)
-    narrow = solve_joint_from_tables(tables, values, ScalingParams(), beam=1)
+    wide = JointCandidates(tables, values, beam=None).solve(ScalingParams())
+    narrow = JointCandidates(tables, values, beam=1).solve(ScalingParams())
     assert score_tree(wide.tree, tables, ScalingParams()) >= score_tree(
         narrow.tree, tables, ScalingParams()
     )
@@ -241,7 +246,7 @@ def test_solve_joint_exhaustive_equivalence_small(trained_suite, synthetic_corpu
     sample = [p for p in synthetic_corpus if p.n == 2][:6]
     for p in sample:
         tables = infer.build_score_tables(p, trained_suite)
-        result = solve_joint_from_tables(tables, p.values, params, beam=None)
+        result = JointCandidates(tables, p.values, beam=None).solve(params)
         best = None
         for tree in exprtree.enumerate_trees(p.values):
             rel_sum, lca_sum = infer.tree_term_sums(tree, tables)
@@ -261,7 +266,7 @@ def test_solve_joint_exhaustive_equivalence_small(trained_suite, synthetic_corpu
 
 
 def _assert_solve_is_exhaustive_top1(cands):
-    # field for field, also under a lambda_rel other than the one the beam used
+    # field for field, under every lambda_rel in turn, each ranking its own beam
     for lam_rel, lam_vertex, lam_edge in itertools.product((0.0, 1.0, 2.5), repeat=3):
         params = ScalingParams(lam_rel, lam_vertex, lam_edge)
         assert cands.solve(params) == cands.top_k(params, 1)[0]
@@ -272,7 +277,7 @@ def test_bounded_solve_equals_exhaustive_top1(trained_suite, synthetic_corpus, b
     sample = [p for p in synthetic_corpus if p.n == 2][:3] + [p for p in synthetic_corpus if p.n == 3][:5]
     for p in sample:
         tables = infer.build_score_tables(p, trained_suite)
-        cands = JointCandidates(tables, p.values, lambda_rel=1.0, beam=beam)
+        cands = JointCandidates(tables, p.values, beam=beam)
         _assert_solve_is_exhaustive_top1(cands)
 
 
@@ -314,7 +319,7 @@ def test_bounded_solve_scans_tree_whose_bound_ties_incumbent():
     )
     params = ScalingParams()
     cands = JointCandidates(tables, values, beam=None)
-    assert serialize(cands.entries[0].tree) == "(+ q0 q1)"
+    assert serialize(cands.ranked(params.lambda_rel)[0].tree) == "(+ q0 q1)"
     result = cands.solve(params)
     assert result == cands.top_k(params, 1)[0]
     assert result.score == 0.0
@@ -362,7 +367,7 @@ def tuning_setup():
     dev = []
     for p in order[:5]:
         tables = infer.build_score_tables(p, suite)
-        cands = JointCandidates(tables, p.values, lambda_rel=1.0, beam=200)
+        cands = JointCandidates(tables, p.values, beam=200)
         got_full = values_match(cands.solve(full).value, p.gold.answer)
         got_base = values_match(cands.solve(base).value, p.gold.answer)
         if got_full and not got_base:
@@ -428,7 +433,7 @@ def test_beam_monotone_accuracy(trained_suite):
     for p in problems:
         tables = infer.build_score_tables(p, trained_suite)
         for beam, bucket in ((200, "wide"), (1, "narrow")):
-            cands = JointCandidates(tables, p.values, lambda_rel=params.lambda_rel, beam=beam)
+            cands = JointCandidates(tables, p.values, beam=beam)
             hit = values_match(cands.solve(params).value, p.gold.answer)
             if bucket == "wide":
                 wide += hit
@@ -572,15 +577,15 @@ def test_score_tables_run_one_feature_pass(monkeypatch, trained_suite, synthetic
         assert calls == {"vertex": p.n + 1, "unit": p.n + 1}
 
 
-# --- tuning shares one tree stage per dev problem --------------------------------
+# --- one search per problem, ranked by each solve's own lambda_rel -------------
 
 def _fresh_build_tune(dev, suite, grid, beam):
-    # the tuning loop before the tree stage was shared: a fresh build per lambda_rel
+    # the tuning loop before the search was shared: a fresh build per lambda_rel
     golds = [p.gold.answer for p in dev]
     tables = [infer.build_score_tables(p, suite) for p in dev]
     best = None
     for lam_rel in sorted(grid["lambda_rel"]):
-        candidates = [JointCandidates(t, p.values, lambda_rel=lam_rel, beam=beam) for t, p in zip(tables, dev)]
+        candidates = [JointCandidates(t, p.values, beam=beam) for t, p in zip(tables, dev)]
         for lam_vertex in sorted(grid["lambda_vertex"]):
             for lam_edge in sorted(grid["lambda_edge"]):
                 params = ScalingParams(lam_rel, lam_vertex, lam_edge)
@@ -597,7 +602,7 @@ def test_tune_equals_fresh_build_per_lambda_rel(monkeypatch, trained_suite, beam
     class Recorded(JointCandidates):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append((args, kwargs, self))
+            built.append(self)
 
     dev = synth.gen_synthetic_corpus(seed=4, size=50)[::4]
     rng = random.Random(beam or 0)
@@ -607,26 +612,54 @@ def test_tune_equals_fresh_build_per_lambda_rel(monkeypatch, trained_suite, beam
         monkeypatch.setattr(infer, "JointCandidates", Recorded)
         assert tune_lambdas([], dev, trained_suite, grid=grid, beam=beam) == expected
         monkeypatch.undo()
-    # every build off a shared tree stage keeps a fresh build's trees, in order
-    assert built
-    for args, kwargs, shared in built:
-        assert "trees" in kwargs
-        fresh = JointCandidates(*args, **{k: v for k, v in kwargs.items() if k != "trees"})
-        assert [e.serial for e in shared.entries] == [e.serial for e in fresh.entries]
-        params = ScalingParams(kwargs["lambda_rel"], 1.0, 1.0)
-        assert shared.solve(params) == fresh.solve(params)
+        assert len(built) == len(dev)
+        built.clear()
+
+
+def test_reused_search_equals_fresh_build_at_each_lambda_rel():
+    # one search solved at lambda_rel 1, 0, 1: a beam of 5 keeps other trees
+    # under each scale, so a search that kept its first ranking answers wrong
+    rng = random.Random(3)
+    for _ in range(30):
+        n = 3
+        tables = _tables(
+            n,
+            vertex={(v, "Rate"): rng.uniform(-2.0, 2.0) for v in range(n + 1)},
+            edge={(i, j, e): rng.uniform(-2.0, 2.0) for i, j in vertex_pairs(n) for e in EdgeType},
+            relevance={(q, "Irrelevant"): rng.uniform(-4.0, 4.0) for q in range(n)},
+            lca={
+                (i, j, op): min(0.0, rng.uniform(-2.0, 2.0))
+                for i in range(n) for j in range(i + 1, n) for op in exprtree.OPS
+            },
+        )
+        values = [Fraction(rng.randint(1, 9)) for _ in range(n)]
+        cands = JointCandidates(tables, values, beam=5)
+        unpruned = JointCandidates(tables, values, beam=None)
+        for lam_rel in (1.0, 0.0, 1.0):
+            params = ScalingParams(lambda_rel=lam_rel)
+            result = cands.solve(params)
+            assert result == JointCandidates(tables, values, beam=5).solve(params)
+            assert result == cands.top_k(params, 1)[0]
+            # oracle: the 5 best trees under this lambda_rel, then the best
+            # tuple over them in the unpruned search's exhaustive ranking
+            trees = sorted(
+                exprtree.enumerate_trees(values),
+                key=lambda t: (-score_tree(t, tables, params), exprtree.node_count(t), serialize(t)),
+            )
+            kept = {serialize(t) for t in trees[:5]}
+            ranked = unpruned.top_k(params, len(trees) * 2 ** (n + 1))
+            assert result == next(r for r in ranked if serialize(r.tree) in kept)
 
 
 # --- compiled tree stage --------------------------------------------------------
 
-def _relabel_stage(tables, values, max_irrelevant):
+def _relabel_stage(tables, values):
     # the tree stage before structures were compiled: relabel each structure
     # onto each subset, evaluate it and walk its root paths for the LCA sum
     vals = [Fraction(v) for v in values]
     n = len(vals)
-    min_size = 1 if max_irrelevant is None else max(1, n - max_irrelevant)
     out = []
-    for size in range(min(n, exprtree.MAX_ENUM_LEAVES), min_size - 1, -1):
+    for size in range(n, 0, -1):
         for subset in itertools.combinations(range(n), size):
             for structure in exprtree.canonical_structures(size):
                 tree = exprtree._relabel(structure, subset)
@@ -643,13 +676,13 @@ def _float_bits(x):
     return type(x), float(x).hex()
 
 
-def _assert_stage_equals_relabel_oracle(tables, values, max_irrelevant):
-    expected = _relabel_stage(tables, values, max_irrelevant)
+def _assert_stage_equals_relabel_oracle(tables, values):
+    expected = _relabel_stage(tables, values)
     if not expected:
         with pytest.raises(InferenceError):
-            infer._tree_stage(tables, values, max_irrelevant)
+            infer._tree_stage(tables, values)
         return
-    got = infer._tree_stage(tables, values, max_irrelevant)
+    got = infer._tree_stage(tables, values)
     assert len(got) == len(expected)
     for entry, (tree, value, rel_sum, lca_sum) in zip(got, expected):
         assert entry.serial == serialize(tree)
@@ -685,11 +718,9 @@ def trained_stage_tables(trained_suite, synthetic_corpus):
 
 
 def test_tree_stage_equals_relabel_oracle_trained_tables(trained_stage_tables):
-    for k, (tables, own_values) in enumerate(trained_stage_tables):
-        n = tables.n_quantities
-        for m, values in enumerate([list(own_values)] + _STAGE_VALUES[n]):
-            max_irrelevant = (None, 0, 1, 2)[(k + m) % 4]
-            _assert_stage_equals_relabel_oracle(tables, values, max_irrelevant)
+    for tables, own_values in trained_stage_tables:
+        for values in [list(own_values)] + _STAGE_VALUES[tables.n_quantities]:
+            _assert_stage_equals_relabel_oracle(tables, values)
 
 
 def test_tree_stage_equals_relabel_oracle_random_tables():
@@ -711,7 +742,7 @@ def test_tree_stage_equals_relabel_oracle_random_tables():
             },
         )
         values = rng.choice(_STAGE_VALUES[n])
-        _assert_stage_equals_relabel_oracle(tables, values, (None, 0, 1, 2)[trial // 4 % 4])
+        _assert_stage_equals_relabel_oracle(tables, values)
     # scores that cancel, so a sum added in another order gives other bits
     for n in (3, 4):
         pairs = list(itertools.combinations(range(n), 2))
@@ -721,7 +752,7 @@ def test_tree_stage_equals_relabel_oracle_random_tables():
             relevance={(q, "Irrelevant"): cancelling[q] for q in range(n)},
             lca={(i, j, op): -cancelling[k] for k, (i, j) in enumerate(pairs) for op in exprtree.OPS},
         )
-        _assert_stage_equals_relabel_oracle(tables, [2] * n, None)
+        _assert_stage_equals_relabel_oracle(tables, [2] * n)
 
 
 def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synthetic_corpus):
@@ -746,17 +777,3 @@ def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synth
         kept += len(cands.entries)
         built.clear()
     assert visited < kept
-
-
-def test_shared_stage_keeps_fresh_unconstrained_rows(trained_suite, synthetic_corpus):
-    for p in [q for q in synthetic_corpus if q.n == 2][:2] + [q for q in synthetic_corpus if q.n == 3][:3]:
-        tables = infer.build_score_tables(p, trained_suite)
-        stage = infer._problem_stage(tables, p.values)
-        for lam_rel in (0.0, 1.0, 4.0):
-            shared = JointCandidates(tables, p.values, lambda_rel=lam_rel, trees=stage)
-            fresh = JointCandidates(tables, p.values, lambda_rel=lam_rel)
-            assert shared._unconstrained is stage.unconstrained
-            # repr tells -0.0 from 0.0 and round-trips every float
-            assert repr(shared._unconstrained) == repr(fresh._unconstrained)
-            for params in (ScalingParams(lam_rel, 1.0, 1.0), ScalingParams(lam_rel, 2.0, 0.0)):
-                assert shared.solve(params) == fresh.solve(params)
