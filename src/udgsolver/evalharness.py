@@ -19,7 +19,7 @@ from typing import Sequence
 from . import annotate, corpus, infer, learn, udg
 from .corpus import Problem
 from .infer import JointCandidates, ScalingParams, build_score_tables, values_match
-from .learn import NOT_RATE, RATE, ClassifierSuite, FeatureConfig
+from .learn import EDGE_LABELS, NOT_RATE, RATE, VERTEX_LABELS, FeatureConfig, LinearModel
 
 SOLVE_VARIANTS = ("full", "no_vertex", "no_edge", "base")
 FEATURE_VARIANTS = ("all_features", "no_rule_features", "no_context_features")
@@ -38,6 +38,9 @@ class RunConfig:
     rule_features: bool = True
     fixed_lambda_vertex: float | None = None
     fixed_lambda_edge: float | None = None
+
+    def __post_init__(self):
+        infer.check_beam(self.beam)
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -139,20 +142,32 @@ def _variant_params(tuned: ScalingParams) -> dict[str, ScalingParams]:
 
 
 def _classifier_metrics(
-    suite: ClassifierSuite, test: Sequence[Problem]
+    vertex: LinearModel, edge: LinearModel, config: FeatureConfig, test: Sequence[Problem]
 ) -> tuple[float, float]:
     """Raw per-vertex and per-pair classifier accuracy against derived gold."""
     v_hit = v_total = e_hit = e_total = 0
     for p in test:
         derived = annotate.derive_udg_gold(p)
-        feats = learn.problem_features(p, suite.config)
+        feats = learn.problem_features(p, config)
         for fv, is_rate in zip(feats.vectors, derived.vertex_labels):
-            v_hit += suite.vertex.predict(fv) == (RATE if is_rate else NOT_RATE)
+            v_hit += vertex.predict(fv) == (RATE if is_rate else NOT_RATE)
             v_total += 1
         for (i, j), gold_edge in zip(udg.vertex_pairs(p.n), derived.edges):
-            e_hit += suite.edge.predict(feats.pair(learn.EDGE_LAYOUT, i, j)) == gold_edge.value
+            e_hit += edge.predict(feats.pair(learn.EDGE_LAYOUT, i, j)) == gold_edge.value
             e_total += 1
     return v_hit / v_total, e_hit / e_total
+
+
+def _vertex_edge_models(
+    problems: Sequence[Problem], config: FeatureConfig, epochs: int, seed: int
+) -> tuple[LinearModel, LinearModel]:
+    """The two models ``_classifier_metrics`` reads, trained as ``train_suite``
+    trains them; the relevance and lca models are not trained."""
+    sets = learn.build_training_sets(problems, config)
+    return (
+        learn.train_model(VERTEX_LABELS, sets["vertex"], epochs, seed),
+        learn.train_model(EDGE_LABELS, sets["edge"], epochs, seed),
+    )
 
 
 def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> EvalReport:
@@ -190,24 +205,24 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
                 correct[name] += hit
                 record["correct"][name] = bool(hit)
             per_problem[p.id] = record
-            predicted = infer.predict_udg_from_tables(tables, ScalingParams())
+            predicted = candidates.best_graph(ScalingParams())
             udg_exact += predicted == annotate.derive_udg_gold(p).to_graph()
 
         vertex_acc = {}
         edge_acc = {}
         for variant in FEATURE_VARIANTS:
             if variant == "all_features":
-                variant_suite = suite
+                vertex, edge, variant_config = suite.vertex, suite.edge, suite.config
             else:
                 variant_config = replace(
                     feature_config,
                     rule_features=variant != "no_rule_features",
                     context_features=variant != "no_context_features",
                 )
-                variant_suite = learn.train_suite(
+                vertex, edge = _vertex_edge_models(
                     train + dev, variant_config, config.epochs, config.seed
                 )
-            v_acc, e_acc = _classifier_metrics(variant_suite, test)
+            v_acc, e_acc = _classifier_metrics(vertex, edge, variant_config, test)
             vertex_acc[variant] = v_acc
             edge_acc[variant] = e_acc
 

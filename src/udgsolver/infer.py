@@ -9,7 +9,8 @@ must be consistent with the tree.
 Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
 a tree); ``_labeling_entry`` scores one labeling's choices for both, and
-``_unconstrained_rows`` scores every labeling of a problem with no tree.
+``_unconstrained_rows`` scores every labeling of a problem with no tree,
+and ``_best_graph`` takes the standalone prediction from those rows.
 
 The joint search is one ``JointCandidates`` per problem, holding no scale.
 Candidate trees are scored up front from compiled structures
@@ -253,14 +254,20 @@ def _unconstrained_rows(tables: ScoreTables) -> tuple[_LabelingEntry, ...]:
 # ---------------------------------------------------------------------------
 # standalone graph prediction
 
+def _best_graph(rows: Sequence[_LabelingEntry], params: ScalingParams) -> UnitDependencyGraph:
+    """The best graph of the unconstrained labeling ``rows`` under ``params``;
+    ties go to the earliest row."""
+    best = max(rows, key=lambda e: e.score(params))  # first of equal scores
+    rates = frozenset(v for v, flag in enumerate(best.labeling) if flag)
+    return UnitDependencyGraph(len(best.labeling) - 1, rates, best.edges(params)[1])
+
+
 def predict_udg_from_tables(tables: ScoreTables, params: ScalingParams) -> UnitDependencyGraph:
     """Argmax of score_udg over structurally valid graphs, exhaustive over
     vertex labelings; ties break toward the lexicographically smallest
     encoding. More than ``exprtree.MAX_ENUM_LEAVES`` quantities raise
     InferenceError."""
-    best = max(_unconstrained_rows(tables), key=lambda e: e.score(params))  # first of equal scores
-    rates = frozenset(v for v, flag in enumerate(best.labeling) if flag)
-    return UnitDependencyGraph(tables.n_quantities, rates, best.edges(params)[1])
+    return _best_graph(_unconstrained_rows(tables), params)
 
 
 def predict_udg(
@@ -354,13 +361,21 @@ def _tree_stage(tables: ScoreTables, values: Sequence[Fraction]) -> tuple[_TreeE
     return tuple(entries)
 
 
+def check_beam(beam) -> None:
+    """Raise ValueError unless ``beam`` is None (no cut) or an int >= 1."""
+    if beam is not None and (isinstance(beam, bool) or not isinstance(beam, int) or beam < 1):
+        raise ValueError(f"beam must be None or an int >= 1, got {beam!r}")
+
+
 class JointCandidates:
     """One problem's joint search, with its consistent graphs scored lazily.
 
     No scale is fixed here. ``entries`` holds every candidate tree with its
     value and term sums, in enumeration order, computed from compiled
     structures without building the tree; the unconstrained labeling rows
-    are scored once too. ``solve`` and ``top_k`` rank the trees under their
+    are scored once too, and ``best_graph`` takes the standalone graph
+    prediction from them. A ``beam`` other than None or an int >= 1 raises
+    ValueError. ``solve`` and ``top_k`` rank the trees under their
     own ``lambda_rel`` and keep the best ``beam`` (``ranked``); the last
     ranking is reused, so tuning and the ablation variants rank once per
     ``lambda_rel``. A kept tree's expression tree and consistent labelings
@@ -376,6 +391,7 @@ class JointCandidates:
     ``top_k`` scans every kept tree."""
 
     def __init__(self, tables: ScoreTables, values: Sequence[Fraction], beam: int | None = 200):
+        check_beam(beam)
         if len(values) != tables.n_quantities:
             raise InferenceError("value list does not match score tables")
         self.tables = tables
@@ -390,9 +406,14 @@ class JointCandidates:
         if self._ranking is None or self._ranking[0] != lambda_rel:
             kept = sorted(self.entries, key=lambda e: e.rank(lambda_rel))
             if self.beam is not None:
-                kept = kept[: max(int(self.beam), 1)]
+                kept = kept[: self.beam]
             self._ranking = (lambda_rel, tuple(kept))
         return self._ranking[1]
+
+    def best_graph(self, params: ScalingParams) -> UnitDependencyGraph:
+        """``predict_udg_from_tables(tables, params)``, off the rows scored
+        once here."""
+        return _best_graph(self._unconstrained, params)
 
     def _tree_candidates(self, entry: _TreeEntry, params: ScalingParams) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry, float, tuple[EdgeType, ...]]]:
         if entry.consistent is None:

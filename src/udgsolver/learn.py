@@ -341,6 +341,14 @@ def train_model(
 
     Deterministic given the seed; raises on an example whose label is outside
     the label set.
+
+    Training stops after the first epoch with no margin mistake, and the
+    averaging then counts every remaining epoch's steps as if they had run.
+    This is exact: the mistake test reads only the current weights and the
+    example, and an epoch without an update checked every example against
+    one fixed set of weights, so every later epoch, in any shuffle order,
+    would update nothing either. The averaged weights are the same floats,
+    in the same order, as those of all ``epochs`` epochs.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -366,6 +374,7 @@ def train_model(
     order = list(range(len(examples)))
     for _ in range(epochs):
         rng.shuffle(order)
+        mistakes = 0
         for idx in order:
             fv, gold = examples[idx]
             step += 1
@@ -378,8 +387,12 @@ def train_model(
                 if rival_score is None or s > rival_score:
                     rival, rival_score = label, s
             if rival is not None and gold_score - rival_score < 1.0:
+                mistakes += 1
                 apply(gold, fv, +1.0)
                 apply(rival, fv, -1.0)
+        if not mistakes:  # a fixed point: the remaining epochs would update nothing
+            step = epochs * len(examples)
+            break
     total = max(step, 1)
     averaged = {}
     for label in labels:

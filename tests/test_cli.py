@@ -174,6 +174,24 @@ def test_solve_negative_trace_is_data_error(model_file, capsys):
     assert "--trace must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("beam", ["0", "-3"])
+def test_solve_beam_below_one_is_data_error(model_file, capsys, beam):
+    assert cli.main(["solve", "--model", str(model_file), "--text", FIG1_TEXT, "--beam", beam]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beam must be None or an int >= 1" in captured.err
+
+
+@pytest.mark.parametrize("beam", ["0", "-3"])
+def test_eval_beam_below_one_is_data_error(tmp_path, capsys, beam):
+    data = tmp_path / "small.jsonl"
+    corpus.save_problems(synth.gen_synthetic_corpus(seed=2, size=50)[:10], data)
+    assert cli.main(["eval", "--in", str(data), "--beam", beam]) == 2
+    captured = capsys.readouterr()
+    assert "solve accuracy" not in captured.out
+    assert "beam must be None or an int >= 1" in captured.err
+
+
 def test_solve_too_many_quantities_exits_2(model_file):
     # more quantities than a tree may cover are refused up front, not searched
     text = (

@@ -241,6 +241,27 @@ def test_beam_one_matches_tree_argmax():
     )
 
 
+@pytest.mark.parametrize("beam", [0, -3, 2.0, True, "5"])
+def test_beam_not_an_int_of_at_least_one_rejected(beam):
+    tables = make_fig1_tables()
+    values = (Fraction(66), Fraction(8), Fraction(10))
+    with pytest.raises(ValueError, match="beam must be None or an int >= 1"):
+        JointCandidates(tables, values, beam=beam)
+
+
+def test_best_graph_equals_predict_udg_from_tables():
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        tables = _tables(
+            n,
+            vertex={(v, "Rate"): rng.uniform(-2.0, 2.0) for v in range(n + 1)},
+            edge={(i, j, e): rng.uniform(-2.0, 2.0) for i, j in vertex_pairs(n) for e in EdgeType},
+        )
+        cands = JointCandidates(tables, [Fraction(rng.randint(1, 9)) for _ in range(n)])
+        for params in (ScalingParams(), ScalingParams(lambda_vertex=0.5, lambda_edge=0.0)):
+            assert cands.best_graph(params) == predict_udg_from_tables(tables, params)
+
+
 def test_solve_joint_exhaustive_equivalence_small(trained_suite, synthetic_corpus):
     params = ScalingParams(lambda_rel=1.0, lambda_vertex=1.0, lambda_edge=1.0)
     sample = [p for p in synthetic_corpus if p.n == 2][:6]

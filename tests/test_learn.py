@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udgsolver import learn
+from udgsolver import learn, synth
 from udgsolver.corpus import QUESTION, build_problem
 from udgsolver.learn import (
     EDGE_LABELS,
@@ -100,6 +101,120 @@ def test_train_deterministic():
     m1 = train_model(("L1", "L2"), _toy_examples(), epochs=5, seed=3)
     m2 = train_model(("L1", "L2"), _toy_examples(), epochs=5, seed=3)
     assert m1.weights == m2.weights
+
+
+def _train_model_all_epochs(labels, examples, epochs=10, seed=0):
+    # train_model as it was before the fixed-point stop: every epoch runs
+    w = {label: {} for label in labels}
+    acc = {label: {} for label in labels}
+    last = {label: {} for label in labels}
+    step = 0
+
+    def apply(label, fv, sign):
+        table, atab, ltab = w[label], acc[label], last[label]
+        for name, v in fv.items():
+            atab[name] = atab.get(name, 0.0) + (step - ltab.get(name, 0)) * table.get(name, 0.0)
+            ltab[name] = step
+            table[name] = table.get(name, 0.0) + sign * v
+
+    rng = random.Random(seed)
+    order = list(range(len(examples)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for idx in order:
+            fv, gold = examples[idx]
+            step += 1
+            gold_score = learn._dot(fv, w[gold])
+            rival, rival_score = None, None
+            for label in labels:
+                if label == gold:
+                    continue
+                s = learn._dot(fv, w[label])
+                if rival_score is None or s > rival_score:
+                    rival, rival_score = label, s
+            if rival is not None and gold_score - rival_score < 1.0:
+                apply(gold, fv, +1.0)
+                apply(rival, fv, -1.0)
+    total = max(step, 1)
+    averaged = {}
+    for label in labels:
+        table, atab, ltab = w[label], acc[label], last[label]
+        averaged[label] = {
+            name: (atab.get(name, 0.0) + (total - ltab.get(name, 0)) * weight) / total
+            for name, weight in table.items()
+        }
+    return LinearModel(labels=tuple(labels), weights=averaged, epochs=epochs, seed=seed)
+
+
+def _model_bits(model):
+    # labels, epochs, seed, weight names in insertion order and every weight's exact bits
+    return (
+        model.labels,
+        model.epochs,
+        model.seed,
+        [(label, [(name, w.hex()) for name, w in model.weights[label].items()])
+         for label in model.labels],
+    )
+
+
+@pytest.fixture(scope="module")
+def training_sets_120():
+    return learn.build_training_sets(synth.gen_synthetic_corpus(0, 120))
+
+
+_CLASSIFIER_LABELS = {
+    "vertex": learn.VERTEX_LABELS,
+    "edge": learn.EDGE_LABELS,
+    "relevance": learn.RELEVANCE_LABELS,
+    "lca": learn.OP_LABELS,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CLASSIFIER_LABELS))
+def test_fixed_point_stop_equals_all_epochs(training_sets_120, kind):
+    labels, examples = _CLASSIFIER_LABELS[kind], training_sets_120[kind]
+    for epochs in (1, 3, 10):
+        for seed in (0, 3):
+            expected = _train_model_all_epochs(labels, examples, epochs, seed)
+            assert _model_bits(train_model(labels, examples, epochs, seed)) == _model_bits(expected)
+
+
+@pytest.fixture
+def dot_calls(monkeypatch):
+    calls = []
+    dot = learn._dot
+    monkeypatch.setattr(learn, "_dot", lambda *args: calls.append(1) or dot(*args))
+    return calls
+
+
+def test_non_separable_set_runs_every_epoch(dot_calls):
+    # one vector under two labels: every epoch has a margin mistake
+    examples = [({"a": 1.0, "b": 2.0}, "L1"), ({"a": 1.0, "b": 2.0}, "L2")] * 3
+    model = train_model(("L1", "L2"), examples, epochs=7, seed=1)
+    assert len(dot_calls) == 2 * len(examples) * 7  # gold and rival, every step
+    expected = _train_model_all_epochs(("L1", "L2"), examples, epochs=7, seed=1)
+    assert _model_bits(model) == _model_bits(expected)
+
+
+def test_separable_set_stops_after_first_clean_epoch(dot_calls):
+    # epoch 1 separates the toy set with margin 2, epoch 2 updates nothing,
+    # and epochs 3-10 are not run
+    model = train_model(("L1", "L2"), _toy_examples(), epochs=10, seed=0)
+    assert len(dot_calls) == 2 * len(_toy_examples()) * 2  # gold and rival, every step
+    expected = _train_model_all_epochs(("L1", "L2"), _toy_examples(), epochs=10, seed=0)
+    assert _model_bits(model) == _model_bits(expected)
+
+
+# sha256 of the saved train_suite(gen_synthetic_corpus(0, 200)) file, recorded
+# before training stopped at its first mistake-free epoch; it pins every
+# trained weight on each supported Python version
+SUITE_200_SHA256 = "1f51b3461eed39f230a8124c06e59cbeb456f71034c48190907765453a4a248f"
+
+
+def test_trained_suite_file_pinned(tmp_path):
+    path = tmp_path / "suite.json"
+    learn.train_suite(synth.gen_synthetic_corpus(0, 200)).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_200_SHA256
 
 
 def test_train_unknown_label():
