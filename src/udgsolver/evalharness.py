@@ -41,6 +41,7 @@ class RunConfig:
 
     def __post_init__(self):
         infer.check_beam(self.beam)
+        learn.check_epochs(self.epochs)
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -162,11 +163,11 @@ def _vertex_edge_models(
     problems: Sequence[Problem], config: FeatureConfig, epochs: int, seed: int
 ) -> tuple[LinearModel, LinearModel]:
     """The two models ``_classifier_metrics`` reads, trained as ``train_suite``
-    trains them; the relevance and lca models are not trained."""
-    sets = learn.build_training_sets(problems, config)
+    trains them; the relevance and lca sets are neither built nor trained."""
+    vertex, edge = learn._vertex_edge_sets(problems, config)[:2]
     return (
-        learn.train_model(VERTEX_LABELS, sets["vertex"], epochs, seed),
-        learn.train_model(EDGE_LABELS, sets["edge"], epochs, seed),
+        learn.train_model(VERTEX_LABELS, vertex, epochs, seed),
+        learn.train_model(EDGE_LABELS, edge, epochs, seed),
     )
 
 

@@ -38,6 +38,7 @@ OP_LABELS = exprtree.OPS
 CONTEXT_WINDOW = 3
 
 FeatureVector = dict[str, float]
+TrainingSet = list[tuple[FeatureVector, str]]
 
 
 @dataclass(frozen=True)
@@ -310,16 +311,16 @@ class LinearModel:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LinearModel":
         """Inverse of ``to_json_obj``. Raises ValueError unless the labels
-        are distinct strings, ``epochs`` and ``seed`` are ints, and every
-        weight is a finite number keyed by one of the labels."""
+        are distinct strings, ``epochs`` is an int >= 1, ``seed`` is an int,
+        and every weight is a finite number keyed by one of the labels."""
         labels = obj["labels"]
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise ValueError(f"labels must be a list of strings, got {labels!r}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in {labels!r}")
-        for key in ("epochs", "seed"):
-            if isinstance(obj[key], bool) or not isinstance(obj[key], int):
-                raise ValueError(f"{key} must be an int, got {obj[key]!r}")
+        check_epochs(obj["epochs"])
+        if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
+            raise ValueError(f"seed must be an int, got {obj['seed']!r}")
         weights: dict[str, dict[str, float]] = {label: {} for label in labels}
         for key, w in obj["weights"].items():
             label, sep, name = key.partition("\x1f")
@@ -331,6 +332,12 @@ class LinearModel:
         return cls(labels=tuple(labels), weights=weights, epochs=obj["epochs"], seed=obj["seed"])
 
 
+def check_epochs(epochs) -> None:
+    """Raise ValueError unless ``epochs`` is an int >= 1."""
+    if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1:
+        raise ValueError(f"epochs must be an int >= 1, got {epochs!r}")
+
+
 def train_model(
     labels: Sequence[str],
     examples: Sequence[tuple[Mapping[str, float], str]],
@@ -339,8 +346,14 @@ def train_model(
 ) -> LinearModel:
     """Margin-1 mistake-driven online training with weight averaging.
 
-    Deterministic given the seed; raises on an example whose label is outside
-    the label set.
+    Deterministic given the seed; raises on fewer than one epoch, duplicate
+    labels, or an example whose label is outside the label set.
+
+    Each example keeps its last score per label, and a label is rescored
+    only if its weights changed at or after the step that last scored the
+    example (an update lands in the step whose scoring found the mistake).
+    This is exact: a score depends only on the example and that label's
+    weights, so a kept score is the same float a rescoring would give.
 
     Training stops after the first epoch with no margin mistake, and the
     averaging then counts every remaining epoch's steps as if they had run.
@@ -350,6 +363,9 @@ def train_model(
     would update nothing either. The averaged weights are the same floats,
     in the same order, as those of all ``epochs`` epochs.
     """
+    check_epochs(epochs)
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate labels in {labels!r}")
     if not examples:
         raise ValueError("no training examples")
     for _, label in examples:
@@ -359,11 +375,13 @@ def train_model(
     acc = {label: {} for label in labels}
     last = {label: {} for label in labels}
     step = 0
-
-    def raw_score(label: str, fv: Mapping[str, float]) -> float:
-        return _dot(fv, w[label])
+    position = {label: k for k, label in enumerate(labels)}
+    changed = [-1] * len(labels)  # the step of each label's last update
+    scored = [-1] * len(examples)  # the step that last scored each example
+    cached = [[0.0] * len(labels) for _ in examples]  # each example's scores, by label
 
     def apply(label: str, fv: Mapping[str, float], sign: float) -> None:
+        changed[position[label]] = step
         table, atab, ltab = w[label], acc[label], last[label]
         for name, v in fv.items():
             atab[name] = atab.get(name, 0.0) + (step - ltab.get(name, 0)) * table.get(name, 0.0)
@@ -378,12 +396,16 @@ def train_model(
         for idx in order:
             fv, gold = examples[idx]
             step += 1
-            gold_score = raw_score(gold, fv)
+            scores, since = cached[idx], scored[idx]
+            for k, label in enumerate(labels):
+                if changed[k] >= since:
+                    scores[k] = _dot(fv, w[label])
+            scored[idx] = step
+            gold_score = scores[position[gold]]
             rival, rival_score = None, None
-            for label in labels:
+            for label, s in zip(labels, scores):
                 if label == gold:
                     continue
-                s = raw_score(label, fv)
                 if rival_score is None or s > rival_score:
                     rival, rival_score = label, s
             if rival is not None and gold_score - rival_score < 1.0:
@@ -391,9 +413,8 @@ def train_model(
                 apply(gold, fv, +1.0)
                 apply(rival, fv, -1.0)
         if not mistakes:  # a fixed point: the remaining epochs would update nothing
-            step = epochs * len(examples)
             break
-    total = max(step, 1)
+    total = epochs * len(examples)  # every epoch's steps, run or not
     averaged = {}
     for label in labels:
         table, atab, ltab = w[label], acc[label], last[label]
@@ -465,26 +486,38 @@ class ClassifierSuite:
         )
 
 
-def build_training_sets(
-    problems: Iterable[Problem], config: FeatureConfig = FeatureConfig()
-) -> dict[str, list[tuple[FeatureVector, str]]]:
-    """Assemble (features, label) pairs for all four classifiers from gold
-    trees and derived graph labels. Problems without gold trees are skipped."""
-    sets: dict[str, list[tuple[FeatureVector, str]]] = {
-        "vertex": [], "edge": [], "relevance": [], "lca": [],
-    }
+def _vertex_edge_sets(
+    problems: Iterable[Problem], config: FeatureConfig
+) -> tuple[TrainingSet, TrainingSet, list[tuple[Problem, ProblemFeatures]]]:
+    """The vertex and edge training sets of the problems with gold trees,
+    and each such problem with its feature pass."""
+    vertex: TrainingSet = []
+    edge: TrainingSet = []
+    passes: list[tuple[Problem, ProblemFeatures]] = []
     for problem in problems:
         if problem.gold is None or problem.gold.tree is None:
             continue
         derived = annotate.derive_udg_gold(problem)
-        tree = problem.gold.tree
-        used = exprtree.used_indices(tree)
         feats = problem_features(problem, config)
         for fv, is_rate in zip(feats.vectors, derived.vertex_labels):
-            sets["vertex"].append((fv, RATE if is_rate else NOT_RATE))
+            vertex.append((fv, RATE if is_rate else NOT_RATE))
         graph = derived.to_graph()
         for i, j in vertex_pairs(problem.n):
-            sets["edge"].append((feats.pair(EDGE_LAYOUT, i, j), graph.edge(i, j).value))
+            edge.append((feats.pair(EDGE_LAYOUT, i, j), graph.edge(i, j).value))
+        passes.append((problem, feats))
+    return vertex, edge, passes
+
+
+def build_training_sets(
+    problems: Iterable[Problem], config: FeatureConfig = FeatureConfig()
+) -> dict[str, TrainingSet]:
+    """Assemble (features, label) pairs for all four classifiers from gold
+    trees and derived graph labels. Problems without gold trees are skipped."""
+    vertex, edge, passes = _vertex_edge_sets(problems, config)
+    sets = {"vertex": vertex, "edge": edge, "relevance": [], "lca": []}
+    for problem, feats in passes:
+        tree = problem.gold.tree
+        used = exprtree.used_indices(tree)
         for q in range(problem.n):
             label = RELEVANT if q in used else IRRELEVANT
             sets["relevance"].append((feats.relevance(q), label))
@@ -502,6 +535,7 @@ def train_suite(
     epochs: int = 10,
     seed: int = 0,
 ) -> ClassifierSuite:
+    check_epochs(epochs)  # before any feature work
     sets = build_training_sets(problems, config)
     return ClassifierSuite(
         vertex=train_model(VERTEX_LABELS, sets["vertex"], epochs, seed),

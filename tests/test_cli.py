@@ -192,6 +192,22 @@ def test_eval_beam_below_one_is_data_error(tmp_path, capsys, beam):
     assert "beam must be None or an int >= 1" in captured.err
 
 
+def test_train_epochs_below_one_is_data_error(tmp_path, corpus_file, capsys):
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--in", str(corpus_file), "--out", str(model), "--epochs", "0"]) == 2
+    assert not model.exists()
+    assert "epochs must be an int >= 1" in capsys.readouterr().err
+
+
+def test_eval_epochs_below_one_is_data_error(tmp_path, capsys):
+    data = tmp_path / "small.jsonl"
+    corpus.save_problems(synth.gen_synthetic_corpus(seed=2, size=50)[:10], data)
+    assert cli.main(["eval", "--in", str(data), "--epochs", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "solve accuracy" not in captured.out
+    assert "epochs must be an int >= 1" in captured.err
+
+
 def test_solve_too_many_quantities_exits_2(model_file):
     # more quantities than a tree may cover are refused up front, not searched
     text = (

@@ -40,3 +40,10 @@ def test_run_config_rejects_bad_beam(beam):
     with pytest.raises(ValueError, match="beam must be None or an int >= 1"):
         RunConfig(beam=beam)
     assert RunConfig(beam=1).beam == 1 and RunConfig(beam=None).beam is None
+
+
+@pytest.mark.parametrize("epochs", [0, -3, 2.0, True])
+def test_run_config_rejects_epochs_below_one(epochs):
+    with pytest.raises(ValueError, match="epochs must be an int >= 1"):
+        RunConfig(epochs=epochs)
+    assert RunConfig(epochs=1).epochs == 1

@@ -104,7 +104,8 @@ def test_train_deterministic():
 
 
 def _train_model_all_epochs(labels, examples, epochs=10, seed=0):
-    # train_model as it was before the fixed-point stop: every epoch runs
+    # train_model as it was before the fixed-point stop and the per-example
+    # score cache: every epoch runs, and every step scores every label
     w = {label: {} for label in labels}
     acc = {label: {} for label in labels}
     last = {label: {} for label in labels}
@@ -198,11 +199,68 @@ def test_non_separable_set_runs_every_epoch(dot_calls):
 
 def test_separable_set_stops_after_first_clean_epoch(dot_calls):
     # epoch 1 separates the toy set with margin 2, epoch 2 updates nothing,
-    # and epochs 3-10 are not run
+    # and epochs 3-10 are not run. Epoch 1 scores every example against both
+    # labels (20 calls); its only updates are at its first two steps, so
+    # epoch 2 rescores just the two examples scored by then (4 calls) and
+    # keeps the other eight examples' scores
     model = train_model(("L1", "L2"), _toy_examples(), epochs=10, seed=0)
-    assert len(dot_calls) == 2 * len(_toy_examples()) * 2  # gold and rival, every step
+    assert len(dot_calls) == 2 * len(_toy_examples()) + 2 * 2
     expected = _train_model_all_epochs(("L1", "L2"), _toy_examples(), epochs=10, seed=0)
     assert _model_bits(model) == _model_bits(expected)
+
+
+_sparse_vectors = st.dictionaries(
+    st.sampled_from(("bias", "a", "b", "c")), st.sampled_from((1.0, 2.0, 0.5)), max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(tuple(f"L{k}" for k in range(n))),
+            st.lists(st.tuples(_sparse_vectors, st.sampled_from([f"L{k}" for k in range(n)])),
+                     min_size=1, max_size=12),
+        )
+    ),
+    st.integers(1, 5),
+    st.integers(0, 3),
+)
+def test_score_cache_equals_all_epochs_on_random_sets(labeled, epochs, seed):
+    # empty vectors and untouched labels keep rival scores tied, so the
+    # first-label tie-break is drawn often
+    labels, examples = labeled
+    expected = _train_model_all_epochs(labels, examples, epochs, seed)
+    assert _model_bits(train_model(labels, examples, epochs, seed)) == _model_bits(expected)
+
+
+def test_tied_rivals_go_to_first_label():
+    # every rival ties at 0 on the first visits, and the first non-gold
+    # label, "A", takes the update each time; "B" is never updated. The empty
+    # vector is a margin mistake on every visit, so every epoch runs
+    labels = ("A", "B", "C", "D")
+    examples = [({"x": 1.0}, "D"), ({"y": 1.0}, "C"), ({}, "D")]
+    model = train_model(labels, examples, epochs=4, seed=2)
+    assert model.weights["A"]["x"] < 0 and model.weights["A"]["y"] < 0
+    assert model.weights["B"] == {}
+    assert _model_bits(model) == _model_bits(_train_model_all_epochs(labels, examples, 4, 2))
+
+
+@pytest.mark.parametrize("epochs", [0, -3, True, 2.0, "10"])
+def test_train_rejects_epochs_below_one(epochs):
+    with pytest.raises(ValueError, match="epochs must be an int >= 1"):
+        train_model(("L1", "L2"), _toy_examples(), epochs=epochs)
+    with pytest.raises(ValueError, match="epochs must be an int >= 1"):
+        learn.train_suite([], epochs=epochs)  # before the empty set is found
+
+
+def test_train_rejects_duplicate_labels():
+    # the cache indexes labels by position, so a repeated label would be
+    # taken as its own rival
+    with pytest.raises(ValueError, match="duplicate labels"):
+        train_model(("A", "A"), [({"x": 1.0}, "A")])
+    with pytest.raises(ValueError, match="duplicate labels"):
+        train_model(("A", "B", "A"), [({"x": 1.0}, "B")])
 
 
 # sha256 of the saved train_suite(gen_synthetic_corpus(0, 200)) file, recorded
@@ -400,6 +458,8 @@ def _model_obj():
         (lambda o: o.update(labels="AB"), "list of strings"),
         (lambda o: o.update(epochs="10"), "epochs must be an int"),
         (lambda o: o.update(epochs=True), "epochs must be an int"),
+        (lambda o: o.update(epochs=0), "epochs must be an int >= 1"),
+        (lambda o: o.update(epochs=-5), "epochs must be an int >= 1"),
         (lambda o: o.update(seed=1.0), "seed must be an int"),
     ],
 )
