@@ -15,7 +15,7 @@ from typing import Collection, Iterable
 
 from . import exprtree, udg
 from .corpus import QUESTION, Problem
-from .exprtree import DIV, MUL, Expr, base_op
+from .exprtree import MUL, Expr, region
 from .udg import EdgeType, UnitDependencyGraph
 
 
@@ -26,7 +26,7 @@ class AnnotationError(ValueError):
 def _has_muldiv(tree: Expr) -> bool:
     if isinstance(tree, exprtree.Leaf):
         return False
-    return base_op(tree.op) in (MUL, DIV) or _has_muldiv(tree.left) or _has_muldiv(tree.right)
+    return region(tree.op) == MUL or _has_muldiv(tree.left) or _has_muldiv(tree.right)
 
 
 def derive_vertex_labels(

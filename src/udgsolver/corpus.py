@@ -241,10 +241,13 @@ def build_problem(
             for r in rates:
                 if r == QUESTION:
                     resolved.add(n)
+                elif not isinstance(r, int) or isinstance(r, bool):
+                    raise CorpusError(
+                        f"problem {pid}: rate {r!r} is not a quantity index or {QUESTION!r}"
+                    )
+                elif not 0 <= r < n:
+                    raise CorpusError(f"problem {pid}: rate index {r} out of range")
                 else:
-                    r = int(r)
-                    if not 0 <= r < n:
-                        raise CorpusError(f"problem {pid}: rate index {r} out of range")
                     resolved.add(r)
             rate_vertices = frozenset(resolved)
         gold = GoldAnnotation(answer=Fraction(str(answer)), tree=tree, rate_vertices=rate_vertices)
@@ -361,11 +364,19 @@ def problem_to_record(problem: Problem) -> dict:
 
 
 def record_to_problem(record: dict, normalize: bool = True) -> Problem:
+    if not isinstance(record, dict):
+        raise CorpusError(f"record must be a JSON object, got {type(record).__name__}")
     try:
         pid = record["id"]
         text = record["text"]
     except KeyError as exc:
         raise CorpusError(f"record missing field {exc}") from exc
+    tree_text = record.get("tree")
+    rates = record.get("rates")
+    if not all(isinstance(v, str) for v in (pid, text, "" if tree_text is None else tree_text)):
+        raise CorpusError(f"problem {pid}: id, text and tree must be strings")
+    if not isinstance(rates, (list, type(None))):
+        raise CorpusError(f"problem {pid}: rates must be a list")
     answer = record.get("answer")
     if answer is not None:
         answer = Fraction(str(answer))
@@ -373,8 +384,8 @@ def record_to_problem(record: dict, normalize: bool = True) -> Problem:
         pid,
         text,
         answer=answer,
-        tree_text=record.get("tree"),
-        rates=record.get("rates"),
+        tree_text=tree_text,
+        rates=rates,
         normalize=normalize,
     )
 

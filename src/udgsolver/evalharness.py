@@ -42,6 +42,8 @@ class RunConfig:
     def __post_init__(self):
         infer.check_beam(self.beam)
         learn.check_epochs(self.epochs)
+        # refuse a bad fixed scale now, by ScalingParams' rule, not after training
+        infer.ScalingParams(**{name: values[0] for name, values in self.tune_grid().items()})
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -189,7 +191,7 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
 
         tuning_suite = learn.train_suite(train, feature_config, config.epochs, config.seed)
         tuned = infer.tune_lambdas(
-            train, dev, tuning_suite, grid=config.tune_grid(), beam=config.beam
+            dev_problems=dev, suite=tuning_suite, grid=config.tune_grid(), beam=config.beam
         )
         suite = learn.train_suite(train + dev, feature_config, config.epochs, config.seed)
         variants = _variant_params(tuned)

@@ -75,6 +75,16 @@ def is_reversed(op: str) -> bool:
     return op.endswith("r")
 
 
+#: each region's join operation (between positive terms, and the region's
+#: name) and tail operation (applying each negative term)
+_REGION_OPS = {ADD: (ADD, SUB), MUL: (MUL, DIV)}
+
+
+def region(op: str) -> str:
+    """The region an operation chains in: ADD for + - -r, MUL for * / /r."""
+    return MUL if base_op(op) in (MUL, DIV) else ADD
+
+
 def used_indices(expr: Expr) -> frozenset[int]:
     """Set of quantity indices appearing at the leaves."""
     return frozenset(_collect_indices(expr))
@@ -212,43 +222,26 @@ def _leaf_key(expr: Expr) -> tuple[int, ...]:
     return tuple(sorted(_collect_indices(expr)))
 
 
-def _flatten_add(expr: Expr, positive: bool, pos: list[Expr], neg: list[Expr]) -> None:
-    if isinstance(expr, Op) and base_op(expr.op) in (ADD, SUB):
-        op = expr.op
-        if op == ADD:
-            _flatten_add(expr.left, positive, pos, neg)
-            _flatten_add(expr.right, positive, pos, neg)
-        elif op == SUB:
-            _flatten_add(expr.left, positive, pos, neg)
-            _flatten_add(expr.right, not positive, pos, neg)
-        else:  # SUB_R: right - left
-            _flatten_add(expr.right, positive, pos, neg)
-            _flatten_add(expr.left, not positive, pos, neg)
+def _flatten(expr: Expr, kind: str, positive: bool, pos: list[Expr], neg: list[Expr]) -> None:
+    # a reversed operation swaps its operands; the second keeps its sign only
+    # under the region's join operation
+    if isinstance(expr, Op) and region(expr.op) == kind:
+        first, second = (expr.right, expr.left) if is_reversed(expr.op) else (expr.left, expr.right)
+        _flatten(first, kind, positive, pos, neg)
+        _flatten(second, kind, positive if expr.op == kind else not positive, pos, neg)
         return
     (pos if positive else neg).append(expr)
 
 
-def _flatten_mul(expr: Expr, numerator: bool, nums: list[Expr], dens: list[Expr]) -> None:
-    if isinstance(expr, Op) and base_op(expr.op) in (MUL, DIV):
-        op = expr.op
-        if op == MUL:
-            _flatten_mul(expr.left, numerator, nums, dens)
-            _flatten_mul(expr.right, numerator, nums, dens)
-        elif op == DIV:
-            _flatten_mul(expr.left, numerator, nums, dens)
-            _flatten_mul(expr.right, not numerator, nums, dens)
-        else:  # DIV_R: right / left
-            _flatten_mul(expr.right, numerator, nums, dens)
-            _flatten_mul(expr.left, not numerator, nums, dens)
-        return
-    (nums if numerator else dens).append(expr)
-
-
-def _chain(first_terms: list[Expr], rest_terms: list[Expr], join_op: str, tail_op: str) -> Expr:
-    acc = first_terms[0]
-    for term in first_terms[1:]:
+def _chain(pos: Sequence[Expr], neg: Sequence[Expr], kind: str) -> Expr:
+    # the region's canonical chain: positive terms joined, then the negative
+    # terms by the tail operation, each side in _leaf_key order
+    join_op, tail_op = _REGION_OPS[kind]
+    pos = sorted(pos, key=_leaf_key)
+    acc = pos[0]
+    for term in pos[1:]:
         acc = Op(join_op, acc, term)
-    for term in rest_terms:
+    for term in sorted(neg, key=_leaf_key):
         acc = Op(tail_op, acc, term)
     return acc
 
@@ -256,23 +249,11 @@ def _chain(first_terms: list[Expr], rest_terms: list[Expr], join_op: str, tail_o
 def _canon(expr: Expr) -> Expr:
     if isinstance(expr, Leaf):
         return expr
-    if base_op(expr.op) in (ADD, SUB):
-        pos: list[Expr] = []
-        neg: list[Expr] = []
-        _flatten_add(expr, True, pos, neg)
-        if not pos:
-            raise ExprError("expression region has no positive term")
-        pos = sorted((_canon(t) for t in pos), key=_leaf_key)
-        neg = sorted((_canon(t) for t in neg), key=_leaf_key)
-        return _chain(pos, neg, ADD, SUB)
-    nums: list[Expr] = []
-    dens: list[Expr] = []
-    _flatten_mul(expr, True, nums, dens)
-    if not nums:
-        raise ExprError("expression region has no numerator factor")
-    nums = sorted((_canon(t) for t in nums), key=_leaf_key)
-    dens = sorted((_canon(t) for t in dens), key=_leaf_key)
-    return _chain(nums, dens, MUL, DIV)
+    kind = region(expr.op)
+    pos: list[Expr] = []
+    neg: list[Expr] = []
+    _flatten(expr, kind, True, pos, neg)
+    return _chain([_canon(t) for t in pos], [_canon(t) for t in neg], kind)
 
 
 def canonicalize(expr: Expr) -> Expr:
@@ -346,60 +327,32 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
 
 
 def _trees_over(ids: tuple[int, ...]) -> list[Expr]:
-    memo_add: dict[tuple[int, ...], list[Expr]] = {}
-    memo_mul: dict[tuple[int, ...], list[Expr]] = {}
+    memo: dict[tuple[tuple[int, ...], str], list[Expr]] = {}
 
-    def add_rooted(block: tuple[int, ...]) -> list[Expr]:
-        if block in memo_add:
-            return memo_add[block]
+    def rooted(block: tuple[int, ...], kind: str) -> list[Expr]:
+        # trees over block whose root region is kind; each part is a leaf or
+        # a tree rooted in the other region
+        if (block, kind) in memo:
+            return memo[(block, kind)]
+        other = MUL if kind == ADD else ADD
         out: list[Expr] = []
         for parts in _set_partitions(block):
             if len(parts) < 2:
                 continue
-            parts = sorted(parts)
-            options = [leaf_or_mul(b) for b in parts]
-            for signs in itertools.product((True, False), repeat=len(parts)):
+            options = [[Leaf(b[0])] if len(b) == 1 else rooted(b, other) for b in sorted(parts)]
+            for signs in itertools.product((True, False), repeat=len(options)):
                 if not any(signs):
                     continue
                 for choice in itertools.product(*options):
-                    pos = sorted((t for t, s in zip(choice, signs) if s), key=_leaf_key)
-                    neg = sorted((t for t, s in zip(choice, signs) if not s), key=_leaf_key)
-                    out.append(_chain(pos, neg, ADD, SUB))
-        memo_add[block] = out
+                    pos = [t for t, s in zip(choice, signs) if s]
+                    neg = [t for t, s in zip(choice, signs) if not s]
+                    out.append(_chain(pos, neg, kind))
+        memo[(block, kind)] = out
         return out
-
-    def mul_rooted(block: tuple[int, ...]) -> list[Expr]:
-        if block in memo_mul:
-            return memo_mul[block]
-        out: list[Expr] = []
-        for parts in _set_partitions(block):
-            if len(parts) < 2:
-                continue
-            parts = sorted(parts)
-            options = [leaf_or_add(b) for b in parts]
-            for in_num in itertools.product((True, False), repeat=len(parts)):
-                if not any(in_num):
-                    continue
-                for choice in itertools.product(*options):
-                    nums = sorted((t for t, s in zip(choice, in_num) if s), key=_leaf_key)
-                    dens = sorted((t for t, s in zip(choice, in_num) if not s), key=_leaf_key)
-                    out.append(_chain(nums, dens, MUL, DIV))
-        memo_mul[block] = out
-        return out
-
-    def leaf_or_mul(block: tuple[int, ...]) -> list[Expr]:
-        if len(block) == 1:
-            return [Leaf(block[0])]
-        return mul_rooted(block)
-
-    def leaf_or_add(block: tuple[int, ...]) -> list[Expr]:
-        if len(block) == 1:
-            return [Leaf(block[0])]
-        return add_rooted(block)
 
     if len(ids) == 1:
         return [Leaf(ids[0])]
-    return add_rooted(ids) + mul_rooted(ids)
+    return rooted(ids, ADD) + rooted(ids, MUL)
 
 
 @lru_cache(maxsize=MAX_ENUM_LEAVES)

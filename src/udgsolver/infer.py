@@ -509,7 +509,6 @@ DEFAULT_TUNE_GRID: dict[str, tuple[float, ...]] = {
 
 
 def tune_lambdas(
-    train_problems: Sequence[Problem],
     dev_problems: Sequence[Problem],
     suite: ClassifierSuite,
     grid: Mapping[str, Sequence[float]] | None = None,

@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import exprtree
 from .corpus import QUESTION
-from .exprtree import DIV, MUL, Expr, base_op, is_reversed
+from .exprtree import DIV, MUL, Expr, base_op, is_reversed, region
 
 
 class UdgError(ValueError):
@@ -53,14 +53,6 @@ class EdgeType(Enum):
 
 
 EDGE_ORDER = {e: i for i, e in enumerate(EdgeType)}
-
-# directed rate edges and which endpoint must be the rate (0 = lower index)
-_RATE_SOURCE_SIDE = {
-    EdgeType.NUM_FWD: 0,
-    EdgeType.DEN_FWD: 0,
-    EdgeType.NUM_REV: 1,
-    EdgeType.DEN_REV: 1,
-}
 
 
 def edge_structurally_valid(label: EdgeType, vi_rate: bool, vj_rate: bool) -> bool:
@@ -107,8 +99,7 @@ class UnitDependencyGraph:
                 raise UdgError(f"rate vertex {v} out of range")
         rates = self.rates
         for (i, j), label in zip(pairs, self.edges):
-            side = _RATE_SOURCE_SIDE.get(label)
-            if side is not None and (j if side else i) not in rates:
+            if label not in _VALID_EDGES[(i in rates, j in rates)]:
                 raise UdgError(f"edge {label.value} between {i} and {j} needs a rate source")
 
     @classmethod
@@ -190,7 +181,7 @@ def _path_data(tree: Expr, vi: int, vj: int | str) -> _PathData:
             k += 1
         nodes = [n for n, _ in walk_i[k - 1 :]] + [n for n, _ in walk_j[k:]]
     ops = tuple(n.op for n in nodes)
-    muldivs = [n for n in nodes if base_op(n.op) in (MUL, DIV)]
+    muldivs = [n for n in nodes if region(n.op) == MUL]
     single = None
     if len(muldivs) == 1:
         m = muldivs[0]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import udgsolver
-from udgsolver import cli, corpus, synth
+from udgsolver import cli, corpus, learn, synth
 
 from conftest import FIG1_TEXT, MELANIE_TEXT
 
@@ -208,6 +208,19 @@ def test_eval_epochs_below_one_is_data_error(tmp_path, capsys):
     assert "epochs must be an int >= 1" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--lambda-vertex", "--lambda-edge"])
+def test_eval_bad_fixed_scale_exits_before_training(monkeypatch, tmp_path, capsys, flag):
+    data = tmp_path / "small.jsonl"
+    corpus.save_problems(synth.gen_synthetic_corpus(seed=2, size=50)[:10], data)
+    trained = []
+    monkeypatch.setattr(learn, "train_suite", lambda *args, **kwargs: trained.append(1))
+    assert cli.main(["eval", "--in", str(data), flag, "-1"]) == 2
+    assert trained == []
+    captured = capsys.readouterr()
+    assert "solve accuracy" not in captured.out
+    assert "must be finite and >= 0, got -1.0" in captured.err
+
+
 def test_solve_too_many_quantities_exits_2(model_file):
     # more quantities than a tree may cover are refused up front, not searched
     text = (
@@ -239,6 +252,31 @@ def test_malformed_record_reports_line(tmp_path, capsys):
     src.write_text('{"id": "a", "text": "3 cats"}\n{broken\n')
     assert cli.main(["normalize", "--in", str(src), "--out", str(tmp_path / "o")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+_GOOD = {"id": "a", "text": "Sam had 3 pears and ate 1 pear. How many pears are left?",
+         "answer": "2", "tree": "(- 3 1)"}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "record must be a JSON object, got list"),
+    ('"a problem"', "record must be a JSON object, got str"),
+    (json.dumps(_GOOD | {"id": [1]}), "problem [1]: id, text and tree must be strings"),
+    (json.dumps(_GOOD | {"text": 7}), "problem a: id, text and tree must be strings"),
+    (json.dumps(_GOOD | {"tree": 5}), "problem a: id, text and tree must be strings"),
+    (json.dumps(_GOOD | {"tree": False}), "problem a: id, text and tree must be strings"),
+    (json.dumps(_GOOD | {"rates": 5}), "problem a: rates must be a list"),
+    (json.dumps(_GOOD | {"rates": "question"}), "problem a: rates must be a list"),
+    (json.dumps(_GOOD | {"rates": [None]}), "problem a: rate None is not a quantity index"),
+    (json.dumps(_GOOD | {"rates": [1.5]}), "problem a: rate 1.5 is not a quantity index"),
+    (json.dumps(_GOOD | {"rates": [True]}), "problem a: rate True is not a quantity index"),
+    (json.dumps(_GOOD | {"rates": [2]}), "problem a: rate index 2 out of range"),
+])
+def test_malformed_record_shape_is_data_error(tmp_path, capsys, line, message):
+    src = tmp_path / "bad.jsonl"
+    src.write_text(json.dumps(_GOOD) + "\n" + line + "\n")
+    assert cli.main(["normalize", "--in", str(src), "--out", str(tmp_path / "o")]) == 2
+    assert f"{src}, line 2: {message}" in capsys.readouterr().err
 
 
 def test_eval_command_small(tmp_path, capsys):

@@ -256,6 +256,14 @@ def test_gold_tree_must_match_answer():
         build_problem("x", "I have 3 cats and 4 dogs.", answer=99, tree_text="(+ 3 4)")
 
 
+def test_record_optional_fields_may_be_null():
+    record = {"id": "a", "text": "Sam had 3 pears and ate 1 pear. How many?", "answer": "2"}
+    problem = corpus.record_to_problem(record | {"tree": None, "rates": None})
+    assert problem.gold.tree is None and problem.gold.rate_vertices is None
+    problem = corpus.record_to_problem(record | {"rates": [0, "question"]})
+    assert problem.gold.rate_vertices == {0, 2}
+
+
 def test_fraction_answers_survive(tmp_path):
     p = build_problem("x", "Split 1 pie among 3 kids.", answer=Fraction(1, 3))
     path = tmp_path / "f.jsonl"

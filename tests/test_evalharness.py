@@ -47,3 +47,13 @@ def test_run_config_rejects_epochs_below_one(epochs):
     with pytest.raises(ValueError, match="epochs must be an int >= 1"):
         RunConfig(epochs=epochs)
     assert RunConfig(epochs=1).epochs == 1
+
+
+@pytest.mark.parametrize("field", ["fixed_lambda_vertex", "fixed_lambda_edge"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_run_config_rejects_bad_fixed_scale(field, value):
+    # the rule ScalingParams applies, checked before any training
+    name = field.removeprefix("fixed_")
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        RunConfig(**{field: value})
+    assert RunConfig(**{field: 0.0}).tune_grid() == {name: (0.0,)}

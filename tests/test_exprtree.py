@@ -12,11 +12,13 @@ from udgsolver.exprtree import (
     ExprError,
     Leaf,
     Op,
+    canonical_structures,
     canonicalize,
     enumerate_trees,
     evaluate,
     op_lca,
     parse_prefix,
+    region,
     serialize,
     used_indices,
 )
@@ -69,6 +71,10 @@ def test_canonical_leaf_identity():
 def test_canonical_rejects_duplicates():
     with pytest.raises(ExprError):
         canonicalize(Op("+", Leaf(0), Leaf(0)))
+
+
+def test_region_of_each_operation():
+    assert [region(op) for op in exprtree.OPS] == ["+", "+", "+", "*", "*", "*"]
 
 
 def test_canonicalize_random_trees_quick():
@@ -224,6 +230,27 @@ def test_enumerate_trees_output_pinned():
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "f34608509d2a7334207d13411c6391ebdb2a5719b649d2c718259cb2528958ea"
 
+
+
+def test_canonical_structures_pinned():
+    # every structure over up to 5 leaves, in order: n=5 tie-breaks read it
+    out = [[serialize(s) for s in canonical_structures(k)] for k in range(1, 6)]
+    assert [len(structures) for structures in out] == [1, 6, 68, 1260, 32632]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "52e6f68dbf7bfc9f38078a9b637be9d8e25424dcf1a2bb873b89fb97194e25cf"
+
+
+def test_canonicalize_random_trees_pinned():
+    # raw trees over up to 6 shuffled quantity indices; the exact canonical
+    # trees, not just their values, recorded before the two regions shared code
+    rng = random.Random(2024)
+    out = []
+    for _ in range(300):
+        indices = rng.sample(range(8), rng.randint(1, 6))
+        out.append(serialize(canonicalize(random_raw_tree(rng, indices))))
+    assert len(set(out)) == 246
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "61c1c6a6b9f1cd2752299c44b51ee0dc92e51f582cf651b2787b0fb77dac3668"
 
 
 # --- serialization ----------------------------------------------------------------

@@ -394,13 +394,12 @@ def tuning_setup():
         if got_full and not got_base:
             dev.append(p)
     assert dev, "fixture expects at least one problem the graph terms fix"
-    return train, dev, suite
+    return dev, suite
 
 
 def test_tune_picks_nonzero_lambdas_when_they_help(tuning_setup):
-    train, dev, suite = tuning_setup
+    dev, suite = tuning_setup
     params = tune_lambdas(
-        train,
         dev,
         suite,
         grid={"lambda_rel": (1.0,), "lambda_vertex": (0.0, 2.0), "lambda_edge": (0.0, 1.0)},
@@ -410,9 +409,8 @@ def test_tune_picks_nonzero_lambdas_when_they_help(tuning_setup):
 
 
 def test_tune_single_point_grid(tuning_setup):
-    train, dev, suite = tuning_setup
+    dev, suite = tuning_setup
     params = tune_lambdas(
-        train,
         dev,
         suite,
         grid={"lambda_rel": (0.5,), "lambda_vertex": (2.0,), "lambda_edge": (0.25,)},
@@ -422,22 +420,21 @@ def test_tune_single_point_grid(tuning_setup):
 
 
 def test_tune_deterministic(tuning_setup):
-    train, dev, suite = tuning_setup
+    dev, suite = tuning_setup
     grid = {"lambda_rel": (1.0,), "lambda_vertex": (0.0, 1.0), "lambda_edge": (0.0, 1.0)}
-    assert tune_lambdas(train, dev, suite, grid=grid) == tune_lambdas(train, dev, suite, grid=grid)
+    assert tune_lambdas(dev, suite, grid=grid) == tune_lambdas(dev, suite, grid=grid)
 
 
 def test_tune_empty_dev_errors(tuning_setup):
-    train, _, suite = tuning_setup
+    _, suite = tuning_setup
     with pytest.raises(ValueError):
-        tune_lambdas(train, [], suite)
+        tune_lambdas([], suite)
 
 
 def test_tune_tie_breaks_toward_smaller(tuning_setup):
-    train, dev, suite = tuning_setup
+    dev, suite = tuning_setup
     # a grid where every point scores identically must return the smallest
     params = tune_lambdas(
-        train,
         dev[:1],
         suite,
         grid={"lambda_rel": (1.0,), "lambda_vertex": (2.0, 4.0), "lambda_edge": (1.0, 4.0)},
@@ -631,7 +628,7 @@ def test_tune_equals_fresh_build_per_lambda_rel(monkeypatch, trained_suite, beam
         grid = {axis: rng.sample(infer.LAMBDA_GRID, rng.randint(1, 3)) for axis in infer.DEFAULT_TUNE_GRID}
         expected = _fresh_build_tune(dev, trained_suite, grid, beam)
         monkeypatch.setattr(infer, "JointCandidates", Recorded)
-        assert tune_lambdas([], dev, trained_suite, grid=grid, beam=beam) == expected
+        assert tune_lambdas(dev, trained_suite, grid=grid, beam=beam) == expected
         monkeypatch.undo()
         assert len(built) == len(dev)
         built.clear()

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,10 +109,15 @@ def _graph(n, rates, edges):
 
 
 def test_rate_edge_needs_rate_source():
-    with pytest.raises(UdgError):
-        _graph(1, set(), {(0, 1): EdgeType.NUM_FWD})
-    g = _graph(1, {0}, {(0, 1): EdgeType.NUM_FWD})
-    assert g.edge(0, 1) is EdgeType.NUM_FWD
+    # the constructor accepts exactly the structurally valid labels
+    for label in EdgeType:
+        for rates in ((), (0,), (1,), (0, 1)):
+            if edge_structurally_valid(label, 0 in rates, 1 in rates):
+                assert _graph(1, set(rates), {(0, 1): label}).edge(0, 1) is label
+                continue
+            message = re.escape(f"edge {label.value} between 0 and 1 needs a rate source")
+            with pytest.raises(UdgError, match=message):
+                _graph(1, set(rates), {(0, 1): label})
 
 
 def test_edge_lookup_symmetric():
