@@ -90,13 +90,8 @@ class DerivedUdgGold:
     edges: tuple[EdgeType, ...]  # aligned with udg.vertex_pairs
     noisy: frozenset[tuple[int, int]]
 
-    @property
-    def n_quantities(self) -> int:
-        return len(self.vertex_labels) - 1
-
     def to_graph(self) -> UnitDependencyGraph:
-        rates = frozenset(v for v, f in enumerate(self.vertex_labels) if f)
-        return UnitDependencyGraph(self.n_quantities, rates, self.edges)
+        return UnitDependencyGraph.from_labeling(self.vertex_labels, self.edges)
 
     def to_json_obj(self) -> dict:
         obj = self.to_graph().to_json_obj()

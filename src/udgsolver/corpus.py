@@ -217,11 +217,9 @@ def build_problem(
     answer: Fraction | str | int | None = None,
     tree_text: str | None = None,
     rates: Iterable[int | str] | None = None,
-    normalize: bool = True,
 ) -> Problem:
     """Normalize, tokenize and assemble a Problem, binding any gold data."""
-    if normalize:
-        text = normalize_digits(text)
+    text = normalize_digits(text)
     tokens = tuple(tokenize(text))
     if not tokens:
         raise CorpusError(f"problem {pid}: empty text")
@@ -363,7 +361,7 @@ def problem_to_record(problem: Problem) -> dict:
     return record
 
 
-def record_to_problem(record: dict, normalize: bool = True) -> Problem:
+def record_to_problem(record: dict) -> Problem:
     if not isinstance(record, dict):
         raise CorpusError(f"record must be a JSON object, got {type(record).__name__}")
     try:
@@ -380,17 +378,10 @@ def record_to_problem(record: dict, normalize: bool = True) -> Problem:
     answer = record.get("answer")
     if answer is not None:
         answer = Fraction(str(answer))
-    return build_problem(
-        pid,
-        text,
-        answer=answer,
-        tree_text=tree_text,
-        rates=rates,
-        normalize=normalize,
-    )
+    return build_problem(pid, text, answer=answer, tree_text=tree_text, rates=rates)
 
 
-def load_problems(path, normalize: bool = True) -> list[Problem]:
+def load_problems(path) -> list[Problem]:
     problems = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -399,7 +390,7 @@ def load_problems(path, normalize: bool = True) -> list[Problem]:
                 continue
             try:
                 record = json.loads(line)
-                problems.append(record_to_problem(record, normalize=normalize))
+                problems.append(record_to_problem(record))
             except (json.JSONDecodeError, CorpusError, ValueError) as exc:
                 raise CorpusError(f"{path}, line {lineno}: {exc}") from exc
     return problems

@@ -16,10 +16,10 @@ from functools import reduce
 from operator import add
 from typing import Sequence
 
-from . import annotate, corpus, infer, learn, udg
+from . import annotate, corpus, infer, learn
 from .corpus import Problem
 from .infer import JointCandidates, ScalingParams, build_score_tables, values_match
-from .learn import EDGE_LABELS, NOT_RATE, RATE, VERTEX_LABELS, FeatureConfig, LinearModel
+from .learn import EDGE_LABELS, VERTEX_LABELS, FeatureConfig, LinearModel
 
 SOLVE_VARIANTS = ("full", "no_vertex", "no_edge", "base")
 FEATURE_VARIANTS = ("all_features", "no_rule_features", "no_context_features")
@@ -147,18 +147,14 @@ def _variant_params(tuned: ScalingParams) -> dict[str, ScalingParams]:
 def _classifier_metrics(
     vertex: LinearModel, edge: LinearModel, config: FeatureConfig, test: Sequence[Problem]
 ) -> tuple[float, float]:
-    """Raw per-vertex and per-pair classifier accuracy against derived gold."""
-    v_hit = v_total = e_hit = e_total = 0
-    for p in test:
-        derived = annotate.derive_udg_gold(p)
-        feats = learn.problem_features(p, config)
-        for fv, is_rate in zip(feats.vectors, derived.vertex_labels):
-            v_hit += vertex.predict(fv) == (RATE if is_rate else NOT_RATE)
-            v_total += 1
-        for (i, j), gold_edge in zip(udg.vertex_pairs(p.n), derived.edges):
-            e_hit += edge.predict(feats.pair(learn.EDGE_LAYOUT, i, j)) == gold_edge.value
-            e_total += 1
-    return v_hit / v_total, e_hit / e_total
+    """Raw per-vertex and per-pair classifier accuracy against derived gold:
+    each model's share of correct predictions over the test problems'
+    examples."""
+    vertex_set, edge_set, _ = learn.vertex_edge_sets(test, config)
+    return tuple(
+        sum(model.predict(fv) == label for fv, label in examples) / len(examples)
+        for model, examples in ((vertex, vertex_set), (edge, edge_set))
+    )
 
 
 def _vertex_edge_models(
@@ -166,7 +162,7 @@ def _vertex_edge_models(
 ) -> tuple[LinearModel, LinearModel]:
     """The two models ``_classifier_metrics`` reads, trained as ``train_suite``
     trains them; the relevance and lca sets are neither built nor trained."""
-    vertex, edge = learn._vertex_edge_sets(problems, config)[:2]
+    vertex, edge = learn.vertex_edge_sets(problems, config)[:2]
     return (
         learn.train_model(VERTEX_LABELS, vertex, epochs, seed),
         learn.train_model(EDGE_LABELS, edge, epochs, seed),

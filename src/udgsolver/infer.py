@@ -23,7 +23,9 @@ unconstrained graph cannot reach the incumbent total, so answers equal the
 exhaustive scan of ``top_k``.
 
 All scoring runs off immutable ScoreTables, so tests can drive inference
-from hand-set mock tables and candidate scoring is safe to parallelize.
+from hand-set mock tables. A ``JointCandidates`` is not: it memoizes its last
+ranking and each visited tree's labelings on itself, so one search must not
+be shared between threads.
 """
 
 from __future__ import annotations
@@ -178,8 +180,8 @@ def score_udg(graph: UnitDependencyGraph, tables: ScoreTables, params: ScalingPa
     return params.lambda_vertex * vertex_sum + params.lambda_edge * edge_sum
 
 
-def values_match(predicted: Fraction, gold: Fraction, tolerance: Fraction = ANSWER_TOLERANCE) -> bool:
-    return abs(Fraction(predicted) - Fraction(gold)) <= tolerance
+def values_match(predicted: Fraction, gold: Fraction) -> bool:
+    return abs(Fraction(predicted) - Fraction(gold)) <= ANSWER_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +260,7 @@ def _best_graph(rows: Sequence[_LabelingEntry], params: ScalingParams) -> UnitDe
     """The best graph of the unconstrained labeling ``rows`` under ``params``;
     ties go to the earliest row."""
     best = max(rows, key=lambda e: e.score(params))  # first of equal scores
-    rates = frozenset(v for v, flag in enumerate(best.labeling) if flag)
-    return UnitDependencyGraph(len(best.labeling) - 1, rates, best.edges(params)[1])
+    return UnitDependencyGraph.from_labeling(best.labeling, best.edges(params)[1])
 
 
 def predict_udg_from_tables(tables: ScoreTables, params: ScalingParams) -> UnitDependencyGraph:
@@ -415,7 +416,12 @@ class JointCandidates:
         once here."""
         return _best_graph(self._unconstrained, params)
 
-    def _tree_candidates(self, entry: _TreeEntry, params: ScalingParams) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry, float, tuple[EdgeType, ...]]]:
+    def _tree_candidates(
+        self, entry: _TreeEntry, params: ScalingParams
+    ) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry]]:
+        """(key, tree, labeling) per consistent labeling of the tree. Keys
+        differ before any edge: tree serials differ, and a tree has one
+        entry per labeling."""
         if entry.consistent is None:
             entry.consistent = tuple(
                 _labeling_entry(self.tables, labeling, choices)
@@ -425,16 +431,9 @@ class JointCandidates:
             )
         base = entry.base(params.lambda_rel)
         for lab in entry.consistent:
-            esum, edges = lab.edges(params)
+            esum = lab.edges(params)[0]
             total = base + params.lambda_vertex * lab.vertex_sum + params.lambda_edge * esum
-            key = (
-                -total,
-                entry.nodes,
-                entry.serial,
-                lab.labeling,
-                tuple(udg.EDGE_ORDER[e] for e in edges),
-            )
-            yield key, entry, lab, esum, edges
+            yield (-total, entry.nodes, entry.serial, lab.labeling), entry, lab
 
     def solve(self, params: ScalingParams) -> ScoredTuple:
         graph_terms = [
@@ -468,12 +467,11 @@ class JointCandidates:
         return [self._build(c, params) for c in ranked[:k]]
 
     def _build(self, cand, params: ScalingParams) -> ScoredTuple:
-        key, entry, lab, esum, edges = cand
-        rates = frozenset(v for v, flag in enumerate(lab.labeling) if flag)
-        graph = UnitDependencyGraph(self.tables.n_quantities, rates, edges)
+        key, entry, lab = cand
+        esum, edges = lab.edges(params)
         return ScoredTuple(
             tree=entry.tree,
-            graph=graph,
+            graph=UnitDependencyGraph.from_labeling(lab.labeling, edges),
             value=entry.value,
             score=-key[0],
             rel_sum=entry.rel_sum,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import add, mul
@@ -33,6 +33,15 @@ VERTEX_LABELS = (RATE, NOT_RATE)
 EDGE_LABELS = tuple(e.value for e in EdgeType)
 RELEVANCE_LABELS = (RELEVANT, IRRELEVANT)
 OP_LABELS = exprtree.OPS
+
+#: The suite's four classifiers with their labels, in the order they are
+#: built, trained, saved and loaded.
+PARTS = (
+    ("vertex", VERTEX_LABELS),
+    ("edge", EDGE_LABELS),
+    ("relevance", RELEVANCE_LABELS),
+    ("lca", OP_LABELS),
+)
 
 #: Context window radius around a quantity mention, in tokens.
 CONTEXT_WINDOW = 3
@@ -437,17 +446,8 @@ class ClassifierSuite:
     config: FeatureConfig = field(default_factory=FeatureConfig)
 
     def save(self, path) -> None:
-        obj = {
-            "config": {
-                "context_features": self.config.context_features,
-                "rule_features": self.config.rule_features,
-                "window": self.config.window,
-            },
-            "vertex": self.vertex.to_json_obj(),
-            "edge": self.edge.to_json_obj(),
-            "relevance": self.relevance.to_json_obj(),
-            "lca": self.lca.to_json_obj(),
-        }
+        obj = {name: getattr(self, name).to_json_obj() for name, _ in PARTS}
+        obj["config"] = asdict(self.config)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, sort_keys=True)
 
@@ -477,16 +477,11 @@ class ClassifierSuite:
                 )
             return loaded
 
-        return cls(
-            vertex=model("vertex", VERTEX_LABELS),
-            edge=model("edge", EDGE_LABELS),
-            relevance=model("relevance", RELEVANCE_LABELS),
-            lca=model("lca", OP_LABELS),
-            config=part("config", lambda cfg: FeatureConfig(**cfg)),
-        )
+        models = {name: model(name, labels) for name, labels in PARTS}
+        return cls(**models, config=part("config", lambda cfg: FeatureConfig(**cfg)))
 
 
-def _vertex_edge_sets(
+def vertex_edge_sets(
     problems: Iterable[Problem], config: FeatureConfig
 ) -> tuple[TrainingSet, TrainingSet, list[tuple[Problem, ProblemFeatures]]]:
     """The vertex and edge training sets of the problems with gold trees,
@@ -501,9 +496,8 @@ def _vertex_edge_sets(
         feats = problem_features(problem, config)
         for fv, is_rate in zip(feats.vectors, derived.vertex_labels):
             vertex.append((fv, RATE if is_rate else NOT_RATE))
-        graph = derived.to_graph()
-        for i, j in vertex_pairs(problem.n):
-            edge.append((feats.pair(EDGE_LAYOUT, i, j), graph.edge(i, j).value))
+        for (i, j), label in zip(vertex_pairs(problem.n), derived.edges):
+            edge.append((feats.pair(EDGE_LAYOUT, i, j), label.value))
         passes.append((problem, feats))
     return vertex, edge, passes
 
@@ -513,20 +507,19 @@ def build_training_sets(
 ) -> dict[str, TrainingSet]:
     """Assemble (features, label) pairs for all four classifiers from gold
     trees and derived graph labels. Problems without gold trees are skipped."""
-    vertex, edge, passes = _vertex_edge_sets(problems, config)
-    sets = {"vertex": vertex, "edge": edge, "relevance": [], "lca": []}
+    vertex, edge, passes = vertex_edge_sets(problems, config)
+    relevance: TrainingSet = []
+    lca: TrainingSet = []
     for problem, feats in passes:
         tree = problem.gold.tree
         used = exprtree.used_indices(tree)
         for q in range(problem.n):
-            label = RELEVANT if q in used else IRRELEVANT
-            sets["relevance"].append((feats.relevance(q), label))
+            relevance.append((feats.relevance(q), RELEVANT if q in used else IRRELEVANT))
         for i in sorted(used):
             for j in sorted(used):
                 if i < j:
-                    op = exprtree.op_lca(tree, i, j)
-                    sets["lca"].append((feats.pair(LCA_LAYOUT, i, j), op))
-    return sets
+                    lca.append((feats.pair(LCA_LAYOUT, i, j), exprtree.op_lca(tree, i, j)))
+    return {name: s for (name, _), s in zip(PARTS, (vertex, edge, relevance, lca))}
 
 
 def train_suite(
@@ -537,10 +530,5 @@ def train_suite(
 ) -> ClassifierSuite:
     check_epochs(epochs)  # before any feature work
     sets = build_training_sets(problems, config)
-    return ClassifierSuite(
-        vertex=train_model(VERTEX_LABELS, sets["vertex"], epochs, seed),
-        edge=train_model(EDGE_LABELS, sets["edge"], epochs, seed),
-        relevance=train_model(RELEVANCE_LABELS, sets["relevance"], epochs, seed),
-        lca=train_model(OP_LABELS, sets["lca"], epochs, seed),
-        config=config,
-    )
+    models = {name: train_model(labels, sets[name], epochs, seed) for name, labels in PARTS}
+    return ClassifierSuite(**models, config=config)

@@ -20,7 +20,9 @@ and their tree path has no multiplicative node (SameUnit), or when the labels
 differ and the path has exactly one multiplicative node sitting in one of the
 three configurations above. Everything else is undetermined.
 
-This module alone decides which labels a pair may carry.
+This module alone decides which labels a pair may carry. Each (tree, vertex
+pair) path is walked once and kept, with the label it determines and the
+labels it permits under each pair of rate flags (``_path_data``).
 ``consistent_edge_choices`` gives them per vertex labeling under a tree
 (joint inference and consistent-graph enumeration); ``valid_edge_choices``
 gives them for a labeling bound by no tree (standalone graph prediction).
@@ -100,6 +102,8 @@ class UnitDependencyGraph:
         rates = self.rates
         for (i, j), label in zip(pairs, self.edges):
             if label not in _VALID_EDGES[(i in rates, j in rates)]:
+                if not isinstance(label, EdgeType):
+                    raise UdgError(f"edge {label!r} between {i} and {j} is not an EdgeType")
                 raise UdgError(f"edge {label.value} between {i} and {j} needs a rate source")
 
     @classmethod
@@ -113,6 +117,14 @@ class UnitDependencyGraph:
             edge_map.get(pair, EdgeType.NO_RELATION) for pair in vertex_pairs(n_quantities)
         )
         return cls(n_quantities, frozenset(rates), edges)
+
+    @classmethod
+    def from_labeling(
+        cls, labeling: Sequence[bool], edges: tuple[EdgeType, ...]
+    ) -> "UnitDependencyGraph":
+        """The graph whose vertex v is a rate when ``labeling[v]`` holds."""
+        rates = frozenset(itertools.compress(range(len(labeling)), labeling))
+        return cls(len(labeling) - 1, rates, edges)
 
     def is_rate(self, v: int) -> bool:
         return v in self.rates
@@ -139,8 +151,16 @@ class UnitDependencyGraph:
 
     @classmethod
     def from_json_obj(cls, n_quantities: int, obj: dict) -> "UnitDependencyGraph":
-        edge_map = {(i, j): EdgeType(label) for i, j, label in obj.get("edges", [])}
-        return cls.from_edge_map(n_quantities, frozenset(obj.get("rates", [])), edge_map)
+        rates = obj.get("rates", [])
+        for v in rates:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise UdgError(f"rate vertex {v!r} is not a vertex index")
+        edge_map = {}
+        for i, j, label in obj.get("edges", []):
+            if (i, j) not in _pair_index(n_quantities):
+                raise UdgError(f"edge ({i}, {j}) is not a vertex pair i < j within 0..{n_quantities}")
+            edge_map[(i, j)] = EdgeType(label)
+        return cls.from_edge_map(n_quantities, frozenset(rates), edge_map)
 
 
 # ---------------------------------------------------------------------------
@@ -160,55 +180,6 @@ def _port(node: exprtree.Op, walk: list[tuple[exprtree.Op, bool]]) -> str:
     return _RESULT
 
 
-@dataclass(frozen=True)
-class _PathData:
-    ops: tuple[str, ...]
-    muldiv_count: int
-    # (base op, port of vi, port of vj) when exactly one multiplicative node
-    single: tuple[str, str, str] | None
-
-
-@lru_cache(maxsize=200_000)
-def _path_data(tree: Expr, vi: int, vj: int | str) -> _PathData:
-    walk_i = exprtree.root_path(tree, vi)
-    if vj == QUESTION:
-        nodes = [n for n, _ in walk_i]
-        walk_j: list[tuple[exprtree.Op, bool]] = []
-    else:
-        walk_j = exprtree.root_path(tree, vj)
-        k = 0
-        while k < len(walk_i) and k < len(walk_j) and walk_i[k][0] is walk_j[k][0]:
-            k += 1
-        nodes = [n for n, _ in walk_i[k - 1 :]] + [n for n, _ in walk_j[k:]]
-    ops = tuple(n.op for n in nodes)
-    muldivs = [n for n in nodes if region(n.op) == MUL]
-    single = None
-    if len(muldivs) == 1:
-        m = muldivs[0]
-        single = (base_op(m.op), _port(m, walk_i), _port(m, walk_j))
-    return _PathData(ops=ops, muldiv_count=len(muldivs), single=single)
-
-
-def path(tree: Expr, vi: int | str, vj: int | str) -> frozenset[str]:
-    """Operations on the tree path between two vertices.
-
-    For two quantities this is the leaf-to-leaf path; with the question it is
-    the leaf-to-root path. Symmetric in its arguments; raises if a quantity
-    vertex is unused in the tree.
-    """
-    if vi == QUESTION and vj == QUESTION:
-        raise UdgError("path needs at least one quantity vertex")
-    if vi == QUESTION:
-        vi, vj = vj, vi
-    try:
-        return frozenset(_path_data(tree, vi, vj).ops)
-    except exprtree.ExprError as exc:
-        raise UdgError(str(exc)) from exc
-
-
-# ---------------------------------------------------------------------------
-# edge labeling (tree-determined edges)
-
 # rate port -> {other port -> Num/Den}: the three unit-consistent placements
 _RATE_RULES: dict[tuple[str, str], dict[str, str]] = {
     (MUL, _OPERAND): {_OPERAND: "den", _RESULT: "num"},
@@ -224,23 +195,80 @@ _EDGE_FOR = {
 }
 
 
+@dataclass(frozen=True)
+class _PathData:
+    """One tree path and what it allows; ``determined[li][lj]`` and
+    ``permitted[li][lj]`` answer for the pair's rate flags li and lj."""
+
+    ops: tuple[str, ...]
+    additive: bool  # no multiplicative node on the path
+    determined: tuple[tuple[EdgeType | None, ...], ...]
+    permitted: tuple[tuple[tuple[EdgeType, ...], ...], ...]
+
+
 @lru_cache(maxsize=200_000)
-def _edge_label_cached(tree: Expr, vi: int, vj: int, li: bool, lj: bool, n: int) -> EdgeType | None:
+def _path_data(tree: Expr, vi: int, vj: int | str) -> _PathData:
     try:
-        data = _path_data(tree, vi, QUESTION if vj == n else vj)
+        walk_i = exprtree.root_path(tree, vi)
+        walk_j = [] if vj == QUESTION else exprtree.root_path(tree, vj)
     except exprtree.ExprError as exc:
         raise UdgError(str(exc)) from exc
-    if li == lj:
-        return EdgeType.SAME_UNIT if data.muldiv_count == 0 else None
-    if data.muldiv_count != 1:
-        return None
-    op, port_i, port_j = data.single
-    rate_is_vi = li
-    rate_port, other_port = (port_i, port_j) if rate_is_vi else (port_j, port_i)
-    kind = _RATE_RULES.get((op, rate_port), {}).get(other_port)
-    if kind is None:
-        return None
-    return _EDGE_FOR[(kind, rate_is_vi)]
+    k = 0
+    while k < len(walk_i) and k < len(walk_j) and walk_i[k][0] is walk_j[k][0]:
+        k += 1
+    # from the lowest common node down both walks (the question's walk is empty)
+    nodes = [n for n, _ in walk_i[max(k - 1, 0) :]] + [n for n, _ in walk_j[k:]]
+    muldivs = [n for n in nodes if region(n.op) == MUL]
+
+    def determined(li: bool, lj: bool) -> EdgeType | None:
+        if li == lj:
+            return None if muldivs else EdgeType.SAME_UNIT
+        if len(muldivs) != 1:
+            return None
+        m = muldivs[0]
+        rate_walk, other_walk = (walk_i, walk_j) if li else (walk_j, walk_i)
+        rule = _RATE_RULES.get((base_op(m.op), _port(m, rate_walk)), {})
+        kind = rule.get(_port(m, other_walk))
+        return None if kind is None else _EDGE_FOR[(kind, li)]
+
+    def permitted(li: bool, lj: bool) -> tuple[EdgeType, ...]:
+        label = determined(li, lj)
+        if label is not None:
+            return (label,)
+        # one multiplicative node always changes the unit
+        one_muldiv = len(muldivs) == 1
+        return tuple(e for e in _VALID_EDGES[(li, lj)] if not (one_muldiv and e is EdgeType.SAME_UNIT))
+
+    flags = (False, True)
+    return _PathData(
+        ops=tuple(n.op for n in nodes),
+        additive=not muldivs,
+        determined=tuple(tuple(determined(li, lj) for lj in flags) for li in flags),
+        permitted=tuple(tuple(permitted(li, lj) for lj in flags) for li in flags),
+    )
+
+
+def path(tree: Expr, vi: int | str, vj: int | str) -> frozenset[str]:
+    """Operations on the tree path between two distinct vertices.
+
+    For two quantities this is the leaf-to-leaf path; with the question it is
+    the leaf-to-root path. Symmetric in its arguments; raises if a quantity
+    vertex is unused in the tree.
+    """
+    if vi == vj:
+        raise UdgError(f"path needs two distinct vertices, got {vi!r} twice")
+    if vi == QUESTION:
+        vi, vj = vj, vi
+    return frozenset(_path_data(tree, vi, vj).ops)
+
+
+# ---------------------------------------------------------------------------
+# edge labeling (tree-determined edges)
+
+def _pair_record(tree: Expr, vi: int, vj: int, n: int) -> _PathData:
+    if not 0 <= vi < vj <= n:
+        raise UdgError(f"need vertex pair vi < vj within 0..{n}, got ({vi}, {vj})")
+    return _path_data(tree, vi, QUESTION if vj == n else vj)
 
 
 def edge_label(
@@ -254,22 +282,8 @@ def edge_label(
     single multiplicative node forces the Num/Den edge given by the rate's
     placement (see module docstring). Anything else is undetermined.
     """
-    n = len(vlabels) - 1
-    if not 0 <= vi < vj <= n:
-        raise UdgError(f"need vertex pair vi < vj within 0..{n}, got ({vi}, {vj})")
-    return _edge_label_cached(tree, vi, vj, bool(vlabels[vi]), bool(vlabels[vj]), n)
-
-
-@lru_cache(maxsize=200_000)
-def _permitted_cached(tree: Expr, vi: int, vj: int, li: bool, lj: bool, n: int) -> tuple[EdgeType, ...]:
-    determined = _edge_label_cached(tree, vi, vj, li, lj, n)
-    if determined is not None:
-        return (determined,)
-    data = _path_data(tree, vi, QUESTION if vj == n else vj)
-    return tuple(
-        e for e in _VALID_EDGES[(li, lj)]
-        if not (e is EdgeType.SAME_UNIT and data.muldiv_count == 1)
-    )
+    record = _pair_record(tree, vi, vj, len(vlabels) - 1)
+    return record.determined[bool(vlabels[vi])][bool(vlabels[vj])]
 
 
 def permitted_edge_labels(
@@ -282,10 +296,8 @@ def permitted_edge_labels(
     excluded when the path crosses exactly one multiplicative node (a single
     multiplication or division always changes the unit).
     """
-    n = len(vlabels) - 1
-    if not 0 <= vi < vj <= n:
-        raise UdgError(f"need vertex pair vi < vj within 0..{n}, got ({vi}, {vj})")
-    return _permitted_cached(tree, vi, vj, bool(vlabels[vi]), bool(vlabels[vj]), n)
+    record = _pair_record(tree, vi, vj, len(vlabels) - 1)
+    return record.permitted[bool(vlabels[vi])][bool(vlabels[vj])]
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +310,6 @@ class ConsistencyResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _addsub_only_to_root(tree: Expr, leaf: int) -> bool:
-    return _path_data(tree, leaf, QUESTION).muldiv_count == 0
 
 
 def is_consistent(graph: UnitDependencyGraph, tree: Expr) -> ConsistencyResult:
@@ -325,7 +333,7 @@ def is_consistent(graph: UnitDependencyGraph, tree: Expr) -> ConsistencyResult:
 
     question_rate = question in graph.rates
     for leaf in sorted(used):
-        if (leaf in graph.rates) != question_rate and _addsub_only_to_root(tree, leaf):
+        if (leaf in graph.rates) != question_rate and _path_data(tree, leaf, QUESTION).additive:
             if question_rate:
                 violations.append(
                     f"condition 1: non-rate leaf {leaf} reaches the rate question "
@@ -339,7 +347,8 @@ def is_consistent(graph: UnitDependencyGraph, tree: Expr) -> ConsistencyResult:
     for (i, j), label in zip(vertex_pairs(n), graph.edges):
         if i not in used or (j != question and j not in used):
             continue
-        allowed = _permitted_cached(tree, i, j, vlabels[i], vlabels[j], n)
+        record = _path_data(tree, i, QUESTION if j == question else j)
+        allowed = record.permitted[vlabels[i]][vlabels[j]]
         if label not in allowed:
             if len(allowed) == 1:
                 detail = f"must be {allowed[0].value}"
@@ -379,7 +388,7 @@ def consistent_edge_choices(
         raise UdgError(f"tree uses quantity {max(used)} but graph has {n} quantities")
     pairs = vertex_pairs(n)
     defined = [i in used and (j == n or j in used) for i, j in pairs]
-    additive = [leaf for leaf in sorted(used) if _addsub_only_to_root(tree, leaf)]
+    additive = [leaf for leaf in sorted(used) if _path_data(tree, leaf, QUESTION).additive]
     for labeling in itertools.product((False, True), repeat=n + 1):
         if any(labeling[leaf] != labeling[n] for leaf in additive):
             continue
@@ -400,6 +409,5 @@ def enumerate_consistent_udgs(tree: Expr, n: int) -> Iterator[UnitDependencyGrap
     pair order by EdgeType declaration order.
     """
     for labeling, choices in consistent_edge_choices(tree, n):
-        rates = frozenset(v for v in range(n + 1) if labeling[v])
         for combo in itertools.product(*choices):
-            yield UnitDependencyGraph(n_quantities=n, rates=rates, edges=combo)
+            yield UnitDependencyGraph.from_labeling(labeling, combo)

@@ -1,5 +1,7 @@
 import collections
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -795,3 +797,59 @@ def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synth
         kept += len(cands.entries)
         built.clear()
     assert visited < kept
+
+
+# --- joint search output, pinned ------------------------------------------------
+
+# sha256 of every solve and top-10 tuple below; integer scores force ties,
+# so the digest also pins how the search key breaks them
+JOINT_SEARCH_SHA256 = "1a90cf18dd9dc17f85753a7a33b81225b1b2274c035c613c7be7707f6d9f6e9c"
+
+JOINT_GRID = tuple(
+    ScalingParams(*scales)
+    for scales in ((1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (0.5, 2.0, 0.0), (0.0, 0.0, 0.0))
+)
+
+
+def _tie_heavy_searches():
+    # values of held-out synth problems, cut or joined to n = 1-4 quantities
+    rng = random.Random(23)
+    held_out = synth.gen_synthetic_corpus(7, 50)
+    for k in range(8):
+        n = k % 4 + 1
+        values = (held_out[k].values + held_out[k + 8].values)[:n]
+        draw = lambda: float(rng.randint(-2, 2))
+        tables = _tables(
+            n,
+            vertex={(v, "Rate"): draw() for v in range(n + 1)},
+            edge={(i, j, e): draw() for i, j in vertex_pairs(n) for e in EdgeType},
+            relevance={(q, "Irrelevant"): draw() for q in range(n)},
+            lca={
+                (i, j, op): min(0.0, draw())
+                for i in range(n) for j in range(i + 1, n) for op in exprtree.OPS
+            },
+        )
+        yield JointCandidates(tables, values)
+
+
+def test_joint_search_output_pinned():
+    digest = hashlib.sha256()
+    for cands in _tie_heavy_searches():
+        for params in JOINT_GRID:
+            for r in (cands.solve(params), *cands.top_k(params, 10)):
+                sums = (r.score, r.rel_sum, r.lca_sum, r.vertex_sum, r.edge_sum)
+                fields = (serialize(r.tree), json.dumps(r.graph.to_json_obj()), str(r.value))
+                digest.update(repr(fields + tuple(float(x).hex() for x in sums)).encode())
+    assert digest.hexdigest() == JOINT_SEARCH_SHA256
+
+
+def test_joint_search_candidates_differ_before_edges():
+    # (nodes, serial, labeling) alone orders every pair of candidates
+    for cands in _tie_heavy_searches():
+        for params in JOINT_GRID:
+            keys = [
+                cand[0][1:4]
+                for entry in cands.ranked(params.lambda_rel)
+                for cand in cands._tree_candidates(entry, params)
+            ]
+            assert len(keys) == len(set(keys))

@@ -49,6 +49,13 @@ def test_path_double_question_errors(fig1_tree):
         path(fig1_tree, QUESTION, QUESTION)
 
 
+@pytest.mark.parametrize("vertex", [0, 1])
+def test_path_one_quantity_vertex_errors(vertex):
+    # a vertex has no path to itself (not its parent's operation)
+    with pytest.raises(UdgError, match="two distinct vertices"):
+        path(Op("+", Leaf(0), Leaf(1)), vertex, vertex)
+
+
 def test_path_single_leaf_is_empty():
     assert path(Leaf(0), 0, QUESTION) == frozenset()
 
@@ -136,6 +143,21 @@ def test_graph_json_round_trip():
     assert obj["rates"] == [1]
     assert ["0", "1"] not in obj["edges"]  # labels serialized, NoRelation omitted
     assert UnitDependencyGraph.from_json_obj(2, obj) == g
+
+
+def test_graph_rejects_label_that_is_no_edge_type():
+    with pytest.raises(UdgError, match=re.escape("edge 'x' between 0 and 1 is not an EdgeType")):
+        UnitDependencyGraph(1, frozenset(), ("x",))
+
+
+def test_graph_json_rejects_edge_outside_vertex_pairs():
+    with pytest.raises(UdgError, match=re.escape("edge (0, 5) is not a vertex pair")):
+        UnitDependencyGraph.from_json_obj(1, {"edges": [[0, 5, "SameUnit"]]})
+
+
+def test_graph_json_rejects_rate_vertex_that_is_no_index():
+    with pytest.raises(UdgError, match=re.escape("rate vertex 'x' is not a vertex index")):
+        UnitDependencyGraph.from_json_obj(1, {"rates": ["x"]})
 
 
 def test_structural_validity_table():
