@@ -9,6 +9,14 @@ assembled from it, and the per-query functions run the same assembly over
 just the vertices they name. Trained models are immutable and safe for
 concurrent scoring; a dot product adds its terms one at a time in feature
 order, so scores are the same floats on every supported Python version.
+
+Training compiles its examples once per classifier: feature names get int
+ids, and the weights live in dense per-label lists. The extractor's values
+are whole-number counts, flags and biases, so while training every weight,
+score and margin is an integer; when a bound on the set proves all of them
+stay below 2**53, float arithmetic on them is exact, and scores are summed
+with ``sum()``, whose compensation from Python 3.12 on then adds nothing.
+Any other set is scored one term at a time, as ``_dot`` scores.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -347,6 +355,58 @@ def check_epochs(epochs) -> None:
         raise ValueError(f"epochs must be an int >= 1, got {epochs!r}")
 
 
+#: ``train_model`` scores with ``sum()`` only below this bound (see there).
+_EXACT_BOUND = 2**52
+
+
+def _split_row(fv: Mapping[str, float], ids: Mapping[str, int]) -> tuple[tuple, tuple, tuple]:
+    """The ids of ``fv``'s 1.0-valued features, then the ids and the values
+    of its other features, each in ``fv`` order."""
+    ones, rest_ids, rest_values = [], [], []
+    for name, v in fv.items():
+        if v == 1.0:
+            ones.append(ids[name])
+        else:
+            rest_ids.append(ids[name])
+            rest_values.append(v)
+    return tuple(ones), tuple(rest_ids), tuple(rest_values)
+
+
+def _exact_in_floats(rows: Sequence[tuple[tuple, tuple, tuple]], steps: int) -> bool:
+    """Whether training over these split rows for ``steps`` steps computes
+    every weight, score, margin and averaging term exactly: every value is a
+    float holding a whole number and (steps+1)**2 * max(V, 1) * max(L, 1) <
+    2**52, where V is the largest |value| and L the largest sum of |values|
+    of one row (see ``train_model``)."""
+    most = widest = 1
+    try:
+        for ones, _, values in rows:
+            if not all(map(float.is_integer, values)):  # also false for inf and nan
+                return False
+            most = max(most, max(map(abs, values), default=0))
+            widest = max(widest, len(ones) + sum(map(abs, values)))
+    except TypeError:  # a value that is not a float
+        return False
+    # with every |value| below 2**52 a row's sum is finite, and exact unless
+    # it reaches 2**53, where the bound fails anyway
+    return most < _EXACT_BOUND and (steps + 1) ** 2 * int(most) * int(widest) < _EXACT_BOUND
+
+
+def _exact_score(row: tuple[tuple, tuple, tuple], weights: Sequence[float]) -> float:
+    """One label's score of a split row, summed with ``sum()``: only for
+    rows and weights that ``_exact_in_floats`` proves add without rounding."""
+    ones, ids, values = row
+    get = weights.__getitem__
+    return sum(map(get, ones), sum(map(mul, values, map(get, ids)), 0.0))
+
+
+def _ordered_score(row: tuple[tuple, Iterable[float]], weights: Sequence[float]) -> float:
+    """One label's score of a row of (ids, values) in feature order, added
+    one term at a time as ``_dot`` adds them."""
+    ids, values = row
+    return reduce(add, map(mul, values, map(weights.__getitem__, ids)), 0)
+
+
 def train_model(
     labels: Sequence[str],
     examples: Sequence[tuple[Mapping[str, float], str]],
@@ -371,6 +431,24 @@ def train_model(
     one fixed set of weights, so every later epoch, in any shuffle order,
     would update nothing either. The averaged weights are the same floats,
     in the same order, as those of all ``epochs`` epochs.
+
+    Feature names get int ids in first-seen order, and the weights live in
+    dense per-label lists indexed by id. Scores are added in one of two
+    ways, chosen once per call. Write S = epochs * len(examples) for the
+    steps, V for the largest |value| and L for the largest sum of |values|
+    of one example. When every value is a float holding a whole number (the
+    feature extractor's counts, flags and biases are) and (S+1)**2 * max(V, 1) *
+    max(L, 1) < 2**52, every weight is a whole number of magnitude at most
+    S*V, every product, partial score and margin is one of magnitude at
+    most 2*S*V*L, and every averaging term is one of magnitude at most
+    S**2*V: all are integers below 2**53, so every float operation on them
+    is exact and the order of a score's additions cannot change it. Those
+    scores are summed with ``sum()``; with no rounding, the compensation
+    that ``sum()`` adds from Python 3.12 on stays 0.0, so they are the same
+    floats on every version. Any other set is scored one term at a time in
+    feature order, exactly as ``_dot`` scores. Either way the updates and
+    the averaging are the same float operations as ever, so the weights are
+    the same floats.
     """
     check_epochs(epochs)
     if len(set(labels)) != len(labels):
@@ -380,22 +458,36 @@ def train_model(
     for _, label in examples:
         if label not in labels:
             raise ValueError(f"unknown label {label!r}")
-    w = {label: {} for label in labels}
-    acc = {label: {} for label in labels}
-    last = {label: {} for label in labels}
-    step = 0
     position = {label: k for k, label in enumerate(labels)}
+    golds = [position[label] for _, label in examples]
+    names = list(dict.fromkeys(chain.from_iterable(fv for fv, _ in examples)))
+    ids = {name: i for i, name in enumerate(names)}
+    total = epochs * len(examples)  # every epoch's steps, run or not
+    rows = [_split_row(fv, ids) for fv, _ in examples]
+    if _exact_in_floats(rows, total):
+        score = _exact_score
+    else:
+        score = _ordered_score
+        rows = [(tuple(map(ids.__getitem__, fv)), fv.values()) for fv, _ in examples]
+    w = [[0.0] * len(names) for _ in labels]
+    acc = [[0.0] * len(names) for _ in labels]
+    last = [[0] * len(names) for _ in labels]
+    touched = [[] for _ in labels]  # each label's ids in first-update order
+    step = 0
     changed = [-1] * len(labels)  # the step of each label's last update
     scored = [-1] * len(examples)  # the step that last scored each example
     cached = [[0.0] * len(labels) for _ in examples]  # each example's scores, by label
 
-    def apply(label: str, fv: Mapping[str, float], sign: float) -> None:
-        changed[position[label]] = step
-        table, atab, ltab = w[label], acc[label], last[label]
+    def apply(k: int, fv: Mapping[str, float], sign: float) -> None:
+        changed[k] = step
+        table, atab, ltab, first = w[k], acc[k], last[k], touched[k]
         for name, v in fv.items():
-            atab[name] = atab.get(name, 0.0) + (step - ltab.get(name, 0)) * table.get(name, 0.0)
-            ltab[name] = step
-            table[name] = table.get(name, 0.0) + sign * v
+            i = ids[name]
+            if not ltab[i]:
+                first.append(i)
+            atab[i] += (step - ltab[i]) * table[i]
+            ltab[i] = step
+            table[i] += sign * v
 
     rng = random.Random(seed)
     order = list(range(len(examples)))
@@ -403,33 +495,32 @@ def train_model(
         rng.shuffle(order)
         mistakes = 0
         for idx in order:
-            fv, gold = examples[idx]
             step += 1
-            scores, since = cached[idx], scored[idx]
-            for k, label in enumerate(labels):
-                if changed[k] >= since:
-                    scores[k] = _dot(fv, w[label])
+            scores, since, row = cached[idx], scored[idx], rows[idx]
+            for k, when in enumerate(changed):
+                if when >= since:
+                    scores[k] = score(row, w[k])
             scored[idx] = step
-            gold_score = scores[position[gold]]
+            gold = golds[idx]
+            gold_score = scores[gold]
             rival, rival_score = None, None
-            for label, s in zip(labels, scores):
-                if label == gold:
+            for k, s in enumerate(scores):
+                if k == gold:
                     continue
                 if rival_score is None or s > rival_score:
-                    rival, rival_score = label, s
+                    rival, rival_score = k, s
             if rival is not None and gold_score - rival_score < 1.0:
                 mistakes += 1
+                fv = examples[idx][0]
                 apply(gold, fv, +1.0)
                 apply(rival, fv, -1.0)
         if not mistakes:  # a fixed point: the remaining epochs would update nothing
             break
-    total = epochs * len(examples)  # every epoch's steps, run or not
     averaged = {}
-    for label in labels:
-        table, atab, ltab = w[label], acc[label], last[label]
+    for k, label in enumerate(labels):
+        table, atab, ltab = w[k], acc[k], last[k]
         averaged[label] = {
-            name: (atab.get(name, 0.0) + (total - ltab.get(name, 0)) * weight) / total
-            for name, weight in table.items()
+            names[i]: (atab[i] + (total - ltab[i]) * table[i]) / total for i in touched[k]
         }
     return LinearModel(labels=tuple(labels), weights=averaged, epochs=epochs, seed=seed)
 

@@ -159,7 +159,12 @@ class UnitDependencyGraph:
         for i, j, label in obj.get("edges", []):
             if (i, j) not in _pair_index(n_quantities):
                 raise UdgError(f"edge ({i}, {j}) is not a vertex pair i < j within 0..{n_quantities}")
-            edge_map[(i, j)] = EdgeType(label)
+            if (i, j) in edge_map:
+                raise UdgError(f"edge ({i}, {j}) is given more than once")
+            try:
+                edge_map[(i, j)] = EdgeType(label)
+            except ValueError:
+                raise UdgError(f"edge ({i}, {j}) has unknown label {label!r}") from None
         return cls.from_edge_map(n_quantities, frozenset(rates), edge_map)
 
 
@@ -312,6 +317,26 @@ class ConsistencyResult:
         return self.ok
 
 
+@lru_cache(maxsize=4096)
+def _consistency_checks(
+    tree: Expr, n: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, tuple], ...]]:
+    """What ``is_consistent`` checks of a tree over n quantities: its used
+    leaves that reach the root through +/- alone, in index order, and for
+    each pair the tree defines, in ``vertex_pairs(n)`` order, the pair's
+    index there, its two vertices and its permitted labels by rate flags."""
+    used = exprtree.used_indices(tree)
+    if used and max(used) >= n:
+        raise UdgError(f"tree uses quantity {max(used)} but graph has {n} quantities")
+    additive = tuple(leaf for leaf in sorted(used) if _path_data(tree, leaf, QUESTION).additive)
+    pairs = tuple(
+        (k, i, j, _path_data(tree, i, QUESTION if j == n else j).permitted)
+        for k, (i, j) in enumerate(vertex_pairs(n))
+        if i in used and (j == n or j in used)
+    )
+    return additive, pairs
+
+
 def is_consistent(graph: UnitDependencyGraph, tree: Expr) -> ConsistencyResult:
     """Check the three graph/tree consistency conditions.
 
@@ -325,15 +350,13 @@ def is_consistent(graph: UnitDependencyGraph, tree: Expr) -> ConsistencyResult:
        whose label is undetermined) are unconstrained.
     """
     n = graph.n_quantities
-    used = exprtree.used_indices(tree)
-    if used and max(used) >= n:
-        raise UdgError(f"tree uses quantity {max(used)} but graph has {n} quantities")
-    question = n
+    additive, pairs = _consistency_checks(tree, n)
+    rates, edges = graph.rates, graph.edges
     violations = []
 
-    question_rate = question in graph.rates
-    for leaf in sorted(used):
-        if (leaf in graph.rates) != question_rate and _path_data(tree, leaf, QUESTION).additive:
+    question_rate = n in rates
+    for leaf in additive:
+        if (leaf in rates) != question_rate:
             if question_rate:
                 violations.append(
                     f"condition 1: non-rate leaf {leaf} reaches the rate question "
@@ -343,19 +366,18 @@ def is_consistent(graph: UnitDependencyGraph, tree: Expr) -> ConsistencyResult:
                 violations.append(
                     f"condition 2: rate vertex {leaf} reaches the root via only +/-"
                 )
-    vlabels = [v in graph.rates for v in range(n + 1)]
-    for (i, j), label in zip(vertex_pairs(n), graph.edges):
-        if i not in used or (j != question and j not in used):
-            continue
-        record = _path_data(tree, i, QUESTION if j == question else j)
-        allowed = record.permitted[vlabels[i]][vlabels[j]]
+    for k, i, j, permitted in pairs:
+        label = edges[k]
+        allowed = permitted[i in rates][j in rates]
         if label not in allowed:
+            # _value_ is what Enum.value returns, read without its descriptor
+            # (a dict keyed by the label would pay Enum.__hash__ instead)
             if len(allowed) == 1:
-                detail = f"must be {allowed[0].value}"
+                detail = f"must be {allowed[0]._value_}"
             else:
                 detail = "cannot be SameUnit across one multiplicative node"
             violations.append(
-                f"condition 3: edge ({i}, {j}) {detail}, graph has {label.value}"
+                f"condition 3: edge ({i}, {j}) {detail}, graph has {label._value_}"
             )
     return ConsistencyResult(ok=not violations, violations=tuple(violations))
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import math
 import random
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -180,31 +184,43 @@ def test_fixed_point_stop_equals_all_epochs(training_sets_120, kind):
             assert _model_bits(train_model(labels, examples, epochs, seed)) == _model_bits(expected)
 
 
+@contextmanager
+def _counting_rescorings():
+    # each call of a training kernel scores one example against one label
+    calls = Counter()
+
+    def counted(name, kernel):
+        return lambda *args: calls.update((name,)) or kernel(*args)
+
+    kernels = ("_exact_score", "_ordered_score")
+    with mock.patch.multiple(learn, **{name: counted(name, getattr(learn, name)) for name in kernels}):
+        yield calls
+
+
 @pytest.fixture
-def dot_calls(monkeypatch):
-    calls = []
-    dot = learn._dot
-    monkeypatch.setattr(learn, "_dot", lambda *args: calls.append(1) or dot(*args))
-    return calls
+def rescorings():
+    with _counting_rescorings() as calls:
+        yield calls
 
 
-def test_non_separable_set_runs_every_epoch(dot_calls):
+def test_non_separable_set_runs_every_epoch(rescorings):
     # one vector under two labels: every epoch has a margin mistake
     examples = [({"a": 1.0, "b": 2.0}, "L1"), ({"a": 1.0, "b": 2.0}, "L2")] * 3
     model = train_model(("L1", "L2"), examples, epochs=7, seed=1)
-    assert len(dot_calls) == 2 * len(examples) * 7  # gold and rival, every step
+    assert sum(rescorings.values()) == 2 * len(examples) * 7  # gold and rival, every step
+    assert rescorings["_ordered_score"] == 0  # whole values within the bound
     expected = _train_model_all_epochs(("L1", "L2"), examples, epochs=7, seed=1)
     assert _model_bits(model) == _model_bits(expected)
 
 
-def test_separable_set_stops_after_first_clean_epoch(dot_calls):
+def test_separable_set_stops_after_first_clean_epoch(rescorings):
     # epoch 1 separates the toy set with margin 2, epoch 2 updates nothing,
     # and epochs 3-10 are not run. Epoch 1 scores every example against both
     # labels (20 calls); its only updates are at its first two steps, so
     # epoch 2 rescores just the two examples scored by then (4 calls) and
     # keeps the other eight examples' scores
     model = train_model(("L1", "L2"), _toy_examples(), epochs=10, seed=0)
-    assert len(dot_calls) == 2 * len(_toy_examples()) + 2 * 2
+    assert sum(rescorings.values()) == 2 * len(_toy_examples()) + 2 * 2
     expected = _train_model_all_epochs(("L1", "L2"), _toy_examples(), epochs=10, seed=0)
     assert _model_bits(model) == _model_bits(expected)
 
@@ -232,6 +248,69 @@ def test_score_cache_equals_all_epochs_on_random_sets(labeled, epochs, seed):
     labels, examples = labeled
     expected = _train_model_all_epochs(labels, examples, epochs, seed)
     assert _model_bits(train_model(labels, examples, epochs, seed)) == _model_bits(expected)
+
+
+_whole_vectors = st.dictionaries(
+    st.sampled_from(("bias", "a", "b", "c", "d")),
+    st.sampled_from((-1.0, 0.0, 1.0, 2.0, 3.0)),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(tuple(f"L{k}" for k in range(n))),
+            st.lists(st.tuples(_whole_vectors, st.sampled_from([f"L{k}" for k in range(n)])),
+                     min_size=1, max_size=12),
+        )
+    ),
+    st.integers(1, 5),
+    st.integers(0, 3),
+)
+def test_whole_valued_sets_take_sum_kernel_and_equal_all_epochs(labeled, epochs, seed):
+    labels, examples = labeled
+    expected = _train_model_all_epochs(labels, examples, epochs, seed)
+    with _counting_rescorings() as calls:
+        model = train_model(labels, examples, epochs, seed)
+    assert calls["_ordered_score"] == 0
+    assert _model_bits(model) == _model_bits(expected)
+
+
+def test_values_past_the_bound_take_ordered_kernel():
+    # 2**45 passes the whole-number test but not the bound. The second
+    # example's "c" score term is added before the two terms near 2**90 that
+    # cancel: in feature order it is rounded away, summed after them it is
+    # not, and with 4 epochs that flips a margin test
+    big = 2.0**45
+    examples = [({"b": big}, "L2"), ({"c": 1.0, "d": -big, "b": big}, "L1")]
+    with _counting_rescorings() as calls:
+        model = train_model(("L1", "L2"), examples, epochs=4, seed=0)
+    assert calls["_exact_score"] == 0 and calls["_ordered_score"] > 0
+    expected = _train_model_all_epochs(("L1", "L2"), examples, epochs=4, seed=0)
+    assert _model_bits(model) == _model_bits(expected)
+
+
+def test_exact_score_equals_the_exact_sum():
+    # within the bound every term and partial sum is a whole number below
+    # 2**53, so sum() gives fsum's exactly rounded result on every version
+    rng = random.Random(7)
+    for _ in range(200):
+        weights = [float(rng.randint(-2**40, 2**40)) for _ in range(30)]
+        ones = tuple(rng.sample(range(30), rng.randint(0, 12)))
+        ids = tuple(rng.sample(range(30), rng.randint(0, 6)))
+        values = tuple(float(rng.randint(-3, 3)) for _ in ids)
+        terms = [weights[i] for i in ones] + [v * weights[i] for v, i in zip(values, ids)]
+        assert learn._exact_score((ones, ids, values), weights) == math.fsum(terms)
+
+
+@pytest.mark.parametrize("kind", sorted(_CLASSIFIER_LABELS))
+def test_extracted_training_sets_take_sum_kernel(training_sets_120, kind):
+    # the feature extractor emits whole-number counts, flags and biases
+    with _counting_rescorings() as calls:
+        train_model(_CLASSIFIER_LABELS[kind], training_sets_120[kind])
+    assert calls["_exact_score"] > 0 and calls["_ordered_score"] == 0
 
 
 def test_tied_rivals_go_to_first_label():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 from fractions import Fraction
@@ -155,6 +156,17 @@ def test_graph_json_rejects_edge_outside_vertex_pairs():
         UnitDependencyGraph.from_json_obj(1, {"edges": [[0, 5, "SameUnit"]]})
 
 
+def test_graph_json_rejects_duplicate_pair():
+    edges = [[0, 1, "SameUnit"], [0, 1, "NoRelation"]]
+    with pytest.raises(UdgError, match=re.escape("edge (0, 1) is given more than once")):
+        UnitDependencyGraph.from_json_obj(1, {"edges": edges})
+
+
+def test_graph_json_rejects_unknown_label():
+    with pytest.raises(UdgError, match=re.escape("edge (0, 1) has unknown label 'Bogus'")):
+        UnitDependencyGraph.from_json_obj(1, {"edges": [[0, 1, "Bogus"]]})
+
+
 def test_graph_json_rejects_rate_vertex_that_is_no_index():
     with pytest.raises(UdgError, match=re.escape("rate vertex 'x' is not a vertex index")):
         UnitDependencyGraph.from_json_obj(1, {"rates": ["x"]})
@@ -208,6 +220,28 @@ def test_condition2_violation():
     result = is_consistent(g, tree)
     assert not result
     assert any("condition 2" in v for v in result.violations)
+
+
+# sha256 of repr((ok, violations)) of every structurally valid graph over
+# two quantities against every two-leaf canonical tree; it pins each
+# violation message, byte for byte, and their order
+VIOLATIONS_SHA256 = "43832dc576d8bd104b7e3ef9c57ea37ebb76db730b0736a07a1b014190bdeac8"
+
+
+def test_violation_messages_pinned():
+    digest = hashlib.sha256()
+    pairs = vertex_pairs(2)
+    for tree in exprtree.canonical_structures(2):
+        for labeling in itertools.product((False, True), repeat=3):
+            rates = frozenset(v for v, flag in enumerate(labeling) if flag)
+            options = [
+                [e for e in EdgeType if edge_structurally_valid(e, labeling[i], labeling[j])]
+                for i, j in pairs
+            ]
+            for edges in itertools.product(*options):
+                result = is_consistent(UnitDependencyGraph(2, rates, edges), tree)
+                digest.update(repr((result.ok, result.violations)).encode())
+    assert digest.hexdigest() == VIOLATIONS_SHA256
 
 
 def test_vertex_count_mismatch_errors():
