@@ -31,8 +31,10 @@ class CorpusError(ValueError):
 # tokenization
 
 # a number is digits with an optional decimal part, the digits grouped in
-# threes by commas ("1,000", "2,500.5") or not; "4,5" is two numbers
-_NUMBER = r"(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?"
+# threes by commas ("1,000", "2,500.5") or not; "4,5" is two numbers. A
+# decimal part with no digits before it (".5") is a number too, unless the
+# dot follows a word or number character ("apples.5" is a sentence end)
+_NUMBER = r"(?:(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?|(?<!\w)\.\d+)"
 _TOKEN_RE = re.compile(rf"{_NUMBER}|[A-Za-z]+(?:'[A-Za-z]+)*|\S")
 _SENTENCE_END = {".", "!", "?"}
 _NUMBER_TOKEN_RE = re.compile(rf"{_NUMBER}$")

@@ -185,9 +185,12 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
         dev = [by_id[i] for i in dev_ids]
         test = [by_id[i] for i in test_ids]
 
-        tuning_suite = learn.train_suite(train, feature_config, config.epochs, config.seed)
+        # the tuning suite is dropped once tuned, before the final suite trains
         tuned = infer.tune_lambdas(
-            dev_problems=dev, suite=tuning_suite, grid=config.tune_grid(), beam=config.beam
+            dev_problems=dev,
+            suite=learn.train_suite(train, feature_config, config.epochs, config.seed),
+            grid=config.tune_grid(),
+            beam=config.beam,
         )
         suite = learn.train_suite(train + dev, feature_config, config.epochs, config.seed)
         variants = _variant_params(tuned)

@@ -14,7 +14,9 @@ compiled once per k into a ``TreePlan`` (node count, serial template, the LCA
 operation of every leaf-position pair), and every structure over k leaves
 shares one evaluation program, so ``enumerate_plans`` evaluates each distinct
 sub-structure once per subset and builds no tree; ``enumerate_trees``
-materializes its candidates.
+materializes its candidates. The program runs on Python ints while its
+operands are whole and switches to ``Fraction`` only at a non-whole quantity
+or quotient: both are exact, so every value is the rational one.
 """
 
 from __future__ import annotations
@@ -454,8 +456,15 @@ def enumerate_plans(
     a beam is reproducible. More than MAX_ENUM_LEAVES quantities raise
     ExprError before anything is yielded. A tree with a division by zero
     anywhere in it is skipped, as ``evaluate`` would raise on it.
+
+    Each subset's program runs on Python ints while its operands are whole:
+    a whole leaf is its numerator, and sums, differences, products and
+    exact quotients of ints are the ints rational arithmetic would give. A
+    ``Fraction`` is built only for a non-whole leaf or quotient, and every
+    operation with one is rational, so each value is exact and the yielded
+    value is the ``Fraction`` of it.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [v.numerator if v.denominator == 1 else v for v in map(Fraction, values)]
     n = len(vals)
     if n < 1:
         raise ExprError("need at least one quantity")
@@ -463,7 +472,7 @@ def enumerate_plans(
         compiled = size_plans(size)
         for subset in itertools.combinations(range(n), size):
             # None marks a sub-structure that divides by zero
-            slots: list[Fraction | None] = [vals[i] for i in subset]
+            slots: list[int | Fraction | None] = [vals[i] for i in subset]
             for op, left, right in compiled.steps:
                 lhs, rhs = slots[left], slots[right]
                 if lhs is None or rhs is None:
@@ -474,12 +483,17 @@ def enumerate_plans(
                     slots.append(lhs - rhs)
                 elif op == MUL:
                     slots.append(lhs * rhs)
+                elif rhs == 0:
+                    slots.append(None)
+                elif type(lhs) is int and type(rhs) is int:
+                    quotient, remainder = divmod(lhs, rhs)
+                    slots.append(Fraction(lhs, rhs) if remainder else quotient)
                 else:
-                    slots.append(None if rhs == 0 else lhs / rhs)
+                    slots.append(lhs / rhs)
             for plan in compiled.plans:
                 value = slots[plan.root]
                 if value is not None and value > 0:
-                    yield plan, subset, value
+                    yield plan, subset, Fraction(value)
 
 
 def enumerate_trees(values: Sequence[Fraction]) -> Iterator[Expr]:

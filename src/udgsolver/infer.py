@@ -13,11 +13,13 @@ a tree); ``_labeling_entry`` scores one labeling's choices for both, and
 and ``_best_graph`` takes the standalone prediction from those rows.
 
 The joint search is one ``JointCandidates`` per problem, holding no scale.
-Candidate trees are scored up front from compiled structures
-(``exprtree.enumerate_plans``), without building their expression trees;
-each solve ranks them under its own ``lambda_rel`` and cuts the beam. A tree
-is built, and its consistent labelings with it, only when a search visits
-it. ``solve`` is branch and bound over the graph stage: trees are visited
+Candidate trees are valued and scored up front from compiled structures
+(``exprtree.enumerate_plans``, exact on ints while values are whole),
+without building their expression trees; each LCA sum is read from per-pair
+score rows and added in the order of ``tree_term_sums``. Each solve ranks
+the trees under its own ``lambda_rel`` and cuts the beam. A tree is built,
+and its consistent labelings with it, only when a search visits it.
+``solve`` is branch and bound over the graph stage: trees are visited
 best tree score first, and the visit stops at the first tree whose best
 unconstrained graph cannot reach the incumbent total, so answers equal the
 exhaustive scan of ``top_k``.
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import add
+from operator import add, getitem
 from typing import Iterator, Mapping, Sequence
 
 from . import exprtree, learn, udg
@@ -96,9 +98,12 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     """Score every inference query once, off one feature pass.
 
     ``learn.problem_features`` computes each vertex's features and unit once;
-    each model scores all its labels at a time, and pair scores continue the
-    first vertex's block sums into the second's (``pair_scores``). Every
-    score is the float ``LinearModel.score`` gives for the query's vector.
+    each model scores all its labels at a time, reading every block of a
+    query's vector through the model's table for that block's role prefix,
+    and pair scores continue the first vertex's block sums into the second's
+    (``pair_scores``). Blocks are scored in the vector's order, and each
+    label's terms are added one at a time, so every score is the float
+    ``LinearModel.score`` gives for the query's assembled vector.
 
     LCA scores are shifted per pair so the pair's best operation scores zero
     and every other operation is negative (the margin analogue of a log
@@ -125,7 +130,7 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     relevance = {
         (q, label): s
         for q in range(n)
-        for label, s in zip(suite.relevance.labels, suite.relevance.scores(feats.relevance(q)))
+        for label, s in zip(suite.relevance.labels, feats.relevance_scores(suite.relevance, q))
     }
     lca = {}
     quantity_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -342,20 +347,23 @@ def _tree_stage(tables: ScoreTables, values: Sequence[Fraction]) -> tuple[_TreeE
     The sums are ``tree_term_sums`` of each tree, added in the same order: the
     irrelevance sum once per subset over the unused quantities in index order,
     the LCA sum over the subset's pairs in lexicographic order with the plan's
-    operations."""
+    operations, each read from the pair's row of LCA scores by operation."""
+    n = tables.n_quantities
+    lca_rows = {
+        (i, j): {op: tables.lca_score(i, j, op) for op in exprtree.OPS}
+        for i, j in itertools.combinations(range(n), 2)
+    }
     entries = []
     subset = None
     for plan, placed, value in exprtree.enumerate_plans(values):
         if placed != subset:
             subset = placed
             rel_sum = 0.0
-            for q in range(tables.n_quantities):
+            for q in range(n):
                 if q not in subset:
                     rel_sum += tables.relevance_score(q, IRRELEVANT)
-            pairs = tuple(itertools.combinations(subset, 2))
-        lca_sum = 0.0
-        for (i, j), op in zip(pairs, plan.pair_ops):
-            lca_sum += tables.lca_score(i, j, op)
+            rows = [lca_rows[pair] for pair in itertools.combinations(subset, 2)]
+        lca_sum = reduce(add, map(getitem, rows, plan.pair_ops), 0.0)
         entries.append(_TreeEntry(plan, subset, value, plan.serial(subset), rel_sum, lca_sum))
     if not entries:
         raise InferenceError("no candidate expression trees with a positive value")

@@ -5,10 +5,21 @@ six-way edge classifier per vertex pair, a binary relevance classifier per
 quantity, and a six-way lowest-common-ancestor operation classifier per
 quantity pair. One feature pass per (problem, config) computes each
 vertex's feature vector and unit once; every classifier's vectors are
-assembled from it, and the per-query functions run the same assembly over
-just the vertices they name. Trained models are immutable and safe for
-concurrent scoring; a dot product adds its terms one at a time in feature
-order, so scores are the same floats on every supported Python version.
+assembled from it, each vertex prefixed once per role, and the per-query
+functions run the same assembly over just the vertices they name.
+
+Inference has one scorer, ``LinearModel.scores``. A model keeps, per role
+prefix, a table from each unprefixed feature name to the tuple of its
+weights under every label, so a block of features costs one lookup per
+feature for all labels and builds no prefixed name. Each label's score
+still adds ``value * weight`` one term at a time in feature order, from the
+block's start (the int 0 for a fresh vector): the same float operations in
+the same order as a per-label dot product over the prefixed vector, so
+scores are the same floats on every supported Python version (``sum()``
+compensates rounding from 3.12 on, so it is not used). Trained models are
+immutable apart from those tables, which are built on first use and hold
+nothing a rebuild would not reproduce, so they are safe for concurrent
+scoring.
 
 Training compiles its examples once per classifier: feature names get int
 ids, and the weights live in dense per-label lists. The extractor's values
@@ -16,7 +27,7 @@ are whole-number counts, flags and biases, so while training every weight,
 score and margin is an integer; when a bound on the set proves all of them
 stay below 2**53, float arithmetic on them is exact, and scores are summed
 with ``sum()``, whose compensation from Python 3.12 on then adds nothing.
-Any other set is scored one term at a time, as ``_dot`` scores.
+Any other set is scored one term at a time, as ``LinearModel.scores`` adds.
 """
 
 from __future__ import annotations
@@ -157,6 +168,9 @@ class PairLayout:
 EDGE_LAYOUT = PairLayout("pair_bias", "i|", "j|", unit_flags=True)
 LCA_LAYOUT = PairLayout("lca_bias", "lcai|", "lcaj|", unit_flags=False)
 
+#: The relevance vector's prefix, on the quantity's features and its flags.
+RELEVANCE_PREFIX = "rel|"
+
 
 def _prefixed(prefix: str, fv: FeatureVector) -> FeatureVector:
     return {prefix + name: value for name, value in fv.items()}
@@ -170,10 +184,26 @@ def _denominator_matches(rate: units.QuantityUnit, other: units.QuantityUnit) ->
 class ProblemFeatures:
     """One feature pass: the feature vector and (with rule features) the
     unit of each vertex, computed once. Every classifier's vectors are
-    assembled from these; the last vertex is the question."""
+    assembled from these; the last vertex is the question.
+
+    Training vectors prefix a vertex's features once per role and share
+    that dict between all pairs that use it (``_in_role``); scoring reads
+    the unprefixed vectors through the model's role tables instead."""
 
     vectors: tuple[FeatureVector, ...]
     vertex_units: tuple[units.QuantityUnit, ...] | None
+    _roles: dict[tuple[str, int], FeatureVector] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _in_role(self, prefix: str, v: int) -> FeatureVector:
+        """Vertex ``v``'s features with each name prefixed, built once per
+        (prefix, vertex); callers copy it and must not change it."""
+        key = (prefix, v)
+        fv = self._roles.get(key)
+        if fv is None:
+            fv = self._roles[key] = _prefixed(prefix, self.vectors[v])
+        return fv
 
     def _pair_flags(self, layout: PairLayout, i: int, j: int) -> FeatureVector:
         fv: FeatureVector = {}
@@ -186,22 +216,26 @@ class ProblemFeatures:
                 fv["j_den_matches_i"] = 1.0
         return fv
 
+    def _relevance_flags(self, q: int) -> FeatureVector:
+        # unprefixed: the relevance vector carries them under RELEVANCE_PREFIX
+        fv: FeatureVector = {}
+        if self.vertex_units is not None:
+            unit_q, unit_question = self.vertex_units[q], self.vertex_units[-1]
+            match = "matches" if units.units_share_tokens(unit_q, unit_question) else "mismatch"
+            fv[f"unit_{match}_question"] = 1.0
+            if _denominator_matches(unit_q, unit_question):
+                fv["den_matches_question"] = 1.0
+        return fv
+
     def pair(self, layout: PairLayout, i: int, j: int) -> FeatureVector:
         fv: FeatureVector = {layout.bias: 1.0}
-        fv.update(_prefixed(layout.first, self.vectors[i]))
-        fv.update(_prefixed(layout.second, self.vectors[j]))
+        fv.update(self._in_role(layout.first, i))
+        fv.update(self._in_role(layout.second, j))
         fv.update(self._pair_flags(layout, i, j))
         return fv
 
     def relevance(self, q: int) -> FeatureVector:
-        fv = _prefixed("rel|", self.vectors[q])
-        if self.vertex_units is not None:
-            unit_q, unit_question = self.vertex_units[q], self.vertex_units[-1]
-            match = "matches" if units.units_share_tokens(unit_q, unit_question) else "mismatch"
-            fv[f"rel|unit_{match}_question"] = 1.0
-            if _denominator_matches(unit_q, unit_question):
-                fv["rel|den_matches_question"] = 1.0
-        return fv
+        return _prefixed(RELEVANCE_PREFIX, {**self.vectors[q], **self._relevance_flags(q)})
 
     def pair_scores(
         self, model: LinearModel, layout: PairLayout, pairs: Iterable[tuple[int, int]]
@@ -209,20 +243,24 @@ class ProblemFeatures:
         """``model.scores(self.pair(layout, i, j))`` for each pair, bit for
         bit: each vertex's first-role block is scored once from the bias's
         sums, and a pair continues those sums through the second vertex's
-        block (its names built once per vertex) and its flags."""
+        block and its flags, each read through its role's table."""
         bias = model.scores({layout.bias: 1.0})
         first: dict[int, tuple[float, ...]] = {}
-        second: dict[int, FeatureVector] = {}
         out = []
         for i, j in pairs:
             if i not in first:
-                first[i] = model.scores(_prefixed(layout.first, self.vectors[i]), bias)
-            if j not in second:
-                second[j] = _prefixed(layout.second, self.vectors[j])
-            scores = model.scores(second[j], first[i])
+                first[i] = model.scores(self.vectors[i], bias, layout.first)
+            scores = model.scores(self.vectors[j], first[i], layout.second)
             flags = self._pair_flags(layout, i, j)
             out.append(model.scores(flags, scores) if flags else scores)
         return out
+
+    def relevance_scores(self, model: LinearModel, q: int) -> tuple[float, ...]:
+        """``model.scores(self.relevance(q))``, bit for bit: the quantity's
+        block, then its flags, both read through the relevance role."""
+        scores = model.scores(self.vectors[q], prefix=RELEVANCE_PREFIX)
+        flags = self._relevance_flags(q)
+        return model.scores(flags, scores, RELEVANCE_PREFIX) if flags else scores
 
 
 def _feature_pass(
@@ -268,13 +306,6 @@ def lca_features(
 # ---------------------------------------------------------------------------
 # averaged perceptron
 
-def _dot(fv: Mapping[str, float], weights: Mapping[str, float], start: float = 0) -> float:
-    """``start`` plus each value * weight, added one at a time in ``fv``
-    order. ``sum()`` compensates float rounding from Python 3.12 on, so it
-    would give other floats there than on 3.10 and 3.11."""
-    return reduce(add, map(mul, fv.values(), map(weights.get, fv, repeat(0.0))), start)
-
-
 def _finite_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -286,26 +317,69 @@ def _finite_number(value) -> bool:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Per-label sparse weight table; score is a plain dot product."""
+    """Per-label sparse weight table; a label's score is a dot product.
+
+    ``_roles`` caches the role tables of ``scores``, one per prefix asked
+    for, each built on first use from ``weights``; it is no part of the
+    model's value."""
 
     labels: tuple[str, ...]
     weights: Mapping[str, Mapping[str, float]]  # label -> feature -> weight
     epochs: int = 10
     seed: int = 0
+    _roles: dict[str, dict[str, tuple[float, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _role(self, prefix: str) -> dict[str, tuple[float, ...]]:
+        """Each weighted name that starts with ``prefix``, without it, mapped
+        to its weights under every label in ``labels`` order (0.0 where a
+        label lacks it). The empty prefix's table, of every name, is built
+        first and the others are cut from it, sharing its tuples."""
+        table = self._roles.get(prefix)
+        if table is None:
+            if prefix:
+                cut = len(prefix)
+                table = {
+                    name[cut:]: row
+                    for name, row in self._role("").items()
+                    if name.startswith(prefix)
+                }
+            else:
+                tabs = [self.weights[label] for label in self.labels]
+                names = list(dict.fromkeys(chain.from_iterable(tabs)))
+                table = dict(zip(names, zip(*(map(w.get, names, repeat(0.0)) for w in tabs))))
+            self._roles[prefix] = table
+        return table
 
     def score(self, fv: Mapping[str, float], label: str) -> float:
-        if label not in self.weights:
+        if label not in self.labels:
             raise KeyError(f"unknown label {label!r}")
-        return _dot(fv, self.weights[label])
+        return self.scores(fv)[self.labels.index(label)]
 
     def scores(
-        self, fv: Mapping[str, float], start: Sequence[float] | None = None
+        self,
+        fv: Mapping[str, float],
+        start: Sequence[float] | None = None,
+        prefix: str = "",
     ) -> tuple[float, ...]:
-        """Every label's score, in ``labels`` order. With ``start`` (one
-        running sum per label, from an earlier block of the same vector) the
-        dot products continue from it; without, each equals ``score``."""
+        """Every label's score of ``fv`` with ``prefix`` before each name, in
+        ``labels`` order. With ``start`` (one running sum per label, from an
+        earlier block of the same vector) the sums continue from it; without,
+        they start from the int 0, so an empty vector scores 0.
+
+        Each name is looked up once, in the prefix's role table, for all
+        labels; each label then adds ``value * weight`` one term at a time
+        in ``fv`` order, the float operations of a per-label dot product
+        over the prefixed vector."""
         starts = repeat(0) if start is None else start
-        return tuple(_dot(fv, self.weights[label], s) for label, s in zip(self.labels, starts))
+        rows = list(map(self._role(prefix).get, fv, repeat((0.0,) * len(self.labels))))
+        if not rows:
+            return tuple(s for s, _ in zip(starts, self.labels))
+        values = tuple(fv.values())
+        return tuple(
+            reduce(add, map(mul, values, column), s) for column, s in zip(zip(*rows), starts)
+        )
 
     def predict(self, fv: Mapping[str, float]) -> str:
         """The best-scoring label; ties go to the earliest in ``labels``."""
@@ -343,7 +417,8 @@ class LinearModel:
             label, sep, name = key.partition("\x1f")
             if not sep or label not in weights:
                 raise ValueError(f"weight key {key!r} names no label in {labels!r}")
-            if not _finite_number(w):
+            # a finite float passes the first test; anything else gets the full check
+            if not (type(w) is float and -math.inf < w < math.inf) and not _finite_number(w):
                 raise ValueError(f"weight {key!r} must be a finite number, got {w!r}")
             weights[label][name] = w
         return cls(labels=tuple(labels), weights=weights, epochs=obj["epochs"], seed=obj["seed"])
@@ -402,7 +477,7 @@ def _exact_score(row: tuple[tuple, tuple, tuple], weights: Sequence[float]) -> f
 
 def _ordered_score(row: tuple[tuple, Iterable[float]], weights: Sequence[float]) -> float:
     """One label's score of a row of (ids, values) in feature order, added
-    one term at a time as ``_dot`` adds them."""
+    one term at a time, as ``LinearModel.scores`` adds them."""
     ids, values = row
     return reduce(add, map(mul, values, map(weights.__getitem__, ids)), 0)
 
@@ -446,9 +521,9 @@ def train_model(
     scores are summed with ``sum()``; with no rounding, the compensation
     that ``sum()`` adds from Python 3.12 on stays 0.0, so they are the same
     floats on every version. Any other set is scored one term at a time in
-    feature order, exactly as ``_dot`` scores. Either way the updates and
-    the averaging are the same float operations as ever, so the weights are
-    the same floats.
+    feature order, exactly as ``LinearModel.scores`` adds. Either way the
+    updates and the averaging are the same float operations as ever, so the
+    weights are the same floats.
     """
     check_epochs(epochs)
     if len(set(labels)) != len(labels):
@@ -539,8 +614,14 @@ class ClassifierSuite:
     def save(self, path) -> None:
         obj = {name: getattr(self, name).to_json_obj() for name, _ in PARTS}
         obj["config"] = asdict(self.config)
+        # the bytes of json.dump(obj, fh, sort_keys=True), which always runs
+        # the pure-Python encoder; here the C one encodes each part, so the
+        # whole file is never one string in memory
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True)
+            fh.write("{")
+            for k, key in enumerate(sorted(obj)):
+                fh.write(f"{', ' if k else ''}{json.dumps(key)}: {json.dumps(obj[key], sort_keys=True)}")
+            fh.write("}")
 
     @classmethod
     def load(cls, path) -> "ClassifierSuite":

@@ -71,7 +71,7 @@ def lemma(word: str) -> str:
 
 def pos_tag(token: str) -> str:
     """Coarse tag: NUM, OTHER (function words), VERB, ADJ, default NOUN."""
-    if token[0].isdigit():
+    if token[0].isdigit() or token[0] == "." and token[1:2].isdigit():  # "5", ".5"
         return NUM
     if not token.isalpha() and "'" not in token:
         return OTHER

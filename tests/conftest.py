@@ -1,12 +1,16 @@
 """Shared fixtures: the bouquet walkthrough problem, mock score tables, a
-random raw-tree generator, and an independent unit-propagation oracle used to
-cross-check tree-determined edge labels."""
+random raw-tree generator, an independent unit-propagation oracle used to
+cross-check tree-determined edge labels, and the per-label dot product that
+the fused classifier scorer must equal."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
 
 import pytest
 
@@ -14,6 +18,15 @@ from udgsolver import corpus, exprtree, infer, synth
 from udgsolver.corpus import QUESTION
 from udgsolver.exprtree import DIV, MUL, Expr, Leaf, Op, base_op, is_reversed
 from udgsolver.udg import EdgeType
+
+
+def oracle_dot(fv, weights, start=0):
+    """``start`` plus each value * weight, added one at a time in ``fv``
+    order, over one label's weights: the float operations of every score.
+    ``sum()`` compensates rounding from Python 3.12 on, so it would give
+    other floats there than on 3.10 and 3.11."""
+    return reduce(add, map(mul, fv.values(), map(weights.get, fv, repeat(0.0))), start)
+
 
 FIG1_TEXT = (
     "Isabel picked 66 flowers for her friend's wedding. She was making "

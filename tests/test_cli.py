@@ -167,6 +167,21 @@ def test_solve_bad_model_weights_is_data_error(tmp_path, model_file, capsys, par
     assert message in captured.err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400", "true", "1" + "0" * 400, '"1.5"'])
+def test_solve_non_finite_or_non_number_weight_is_data_error(tmp_path, model_file, capsys, literal):
+    # written as raw JSON text: 1e400 parses to inf, and the 401-digit
+    # integer overflows a float
+    obj = json.loads(model_file.read_text())
+    obj["lca"]["weights"]["+\x1flca_bias"] = "@weight@"
+    path = tmp_path / "bad_weight.json"
+    path.write_text(json.dumps(obj).replace('"@weight@"', literal))
+    assert cli.main(["solve", "--model", str(path), "--text", FIG1_TEXT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad_weight.json" in captured.err and "bad 'lca'" in captured.err
+    assert "must be a finite number" in captured.err
+
+
 def test_solve_negative_trace_is_data_error(model_file, capsys):
     assert cli.main(["solve", "--model", str(model_file), "--text", FIG1_TEXT, "--trace", "-1"]) == 2
     captured = capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udgsolver import corpus
+from udgsolver import corpus, units
 from udgsolver.corpus import (
     CorpusError,
     build_problem,
@@ -99,6 +99,15 @@ def test_thousands_separators_round_trip(whole, decimals):
     qs = extract_quantities(text)
     assert [q.value for q in qs] == [Fraction(number.replace(",", "")), 4, 5]
     assert text[qs[0].span[0] : qs[0].span[1]] == number
+
+
+def test_leading_dot_decimal_is_one_quantity_inside_its_sentence():
+    p = build_problem("t", "Sam paid .5 dollars for a pen. He had 3 apples.5 more fell. How many dollars?")
+    assert [q.value for q in p.quantities] == [Fraction(1, 2), 3, 5]
+    first = p.quantities[0]
+    assert p.tokens[first.token_index][:2] == (".5", 0)  # the dot ends no sentence
+    assert [p.tokens[q.token_index][1] for q in p.quantities] == [0, 1, 2]
+    assert units.pos_tag(".5") == units.NUM and units.pos_tag(".") != units.NUM
 
 
 def test_quantity_spans_point_into_text():

@@ -24,7 +24,7 @@ from udgsolver.infer import (
 )
 from udgsolver.udg import EdgeType, UnitDependencyGraph, is_consistent, vertex_pairs
 
-from conftest import make_fig1_tables
+from conftest import make_fig1_tables, oracle_dot
 
 
 def _tables(n, vertex=None, edge=None, relevance=None, lca=None):
@@ -500,30 +500,30 @@ def _oracle_relevance(problem, q, config):
 
 def _oracle_tables(problem, suite):
     """Every query's vector rebuilt from vertex_features and units, scored one
-    label at a time with LinearModel.score; also checks the public per-query
-    feature functions against the rebuilt vectors."""
+    label at a time with the per-label dot product; also checks the public
+    per-query feature functions against the rebuilt vectors."""
     n, config = problem.n, suite.config
     vid = lambda v: QUESTION if v == n else v
     vertex, edge, relevance, lca = {}, {}, {}, {}
     for v in range(n + 1):
         fv = learn.vertex_features(problem, vid(v), config)
         for label in learn.VERTEX_LABELS:
-            vertex[(v, label)] = suite.vertex.score(fv, label)
+            vertex[(v, label)] = oracle_dot(fv, suite.vertex.weights[label])
     for i, j in vertex_pairs(n):
         fv = _oracle_vertex_pair(problem, i, vid(j), config, "pair_bias", "i|", "j|", True)
         assert list(learn.edge_features(problem, i, vid(j), config).items()) == list(fv.items())
         for label in EdgeType:
-            edge[(i, j, label)] = suite.edge.score(fv, label.value)
+            edge[(i, j, label)] = oracle_dot(fv, suite.edge.weights[label.value])
     for q in range(n):
         fv = _oracle_relevance(problem, q, config)
         assert list(learn.relevance_features(problem, q, config).items()) == list(fv.items())
         for label in learn.RELEVANCE_LABELS:
-            relevance[(q, label)] = suite.relevance.score(fv, label)
+            relevance[(q, label)] = oracle_dot(fv, suite.relevance.weights[label])
     for i in range(n):
         for j in range(i + 1, n):
             fv = _oracle_vertex_pair(problem, i, j, config, "lca_bias", "lcai|", "lcaj|", False)
             assert list(learn.lca_features(problem, i, j, config).items()) == list(fv.items())
-            raw = {op: suite.lca.score(fv, op) for op in learn.OP_LABELS}
+            raw = {op: oracle_dot(fv, suite.lca.weights[op]) for op in learn.OP_LABELS}
             top = max(raw.values())
             for op, s in raw.items():
                 lca[(i, j, op)] = s - top

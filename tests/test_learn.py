@@ -23,6 +23,8 @@ from udgsolver.learn import (
     vertex_features,
 )
 
+from conftest import oracle_dot
+
 
 # --- feature extraction -------------------------------------------------------
 
@@ -129,12 +131,12 @@ def _train_model_all_epochs(labels, examples, epochs=10, seed=0):
         for idx in order:
             fv, gold = examples[idx]
             step += 1
-            gold_score = learn._dot(fv, w[gold])
+            gold_score = oracle_dot(fv, w[gold])
             rival, rival_score = None, None
             for label in labels:
                 if label == gold:
                     continue
-                s = learn._dot(fv, w[label])
+                s = oracle_dot(fv, w[label])
                 if rival_score is None or s > rival_score:
                     rival, rival_score = label, s
             if rival is not None and gold_score - rival_score < 1.0:
@@ -504,6 +506,51 @@ def test_scores_equal_per_label_score(fv1, fv2, table):
     assert model.predict(fv1) == _old_predict(model, fv1)
 
 
+_weights = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e308, -1e308]) | st.floats(
+    -1e3, 1e3, allow_nan=False
+)
+_role_names = st.sampled_from(["a", "b", "c", "p|a", "p|b", "p|d", "q|a"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.dictionaries(_role_names, _weights, max_size=6), min_size=k, max_size=k),
+            st.none() | st.lists(_weights, min_size=k, max_size=k).map(tuple),
+        )
+    ),
+    st.dictionaries(_names, _values | _weights, max_size=6),
+    st.sampled_from(["", "p|", "q|", "z|"]),
+)
+def test_scores_equal_per_label_dot_bit_for_bit(tables, fv, prefix):
+    # names absent under some labels, signed zeros, subnormal and huge weights,
+    # empty vectors (the int 0) and continuation from a start
+    weights, start = tables
+    labels = tuple(f"L{k}" for k in range(len(weights)))
+    model = LinearModel(labels, dict(zip(labels, weights)))
+    prefixed = {prefix + name: value for name, value in fv.items()}
+    starts = (0,) * len(labels) if start is None else start
+    expected = [oracle_dot(prefixed, model.weights[label], s) for label, s in zip(labels, starts)]
+
+    def bits(scores):
+        return [(type(s), s.hex() if isinstance(s, float) else s) for s in scores]
+
+    for _ in range(2):  # the role table is built on first use, then reused
+        assert bits(model.scores(fv, start, prefix)) == bits(expected)
+        assert bits(model.scores(prefixed, start)) == bits(expected)
+    if start is None:
+        assert bits(model.score(prefixed, label) for label in labels) == bits(expected)
+
+
+def test_scores_role_tables_are_no_part_of_the_value():
+    model = LinearModel(("A", "B"), {"A": {"i|x": 2.0}, "B": {"x": -1.0}})
+    fresh = LinearModel(("A", "B"), {"A": {"i|x": 2.0}, "B": {"x": -1.0}})
+    assert model.scores({"x": 1.0}, prefix="i|") == (2.0, 0.0)
+    assert model == fresh and repr(model) == repr(fresh)
+    assert "_roles" not in json.dumps(model.to_json_obj())
+
+
 def test_predict_ties_go_to_first_label():
     model = LinearModel(("A", "B", "C"), {"A": {"x": 1.0}, "B": {"x": 2.0}, "C": {"x": 2.0}})
     assert model.predict({"x": 1.0}) == "B"
@@ -530,6 +577,7 @@ def _model_obj():
         (lambda o: o["weights"].update({"A\x1fz": True}), "finite number"),
         (lambda o: o["weights"].update({"A\x1fz": float("nan")}), "finite number"),
         (lambda o: o["weights"].update({"A\x1fz": float("inf")}), "finite number"),
+        (lambda o: o["weights"].update({"A\x1fz": float("-inf")}), "finite number"),
         (lambda o: o["weights"].update({"A\x1fz": 10**400}), "finite number"),
         (lambda o: o["weights"].update({"C\x1fz": 1.0}), "names no label"),
         (lambda o: o["weights"].update({"Az": 1.0}), "names no label"),
