@@ -33,8 +33,15 @@ class CorpusError(ValueError):
 # a number is digits with an optional decimal part, the digits grouped in
 # threes by commas ("1,000", "2,500.5") or not; "4,5" is two numbers. A
 # decimal part with no digits before it (".5") is a number too, unless the
-# dot follows a word or number character ("apples.5" is a sentence end)
-_NUMBER = r"(?:(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?|(?<!\w)\.\d+)"
+# dot follows a word or number character ("apples.5" is a sentence end). A
+# fraction is digits over digits that are not all zeros ("1/2"; "1/0" is
+# two numbers around a "/"), with no "/" or digit next to it ("3/4/2020" is
+# no fraction), and a whole number and spaces before one make a mixed
+# number ("3 1/2" is seven halves); a fraction is one token, so the "/" rate
+# trigger never fires inside one
+_FRACTION = r"(?<![/\d])(?:\d+ +)?\d+/0*[1-9]\d*(?![/\d])"
+_DECIMAL = r"(?:(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?|(?<!\w)\.\d+)"
+_NUMBER = rf"(?:{_FRACTION}|{_DECIMAL})"
 _TOKEN_RE = re.compile(rf"{_NUMBER}|[A-Za-z]+(?:'[A-Za-z]+)*|\S")
 _SENTENCE_END = {".", "!", "?"}
 _NUMBER_TOKEN_RE = re.compile(rf"{_NUMBER}$")
@@ -185,14 +192,25 @@ class DatasetSplit:
 # ---------------------------------------------------------------------------
 # construction
 
-def extract_quantities(text: str) -> list[Quantity]:
-    """All maximal digit/decimal tokens, in mention order, as exact rationals."""
+def _number_value(tok: str) -> Fraction:
+    """The exact value of a number token: "1,000", "2.5", ".5", "1/2", "3 1/2"."""
+    whole, _, fraction = tok.rpartition(" ")
+    return int(whole or 0) + Fraction(fraction.replace(",", ""))
+
+
+def _token_quantities(tokens: Sequence[Token]) -> list[Quantity]:
     out = []
-    for pos, (tok, _sent, span) in enumerate(tokenize(text)):
+    for pos, (tok, _sent, span) in enumerate(tokens):
         if _NUMBER_TOKEN_RE.match(tok):
-            value = Fraction(tok.replace(",", ""))
+            value = _number_value(tok)
             out.append(Quantity(index=len(out), value=value, token_index=pos, span=span))
     return out
+
+
+def extract_quantities(text: str) -> list[Quantity]:
+    """All maximal number tokens (decimals, fractions and mixed numbers), in
+    mention order, as exact rationals."""
+    return _token_quantities(tokenize(text))
 
 
 _QUESTION_TRIGGERS = {"how", "what", "find", "calculate"}
@@ -225,7 +243,7 @@ def build_problem(
     tokens = tuple(tokenize(text))
     if not tokens:
         raise CorpusError(f"problem {pid}: empty text")
-    quantities = tuple(extract_quantities(text))
+    quantities = tuple(_token_quantities(tokens))
     gold = None
     if answer is not None:
         tree = None

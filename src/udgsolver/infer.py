@@ -10,7 +10,12 @@ Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
 a tree); ``_labeling_entry`` scores one labeling's choices for both, and
 ``_unconstrained_rows`` scores every labeling of a problem with no tree,
-and ``_best_graph`` takes the standalone prediction from those rows.
+and ``_best_graph`` takes the standalone prediction from those rows. A
+pair's pick (best label, its score, first label's score) depends only on
+the tables, the pair and its options, and many labelings offer a pair the
+same options, so each pick is scanned once per distinct option set and
+memoized; every sum still adds the picks pair by pair in ``vertex_pairs``
+order, so sums, ties and graphs are those of a scan per labeling.
 
 The joint search is one ``JointCandidates`` per problem, holding no scale.
 Candidate trees are valued and scored up front from compiled structures
@@ -26,8 +31,8 @@ exhaustive scan of ``top_k``.
 
 All scoring runs off immutable ScoreTables, so tests can drive inference
 from hand-set mock tables. A ``JointCandidates`` is not: it memoizes its last
-ranking and each visited tree's labelings on itself, so one search must not
-be shared between threads.
+ranking, each visited tree's labelings and their edge picks on itself, so
+one search must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -216,27 +221,49 @@ class _LabelingEntry:
         return params.lambda_vertex * self.vertex_sum + params.lambda_edge * self.edges(params)[0]
 
 
+def _edge_pick(
+    tables: ScoreTables, i: int, j: int, options: tuple[EdgeType, ...]
+) -> tuple[EdgeType, float, float]:
+    """(best label, its score, first label's score) of pair (i, j) over
+    ``options``; ties keep the earlier label."""
+    best = options[0]
+    best_score = first_score = tables.edge_score(i, j, best)
+    for label in options[1:]:
+        s = tables.edge_score(i, j, label)
+        if s > best_score:
+            best, best_score = label, s
+    return best, best_score, first_score
+
+
 def _labeling_entry(
-    tables: ScoreTables, labeling: tuple[bool, ...], choices: Sequence[tuple[EdgeType, ...]]
+    tables: ScoreTables,
+    labeling: tuple[bool, ...],
+    choices: Sequence[tuple[EdgeType, ...]],
+    picks: dict[tuple[int, tuple[EdgeType, ...]], tuple[EdgeType, float, float]],
 ) -> _LabelingEntry:
     """Score a labeling whose pairs, in ``vertex_pairs`` order, may carry
-    ``choices``; the labeling may be a prefix over its first vertices."""
+    ``choices``.
+
+    Each pair's pick is read from ``picks``, keyed by (pair index, options)
+    and filled on first use. A pick depends only on the tables, the pair and
+    its options, so every labeling that offers a pair the same options gets
+    the same floats the scan would give it; the sums still add them pair by
+    pair, so every sum is unchanged."""
     # one addition at a time, as in every Python version (3.12's sum() compensates)
     vertex_sum = reduce(
         add, (tables.vertex_score(v, RATE) for v, flag in enumerate(labeling) if flag), 0
     )
+    pairs = udg.vertex_pairs(len(labeling) - 1)
     e_max = e_lex = 0.0
     edges_max: list[EdgeType] = []
-    for (i, j), options in zip(udg.vertex_pairs(len(labeling) - 1), choices):
-        best = options[0]
-        best_score = first_score = tables.edge_score(i, j, best)
-        for label in options[1:]:
-            s = tables.edge_score(i, j, label)
-            if s > best_score:
-                best, best_score = label, s
-        edges_max.append(best)
-        e_max += best_score
-        e_lex += first_score
+    for key in enumerate(choices):
+        pick = picks.get(key)
+        if pick is None:
+            k, options = key
+            pick = picks[key] = _edge_pick(tables, *pairs[k], options)
+        edges_max.append(pick[0])
+        e_max += pick[1]
+        e_lex += pick[2]
     edges_lex = tuple(options[0] for options in choices)
     return _LabelingEntry(labeling, vertex_sum, e_max, tuple(edges_max), e_lex, edges_lex)
 
@@ -252,8 +279,9 @@ def _unconstrained_rows(tables: ScoreTables) -> tuple[_LabelingEntry, ...]:
         raise InferenceError(
             f"refusing to label graphs over {n} quantities (max {exprtree.MAX_ENUM_LEAVES})"
         )
+    picks: dict = {}
     return tuple(
-        _labeling_entry(tables, labeling, udg.valid_edge_choices(labeling))
+        _labeling_entry(tables, labeling, udg.valid_edge_choices(labeling), picks)
         for labeling in itertools.product((False, True), repeat=n + 1)
     )
 
@@ -337,9 +365,6 @@ class _TreeEntry:
     def base(self, lambda_rel: float) -> float:
         return lambda_rel * self.rel_sum + self.lca_sum
 
-    def rank(self, lambda_rel: float) -> tuple:
-        return (-self.base(lambda_rel), self.nodes, self.serial)
-
 
 def _tree_stage(tables: ScoreTables, values: Sequence[Fraction]) -> tuple[_TreeEntry, ...]:
     """Every candidate tree with its term sums, in enumeration order.
@@ -407,13 +432,18 @@ class JointCandidates:
         self.beam = beam
         self.entries = _tree_stage(tables, values)
         self._unconstrained = _unconstrained_rows(tables)
+        # every visited tree's labelings share one memo of edge picks
+        self._picks: dict = {}
         self._ranking: tuple[float, tuple[_TreeEntry, ...]] | None = None
 
     def ranked(self, lambda_rel: float) -> tuple[_TreeEntry, ...]:
         """The ``beam`` best trees under ``lambda_rel``, best first; equal
         tree scores keep fewer nodes, then the smaller serial."""
         if self._ranking is None or self._ranking[0] != lambda_rel:
-            kept = sorted(self.entries, key=lambda e: e.rank(lambda_rel))
+            kept = sorted(
+                self.entries,
+                key=lambda e: (-(lambda_rel * e.rel_sum + e.lca_sum), e.nodes, e.serial),
+            )
             if self.beam is not None:
                 kept = kept[: self.beam]
             self._ranking = (lambda_rel, tuple(kept))
@@ -432,7 +462,7 @@ class JointCandidates:
         entry per labeling."""
         if entry.consistent is None:
             entry.consistent = tuple(
-                _labeling_entry(self.tables, labeling, choices)
+                _labeling_entry(self.tables, labeling, choices, self._picks)
                 for labeling, choices in udg.consistent_edge_choices(
                     entry.tree, self.tables.n_quantities
                 )

@@ -3,23 +3,28 @@
 Four classifiers drive inference: a binary rate detector per vertex, a
 six-way edge classifier per vertex pair, a binary relevance classifier per
 quantity, and a six-way lowest-common-ancestor operation classifier per
-quantity pair. One feature pass per (problem, config) computes each
-vertex's feature vector and unit once; every classifier's vectors are
-assembled from it, each vertex prefixed once per role, and the per-query
-functions run the same assembly over just the vertices they name.
+quantity pair. One feature pass per (problem, config) lists and tags the
+problem's tokens once and computes each vertex's feature vector and unit
+once; every classifier's vectors are assembled from it, each vertex
+prefixed once per role, and the per-query functions run the same assembly
+over just the vertices they name.
 
 Inference has one scorer, ``LinearModel.scores``. A model keeps, per role
 prefix, a table from each unprefixed feature name to the tuple of its
 weights under every label, so a block of features costs one lookup per
-feature for all labels and builds no prefixed name. Each label's score
-still adds ``value * weight`` one term at a time in feature order, from the
-block's start (the int 0 for a fresh vector): the same float operations in
-the same order as a per-label dot product over the prefixed vector, so
-scores are the same floats on every supported Python version (``sum()``
-compensates rounding from 3.12 on, so it is not used). Trained models are
-immutable apart from those tables, which are built on first use and hold
-nothing a rebuild would not reproduce, so they are safe for concurrent
-scoring.
+feature for all labels and builds no prefixed name. Only the features
+whose value is not the float 1.0 are multiplied out, since ``1.0 * w`` is
+``w`` bit for bit for every float ``w`` (signed zeros included); a model
+holding a weight that is not a float (a JSON model may hold the int -2)
+multiplies every value, as do int and bool values, so each term keeps the
+type the product gives. Each label's score then adds its terms one at a
+time in feature order, from the block's start (the int 0 for a fresh
+vector): the same float operations in the same order as a per-label dot
+product over the prefixed vector, so scores are the same floats on every
+supported Python version (``sum()`` compensates rounding from 3.12 on, so
+it is not used). Trained models are immutable apart from those tables,
+which are built on first use and hold nothing a rebuild would not
+reproduce, so they are safe for concurrent scoring.
 
 Training compiles its examples once per classifier: feature names get int
 ids, and the weights live in dense per-label lists. The extractor's values
@@ -89,25 +94,30 @@ def _bump(fv: FeatureVector, name: str) -> None:
     fv[name] = fv.get(name, 0.0) + 1.0
 
 
-def _context_block(problem: Problem, lo: int, hi: int, anchor: int, fv: FeatureVector) -> None:
-    toks = problem.token_texts()
-    window = list(range(lo, hi))
-    for i in window:
-        tok = toks[i]
-        tag = units.pos_tag(tok)
+def _context_block(
+    toks: Sequence[str], tags: Sequence[str], lo: int, hi: int, anchor: int, fv: FeatureVector
+) -> None:
+    for i in range(lo, hi):
+        tok, tag = toks[i], tags[i]
         _bump(fv, f"u:{tok}")
         _bump(fv, f"u@{i - anchor}:{tok}")
         _bump(fv, f"p:{tag}")
         _bump(fv, f"wp:{tok}_{tag}")
-    for i in window[:-1]:
+    for i in range(lo, hi - 1):
         a, b = toks[i], toks[i + 1]
+        ta, tb = tags[i], tags[i + 1]
         _bump(fv, f"b:{a} {b}")
-        ta, tb = units.pos_tag(a), units.pos_tag(b)
         _bump(fv, f"pb:{ta} {tb}")
         if ta == units.NUM:
             _bump(fv, f"bn:<n> {b}")
         if tb == units.NUM:
             _bump(fv, f"bn:{a} <n>")
+
+
+def _tagged(problem: Problem) -> tuple[list[str], list[str]]:
+    """The problem's token texts and their ``units.pos_tag`` tags."""
+    toks = problem.token_texts()
+    return toks, list(map(units.pos_tag, toks))
 
 
 def _vertex_window(problem: Problem, vertex: int | str, window: int) -> tuple[int, int, int]:
@@ -135,17 +145,20 @@ def vertex_features(
     vertex: int | str,
     config: FeatureConfig = FeatureConfig(),
     unit: units.QuantityUnit | None = None,
+    tagged: tuple[Sequence[str], Sequence[str]] | None = None,
 ) -> FeatureVector:
     """Windowed context features plus rule-based rate extraction features.
 
-    ``unit`` is the vertex's ``units.extract_unit`` result when the caller
-    already has it; otherwise it is extracted here (with rule features)."""
+    ``unit`` is the vertex's ``units.extract_unit`` result and ``tagged``
+    the problem's ``_tagged`` token texts and tags, when the caller already
+    has them; otherwise they are computed here (when a feature family needs
+    them)."""
     fv: FeatureVector = {"bias": 1.0}
     if vertex == QUESTION:
         _bump(fv, "is_question")
     if config.context_features:
         lo, hi, anchor = _vertex_window(problem, vertex, config.window)
-        _context_block(problem, lo, hi, anchor, fv)
+        _context_block(*(tagged or _tagged(problem)), lo, hi, anchor, fv)
     if config.rule_features:
         _rule_block(unit if unit is not None else units.extract_unit(problem, vertex), fv)
     return fv
@@ -269,8 +282,10 @@ def _feature_pass(
     found = (
         tuple(units.extract_unit(problem, v) for v in vertices) if config.rule_features else None
     )
+    # each token is listed and tagged once per pass, not once per window
+    tagged = _tagged(problem) if config.context_features else None
     vectors = tuple(
-        vertex_features(problem, v, config, unit)
+        vertex_features(problem, v, config, unit, tagged)
         for v, unit in zip(vertices, found or repeat(None))
     )
     return ProblemFeatures(vectors, found)
@@ -327,30 +342,29 @@ class LinearModel:
     weights: Mapping[str, Mapping[str, float]]  # label -> feature -> weight
     epochs: int = 10
     seed: int = 0
-    _roles: dict[str, dict[str, tuple[float, ...]]] = field(
+    _roles: dict[str, tuple[dict[str, tuple[float, ...]], bool]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def _role(self, prefix: str) -> dict[str, tuple[float, ...]]:
+    def _role(self, prefix: str) -> tuple[dict[str, tuple[float, ...]], bool]:
         """Each weighted name that starts with ``prefix``, without it, mapped
         to its weights under every label in ``labels`` order (0.0 where a
-        label lacks it). The empty prefix's table, of every name, is built
-        first and the others are cut from it, sharing its tuples."""
-        table = self._roles.get(prefix)
-        if table is None:
+        label lacks it), and whether every weight of the model is a float.
+        The empty prefix's table, of every name, is built first and the
+        others are cut from it, sharing its tuples."""
+        role = self._roles.get(prefix)
+        if role is None:
             if prefix:
+                full, floats = self._role("")
                 cut = len(prefix)
-                table = {
-                    name[cut:]: row
-                    for name, row in self._role("").items()
-                    if name.startswith(prefix)
-                }
+                table = {name[cut:]: row for name, row in full.items() if name.startswith(prefix)}
             else:
                 tabs = [self.weights[label] for label in self.labels]
                 names = list(dict.fromkeys(chain.from_iterable(tabs)))
                 table = dict(zip(names, zip(*(map(w.get, names, repeat(0.0)) for w in tabs))))
-            self._roles[prefix] = table
-        return table
+                floats = set(map(type, chain.from_iterable(w.values() for w in tabs))) <= {float}
+            role = self._roles[prefix] = (table, floats)
+        return role
 
     def score(self, fv: Mapping[str, float], label: str) -> float:
         if label not in self.labels:
@@ -369,17 +383,20 @@ class LinearModel:
         they start from the int 0, so an empty vector scores 0.
 
         Each name is looked up once, in the prefix's role table, for all
-        labels; each label then adds ``value * weight`` one term at a time
-        in ``fv`` order, the float operations of a per-label dot product
-        over the prefixed vector."""
+        labels, and only a row whose value is not the float 1.0 (or whose
+        model holds a weight that is not a float) is multiplied by its
+        value: ``1.0 * w`` is ``w`` for every float. Each label then adds
+        its terms one at a time in ``fv`` order, the float operations of a
+        per-label dot product over the prefixed vector."""
         starts = repeat(0) if start is None else start
-        rows = list(map(self._role(prefix).get, fv, repeat((0.0,) * len(self.labels))))
+        table, floats = self._role(prefix)
+        rows = list(map(table.get, fv, repeat((0.0,) * len(self.labels))))
         if not rows:
             return tuple(s for s, _ in zip(starts, self.labels))
-        values = tuple(fv.values())
-        return tuple(
-            reduce(add, map(mul, values, column), s) for column, s in zip(zip(*rows), starts)
-        )
+        for k, value in enumerate(fv.values()):
+            if value != 1.0 or type(value) is not float or not floats:
+                rows[k] = tuple([value * w for w in rows[k]])
+        return tuple(reduce(add, column, s) for column, s in zip(zip(*rows), starts))
 
     def predict(self, fv: Mapping[str, float]) -> str:
         """The best-scoring label; ties go to the earliest in ``labels``."""

@@ -22,10 +22,13 @@ three configurations above. Everything else is undetermined.
 
 This module alone decides which labels a pair may carry. Each (tree, vertex
 pair) path is walked once and kept, with the label it determines and the
-labels it permits under each pair of rate flags (``_path_data``).
-``consistent_edge_choices`` gives them per vertex labeling under a tree
-(joint inference and consistent-graph enumeration); ``valid_edge_choices``
-gives them for a labeling bound by no tree (standalone graph prediction).
+labels it permits under each pair of rate flags (``_path_data``), and
+each (tree, n) gets one record of its additive leaves and defined pairs'
+tables (``_consistency_checks``), read by ``is_consistent`` and by
+``consistent_edge_choices``, which gives the choices per vertex labeling
+under a tree (joint inference and consistent-graph enumeration);
+``valid_edge_choices`` gives them for a labeling bound by no tree
+(standalone graph prediction).
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ class EdgeType(Enum):
     NUM_REV = "Rate<-Num"
     DEN_FWD = "Rate->Den"
     DEN_REV = "Rate<-Den"
+
+    # members are singletons compared by identity, so identity hashing (in
+    # C) agrees with equality; Enum's own hash is a Python call per lookup.
+    # No set of labels is iterated into any output, so order cannot leak.
+    __hash__ = object.__hash__
 
 
 EDGE_ORDER = {e: i for i, e in enumerate(EdgeType)}
@@ -404,22 +412,20 @@ def consistent_edge_choices(
     ``permitted_edge_labels``; every other pair gets its structurally valid
     labels. The graphs consistent with the tree under a labeling are exactly
     the product of its choices, in ``vertex_pairs(n)`` order.
+
+    The additive leaves and the defined pairs' permitted tables come from
+    the record ``is_consistent`` reads (``_consistency_checks``), so the
+    tree is hashed once per call rather than once per pair and labeling.
     """
-    used = exprtree.used_indices(tree)
-    if used and max(used) >= n:
-        raise UdgError(f"tree uses quantity {max(used)} but graph has {n} quantities")
+    additive, defined = _consistency_checks(tree, n)
     pairs = vertex_pairs(n)
-    defined = [i in used and (j == n or j in used) for i, j in pairs]
-    additive = [leaf for leaf in sorted(used) if _path_data(tree, leaf, QUESTION).additive]
     for labeling in itertools.product((False, True), repeat=n + 1):
         if any(labeling[leaf] != labeling[n] for leaf in additive):
             continue
-        yield labeling, tuple(
-            permitted_edge_labels(tree, i, j, labeling)
-            if pair_defined
-            else _VALID_EDGES[(labeling[i], labeling[j])]
-            for (i, j), pair_defined in zip(pairs, defined)
-        )
+        choices = [_VALID_EDGES[(labeling[i], labeling[j])] for i, j in pairs]
+        for k, i, j, permitted in defined:
+            choices[k] = permitted[labeling[i]][labeling[j]]
+        yield labeling, tuple(choices)
 
 
 def enumerate_consistent_udgs(tree: Expr, n: int) -> Iterator[UnitDependencyGraph]:

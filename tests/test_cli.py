@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,16 @@ def test_solve_melanie_value(model_file, capsys):
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["value"] == "4"
+
+
+def test_solve_reads_fractions_and_mixed_numbers(model_file, capsys):
+    text = "Sam had 3 1/2 pies. He ate 1/2 of a pie. How many pies does Sam have now?"
+    assert cli.main(["solve", "--model", str(model_file), "--text", text]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    # two quantities, 7/2 and 1/2, so three graph vertices
+    leaves = re.findall(r"\d[\d.]*", obj["tree"])
+    assert leaves and set(leaves) <= {"3.5", "0.5"}
+    assert all(j <= 2 for _, j, _ in obj["udg"]["edges"])
 
 
 def test_solve_trace_lines(model_file, capsys):

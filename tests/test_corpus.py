@@ -110,6 +110,24 @@ def test_leading_dot_decimal_is_one_quantity_inside_its_sentence():
     assert units.pos_tag(".5") == units.NUM and units.pos_tag(".") != units.NUM
 
 
+def test_fractions_and_mixed_numbers_are_one_quantity():
+    text = "Sam ate 1/2 of a pie and 3 1/2 cakes, then 1/0 more and 3/4/2020 at 40 miles/hour."
+    p = build_problem("t", text)
+    assert [q.value for q in p.quantities] == [Fraction(1, 2), Fraction(7, 2), 1, 0, 3, 4, 2020, 40]
+    assert [text[slice(*q.span)] for q in p.quantities][:3] == ["1/2", "3 1/2", "1"]
+    assert [t[0] for t in p.tokens].count("/") == 4  # "1/0", twice in the date, "miles/hour"
+    assert [q.value for q in extract_quantities(text)] == [q.value for q in p.quantities]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.none(), st.integers(0, 999)), st.integers(0, 10**6), st.integers(1, 10**6))
+def test_fraction_round_trip(whole, num, den):
+    number = f"{num}/{den}" if whole is None else f"{whole} {num}/{den}"
+    qs = extract_quantities(f"They ate {number} pies.")
+    assert [q.value for q in qs] == [(whole or 0) + Fraction(num, den)]
+    assert qs[0].span == (9, 9 + len(number))
+
+
 def test_quantity_spans_point_into_text():
     text = normalize_digits(FIG1_TEXT)
     for q in extract_quantities(text):

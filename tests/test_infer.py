@@ -1,8 +1,10 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -799,6 +801,69 @@ def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synth
     assert visited < kept
 
 
+# --- memoized edge picks -----------------------------------------------------------
+
+def _scanned_entry(tables, labeling, choices):
+    # the scan _labeling_entry ran before it memoized picks: every labeling
+    # rescored each pair's options; floats as (type, hex), so -0.0 shows
+    bits = lambda x: (type(x), float(x).hex())
+    vertex_sum = functools.reduce(
+        operator.add, (tables.vertex_score(v, "Rate") for v, flag in enumerate(labeling) if flag), 0
+    )
+    e_max = e_lex = 0.0
+    edges_max = []
+    for (i, j), options in zip(vertex_pairs(len(labeling) - 1), choices):
+        best = options[0]
+        best_score = first_score = tables.edge_score(i, j, best)
+        for label in options[1:]:
+            s = tables.edge_score(i, j, label)
+            if s > best_score:
+                best, best_score = label, s
+        edges_max.append(best)
+        e_max += best_score
+        e_lex += first_score
+    edges_lex = tuple(options[0] for options in choices)
+    return labeling, bits(vertex_sum), bits(e_max), tuple(edges_max), bits(e_lex), edges_lex
+
+
+def _entry_bits(e):
+    bits = lambda x: (type(x), float(x).hex())
+    return e.labeling, bits(e.vertex_sum), bits(e.edge_sum_max), e.edges_max, bits(e.edge_sum_lex), e.edges_lex
+
+
+def test_labeling_rows_equal_the_option_scan():
+    # equal scores (ties keep the earlier label), signed zeros and absent queries
+    rng = random.Random(29)
+    for trial in range(24):
+        n = trial % 4 + 1
+        draw = lambda: rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, rng.uniform(-2.0, 2.0)])
+        tables = _tables(
+            n,
+            vertex={(v, "Rate"): draw() for v in range(n + 1) if rng.random() < 0.9},
+            edge={(i, j, e): draw() for i, j in vertex_pairs(n) for e in EdgeType if rng.random() < 0.9},
+            relevance={(q, "Irrelevant"): draw() for q in range(n)},
+            lca={
+                (i, j, op): min(0.0, draw())
+                for i in range(n) for j in range(i + 1, n) for op in exprtree.OPS
+            },
+        )
+        expected = [
+            _scanned_entry(tables, labeling, udg.valid_edge_choices(labeling))
+            for labeling in itertools.product((False, True), repeat=n + 1)
+        ]
+        assert [_entry_bits(e) for e in infer._unconstrained_rows(tables)] == expected
+        if n > 3:
+            continue
+        cands = JointCandidates(tables, [Fraction(rng.randint(1, 9)) for _ in range(n)], beam=None)
+        cands.top_k(ScalingParams(), 1)  # visits every tree
+        for entry in cands.entries:
+            expected = [
+                _scanned_entry(tables, labeling, choices)
+                for labeling, choices in udg.consistent_edge_choices(entry.tree, n)
+            ]
+            assert [_entry_bits(e) for e in entry.consistent] == expected
+
+
 # --- joint search output, pinned ------------------------------------------------
 
 # sha256 of every solve and top-10 tuple below; integer scores force ties,
@@ -853,3 +918,41 @@ def test_joint_search_candidates_differ_before_edges():
                 for cand in cands._tree_candidates(entry, params)
             ]
             assert len(keys) == len(set(keys))
+
+
+# --- solve path, pinned ------------------------------------------------------------
+
+# sha256 of every score-table float, solve and top-5 tuple and standalone graph
+# below, recorded before scoring skipped the multiply by a 1.0 value and the
+# graph stage memoized each pair's pick per option set
+SOLVE_PATH_SHA256 = "a1c6fb8bc64d5f9097254b44f0ff19a53661fc43eb2ed0e01968fbcb2ae15075"
+
+SOLVE_PATH_GRID = (ScalingParams(), ScalingParams(0.5, 2.0, 0.0), ScalingParams(2.0, 0.25, 4.0))
+
+
+def test_solve_path_output_pinned():
+    suite = learn.train_suite(synth.gen_synthetic_corpus(0, 200))
+    problems = [
+        *synth.gen_synthetic_corpus(1, 50)[:30],
+        corpus.build_problem("n1", "Tom has 5 apples. How many apples does Tom have?"),
+        corpus.build_problem(
+            "n4",
+            "A shop sold 12 pens on Monday and 7 pens on Tuesday. Each pen costs 3 "
+            "dollars and 2 pens broke. How many dollars did the shop earn?",
+        ),
+    ]
+    digest = hashlib.sha256()
+    for p in problems:
+        tables = infer.build_score_tables(p, suite)
+        for part in ("vertex", "edge", "relevance", "lca"):
+            for key, v in getattr(tables, part).items():
+                digest.update(repr((part, key, type(v).__name__, float(v).hex())).encode())
+        cands = JointCandidates(tables, p.values)
+        for params in SOLVE_PATH_GRID:
+            for r in (cands.solve(params), *cands.top_k(params, 5)):
+                sums = (r.score, r.rel_sum, r.lca_sum, r.vertex_sum, r.edge_sum)
+                fields = (serialize(r.tree), json.dumps(r.graph.to_json_obj()), str(r.value))
+                digest.update(repr(fields + tuple(float(x).hex() for x in sums)).encode())
+            graph = predict_udg_from_tables(tables, params)
+            digest.update(json.dumps(graph.to_json_obj()).encode())
+    assert digest.hexdigest() == SOLVE_PATH_SHA256

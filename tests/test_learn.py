@@ -470,7 +470,10 @@ def test_vertex_classifier_sanity_on_held_out(trained_suite):
 # --- all-labels scoring ----------------------------------------------------------
 
 _names = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
-_values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: x != 0.0) | st.sampled_from([1.0, 2.0])
+# 1.0 skips the multiply; the int 1 and True must not (their products keep int types)
+_values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: x != 0.0) | st.sampled_from(
+    [1.0, 2.0, 3.0, 1, True]
+)
 
 
 def _old_predict(model, fv):
@@ -509,6 +512,8 @@ def test_scores_equal_per_label_score(fv1, fv2, table):
 _weights = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e308, -1e308]) | st.floats(
     -1e3, 1e3, allow_nan=False
 )
+# a model loaded from JSON may hold int weights; 1.0 * -2 is -2.0, not -2
+_mixed_weights = _weights | st.integers(-3, 3) | st.sampled_from([2**60, 2**53 + 1])
 _role_names = st.sampled_from(["a", "b", "c", "p|a", "p|b", "p|d", "q|a"])
 
 
@@ -516,7 +521,12 @@ _role_names = st.sampled_from(["a", "b", "c", "p|a", "p|b", "p|d", "q|a"])
 @given(
     st.integers(1, 4).flatmap(
         lambda k: st.tuples(
-            st.lists(st.dictionaries(_role_names, _weights, max_size=6), min_size=k, max_size=k),
+            st.lists(
+                st.dictionaries(_role_names, _weights, max_size=6)
+                | st.dictionaries(_role_names, _mixed_weights, max_size=6),
+                min_size=k,
+                max_size=k,
+            ),
             st.none() | st.lists(_weights, min_size=k, max_size=k).map(tuple),
         )
     ),
@@ -541,6 +551,18 @@ def test_scores_equal_per_label_dot_bit_for_bit(tables, fv, prefix):
         assert bits(model.scores(prefixed, start)) == bits(expected)
     if start is None:
         assert bits(model.score(prefixed, label) for label in labels) == bits(expected)
+
+
+@pytest.mark.parametrize(
+    "fv",
+    [{}, {"y": 1.0}, {"y": 1}, {"y": True}, {"y": 3.0}, {"x": 1.0, "y": 1.0}, {"y": 1.0, "x": 2.0}],
+)
+def test_scores_of_json_int_weights_keep_the_product_types(fv):
+    model = LinearModel.from_json_obj(_model_obj())  # "B" weighs "y" with the int -2
+    expected = [oracle_dot(fv, model.weights[label]) for label in model.labels]
+    for _ in range(2):
+        got = model.scores(fv)
+        assert [(type(s), float(s).hex()) for s in got] == [(type(s), float(s).hex()) for s in expected]
 
 
 def test_scores_role_tables_are_no_part_of_the_value():

@@ -322,3 +322,39 @@ def test_enumeration_matches_bruteforce_n2():
         assert set(enumerate_consistent_udgs(structure, 2)) == _brute_force_consistent(structure, 2)
     unused = Leaf(0)  # one quantity outside the tree
     assert set(enumerate_consistent_udgs(unused, 2)) == _brute_force_consistent(unused, 2)
+
+
+def _walked_edge_choices(tree, n):
+    # the walk consistent_edge_choices ran before it read _consistency_checks:
+    # permitted_edge_labels once per defined pair of each labeling
+    used = exprtree.used_indices(tree)
+    pairs = vertex_pairs(n)
+    defined = [i in used and (j == n or j in used) for i, j in pairs]
+    additive = [leaf for leaf in sorted(used) if udg._path_data(tree, leaf, QUESTION).additive]
+    for labeling in itertools.product((False, True), repeat=n + 1):
+        if any(labeling[leaf] != labeling[n] for leaf in additive):
+            continue
+        yield labeling, tuple(
+            udg.permitted_edge_labels(tree, i, j, labeling)
+            if pair_defined
+            else tuple(e for e in EdgeType if edge_structurally_valid(e, labeling[i], labeling[j]))
+            for (i, j), pair_defined in zip(pairs, defined)
+        )
+
+
+def test_consistent_edge_choices_equal_the_permitted_labels_walk():
+    trees = 0
+    for n in range(1, 5):
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                for structure in exprtree.canonical_structures(size):
+                    tree = exprtree._relabel(structure, subset)
+                    assert list(udg.consistent_edge_choices(tree, n)) == list(_walked_edge_choices(tree, n))
+                    trees += 1
+    assert trees == 1 + 8 + 89 + 1572  # by n: every subset times its size's structures
+
+
+@pytest.mark.parametrize("tree, n", [(Leaf(2), 2), (Op("+", Leaf(0), Leaf(3)), 3), (Leaf(0), 0)])
+def test_consistent_edge_choices_reject_tree_outside_graph(tree, n):
+    with pytest.raises(UdgError, match="tree uses quantity"):
+        list(udg.consistent_edge_choices(tree, n))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from udgsolver import units
@@ -42,6 +44,15 @@ def test_slash_rate():
     u = extract_unit(p, 0)
     assert u.num_unit == ("mile",)
     assert u.den_unit == ("hour",)
+
+
+def test_slash_rate_without_spaces_but_not_inside_a_fraction():
+    p = build_problem("t", "The car used 1/2 gallons. It went 40 miles/hour and 20/hour.")
+    assert [q.value for q in p.quantities] == [Fraction(1, 2), 40, 20]
+    assert not extract_unit(p, 0).rule_rate_flag
+    assert extract_unit(p, 1).den_unit == ("hour",)
+    assert extract_unit(p, 2).den_unit == ("hour",)
+    assert units.pos_tag("1/2") == units.pos_tag("3 1/2") == units.NUM
 
 
 def test_indefinite_article_rate():
