@@ -38,10 +38,15 @@ class CorpusError(ValueError):
 # two numbers around a "/"), with no "/" or digit next to it ("3/4/2020" is
 # no fraction), and a whole number and spaces before one make a mixed
 # number ("3 1/2" is seven halves); a fraction is one token, so the "/" rate
-# trigger never fires inside one
+# trigger never fires inside one. A "-" right before a number is its sign
+# unless a word character, "/", "." or another "-" precedes it: "-4" is
+# minus four, while "3-4" and "well-4" keep their "-" as a token
 _FRACTION = r"(?<![/\d])(?:\d+ +)?\d+/0*[1-9]\d*(?![/\d])"
 _DECIMAL = r"(?:(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?|(?<!\w)\.\d+)"
-_NUMBER = rf"(?:{_FRACTION}|{_DECIMAL})"
+_UNSIGNED = rf"(?:{_FRACTION}|{_DECIMAL})"
+# the signed form is its own alternative, so a token that does not start
+# with "-" costs no more than before
+_NUMBER = rf"(?:-(?<![\w/.-]-){_UNSIGNED}|{_UNSIGNED})"
 _TOKEN_RE = re.compile(rf"{_NUMBER}|[A-Za-z]+(?:'[A-Za-z]+)*|\S")
 _SENTENCE_END = {".", "!", "?"}
 _NUMBER_TOKEN_RE = re.compile(rf"{_NUMBER}$")
@@ -193,9 +198,11 @@ class DatasetSplit:
 # construction
 
 def _number_value(tok: str) -> Fraction:
-    """The exact value of a number token: "1,000", "2.5", ".5", "1/2", "3 1/2"."""
-    whole, _, fraction = tok.rpartition(" ")
-    return int(whole or 0) + Fraction(fraction.replace(",", ""))
+    """The exact value of a number token: "1,000", "2.5", ".5", "1/2", "3 1/2",
+    "-4", "-3 1/2"."""
+    whole, _, fraction = tok.removeprefix("-").rpartition(" ")
+    value = int(whole or 0) + Fraction(fraction.replace(",", ""))
+    return -value if tok[0] == "-" else value
 
 
 def _token_quantities(tokens: Sequence[Token]) -> list[Quantity]:
@@ -208,8 +215,8 @@ def _token_quantities(tokens: Sequence[Token]) -> list[Quantity]:
 
 
 def extract_quantities(text: str) -> list[Quantity]:
-    """All maximal number tokens (decimals, fractions and mixed numbers), in
-    mention order, as exact rationals."""
+    """All maximal number tokens (decimals, fractions and mixed numbers, each
+    with an optional sign), in mention order, as exact rationals."""
     return _token_quantities(tokenize(text))
 
 

@@ -9,14 +9,12 @@ maximal */ region likewise; this gives each unordered pair of used quantities
 a unique lowest-common-ancestor operation.
 
 Candidate trees over a problem's quantities are a canonical structure over k
-leaves placed on an increasing k-subset of the quantities. Each structure is
-compiled once per k into a ``TreePlan`` (node count, serial template, the LCA
-operation of every leaf-position pair), and every structure over k leaves
-shares one evaluation program, so ``enumerate_plans`` evaluates each distinct
-sub-structure once per subset and builds no tree; ``enumerate_trees``
-materializes its candidates. The program runs on Python ints while its
-operands are whole and switches to ``Fraction`` only at a non-whole quantity
-or quotient: both are exact, so every value is the rational one.
+leaves placed on an increasing k-subset of the quantities (``placed_plans``).
+Each structure is compiled once per k into a ``TreePlan`` (node count, serial
+template, the LCA operation of every leaf-position pair), so a candidate can
+be scored without building, evaluating or serializing its tree; ``evaluate``
+is the one evaluator, and ``enumerate_trees`` builds and evaluates every
+candidate as the exhaustive reference.
 """
 
 from __future__ import annotations
@@ -30,9 +28,8 @@ from typing import Iterator, Mapping, Sequence
 ADD, SUB, SUB_R, MUL, DIV, DIV_R = "+", "-", "-r", "*", "/", "/r"
 OPS = (ADD, SUB, SUB_R, MUL, DIV, DIV_R)
 
-#: Most quantities a problem may have: ``enumerate_plans`` searches every
-#: subset of them and refuses more, rather than search only the smaller
-#: subsets.
+#: Most quantities a problem may have: ``placed_plans`` covers every subset
+#: of them and refuses more, rather than cover only the smaller subsets.
 MAX_ENUM_LEAVES = 6
 
 
@@ -389,14 +386,12 @@ class TreePlan:
     Relabeling by an increasing subset keeps mention order, so the placed
     tree's LCA operation of quantities ``subset[a] < subset[b]`` is the
     structure's ``op_lca(structure, a, b)``; ``pair_ops`` holds those for
-    every position pair ``a < b`` in lexicographic order. ``root`` is the
-    structure's slot in its size's evaluation program."""
+    every position pair ``a < b`` in lexicographic order."""
 
     structure: Expr
     nodes: int
     template: str
     pair_ops: tuple[str, ...]
-    root: int
 
     def serial(self, subset: Sequence[int]) -> str:
         """``serialize`` of the tree placed on ``subset``."""
@@ -406,99 +401,43 @@ class TreePlan:
         return _relabel(self.structure, subset)
 
 
-@dataclass(frozen=True)
-class SizePlans:
-    """Every canonical structure over k leaves as a ``TreePlan``, in
-    ``canonical_structures`` order, plus their shared evaluation program.
-
-    Slots 0..k-1 hold the leaf values; step s computes slot k+s as
-    ``(op, left, right)`` with a base operation (reversed operations have
-    their operands swapped), and every distinct sub-structure has one slot."""
-
-    steps: tuple[tuple[str, int, int], ...]
-    plans: tuple[TreePlan, ...]
-
-
 @lru_cache(maxsize=MAX_ENUM_LEAVES)
-def size_plans(k: int) -> SizePlans:
-    """The compiled structures over k leaves (cached by k only)."""
+def size_plans(k: int) -> tuple[TreePlan, ...]:
+    """Every canonical structure over k leaves as a ``TreePlan``, in
+    ``canonical_structures`` order (cached by k only)."""
     structures = canonical_structures(k)
-    slots: dict[Expr, int] = {Leaf(i): i for i in range(k)}
-    steps: list[tuple[str, int, int]] = []
-
-    def slot(node: Expr) -> int:
-        if node not in slots:
-            left, right = slot(node.left), slot(node.right)
-            if is_reversed(node.op):
-                left, right = right, left
-            steps.append((base_op(node.op), left, right))
-            slots[node] = k + len(steps) - 1
-        return slots[node]
 
     def pair_ops(structure: Expr) -> tuple[str, ...]:
         paths = [root_path(structure, i) for i in range(k)]
         return tuple(_lca_op(paths[a], paths[b]) for a, b in itertools.combinations(range(k), 2))
 
-    plans = tuple(
-        TreePlan(s, node_count(s), _template(s), pair_ops(s), slot(s)) for s in structures
-    )
-    return SizePlans(tuple(steps), plans)
+    return tuple(TreePlan(s, node_count(s), _template(s), pair_ops(s)) for s in structures)
 
 
-def enumerate_plans(
-    values: Sequence[Fraction],
-) -> Iterator[tuple[TreePlan, tuple[int, ...], Fraction]]:
-    """Yield ``(plan, subset, value)`` for every distinct canonical tree over
-    every subset of quantities whose exact evaluation is strictly positive.
-
-    Subsets are visited largest-first, lexicographically within a size, and
-    plans within a subset in ``canonical_structures`` order, so truncation by
-    a beam is reproducible. More than MAX_ENUM_LEAVES quantities raise
-    ExprError before anything is yielded. A tree with a division by zero
-    anywhere in it is skipped, as ``evaluate`` would raise on it.
-
-    Each subset's program runs on Python ints while its operands are whole:
-    a whole leaf is its numerator, and sums, differences, products and
-    exact quotients of ints are the ints rational arithmetic would give. A
-    ``Fraction`` is built only for a non-whole leaf or quotient, and every
-    operation with one is rational, so each value is exact and the yielded
-    value is the ``Fraction`` of it.
-    """
-    vals = [v.numerator if v.denominator == 1 else v for v in map(Fraction, values)]
-    n = len(vals)
+def placed_plans(n: int) -> Iterator[tuple[tuple[int, ...], tuple[TreePlan, ...]]]:
+    """Every subset of n quantities with the plans to place on it: subsets
+    largest-first, lexicographically within a size, so truncation by a beam
+    is reproducible. More than MAX_ENUM_LEAVES quantities raise ExprError
+    before anything is yielded."""
     if n < 1:
         raise ExprError("need at least one quantity")
     for size in range(n, 0, -1):
-        compiled = size_plans(size)
+        plans = size_plans(size)
         for subset in itertools.combinations(range(n), size):
-            # None marks a sub-structure that divides by zero
-            slots: list[int | Fraction | None] = [vals[i] for i in subset]
-            for op, left, right in compiled.steps:
-                lhs, rhs = slots[left], slots[right]
-                if lhs is None or rhs is None:
-                    slots.append(None)
-                elif op == ADD:
-                    slots.append(lhs + rhs)
-                elif op == SUB:
-                    slots.append(lhs - rhs)
-                elif op == MUL:
-                    slots.append(lhs * rhs)
-                elif rhs == 0:
-                    slots.append(None)
-                elif type(lhs) is int and type(rhs) is int:
-                    quotient, remainder = divmod(lhs, rhs)
-                    slots.append(Fraction(lhs, rhs) if remainder else quotient)
-                else:
-                    slots.append(lhs / rhs)
-            for plan in compiled.plans:
-                value = slots[plan.root]
-                if value is not None and value > 0:
-                    yield plan, subset, Fraction(value)
+            yield subset, plans
 
 
 def enumerate_trees(values: Sequence[Fraction]) -> Iterator[Expr]:
     """Yield every distinct canonical tree over every subset of quantities
-    whose exact evaluation is strictly positive: the candidates of
-    ``enumerate_plans``, in its order, each built as an expression tree."""
-    for plan, subset, _ in enumerate_plans(values):
-        yield plan.tree(subset)
+    whose exact evaluation is strictly positive, in ``placed_plans`` order
+    and plans within a subset in ``canonical_structures`` order. A tree with
+    a division by zero anywhere in it is skipped."""
+    for subset, plans in placed_plans(len(values)):
+        for plan in plans:
+            tree = plan.tree(subset)
+            try:
+                value = evaluate(tree, values)
+            except EvaluationError:
+                continue
+            if value > 0:
+                yield tree

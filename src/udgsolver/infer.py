@@ -8,40 +8,37 @@ must be consistent with the tree.
 
 Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
-a tree); ``_labeling_entry`` scores one labeling's choices for both, and
-``_unconstrained_rows`` scores every labeling of a problem with no tree,
-and ``_best_graph`` takes the standalone prediction from those rows. A
-pair's pick (best label, its score, first label's score) depends only on
-the tables, the pair and its options, and many labelings offer a pair the
-same options, so each pick is scanned once per distinct option set and
-memoized; every sum still adds the picks pair by pair in ``vertex_pairs``
-order, so sums, ties and graphs are those of a scan per labeling.
+a tree); ``_labeling_entry`` scores one labeling from its pairs' picks (best
+label, its score, first label's score) for both. ``_unconstrained_rows``
+scores every labeling of a problem with no tree off one table per n
+(``_labelings``), scanning each distinct (pair, options) pick once, and
+``_best_graph`` takes the standalone prediction from those rows. Sums still
+add the picks pair by pair in ``vertex_pairs`` order, so sums, ties and
+graphs are those of a scan per labeling.
 
 The joint search is one ``JointCandidates`` per problem, holding no scale.
-Candidate trees are valued and scored up front from compiled structures
-(``exprtree.enumerate_plans``, exact on ints while values are whole),
-without building their expression trees; each LCA sum is read from per-pair
-score rows and added in the order of ``tree_term_sums``. Each solve ranks
-the trees under its own ``lambda_rel`` and cuts the beam. A tree is built,
-and its consistent labelings with it, only when a search visits it.
-``solve`` is branch and bound over the graph stage: trees are visited
-best tree score first, and the visit stops at the first tree whose best
-unconstrained graph cannot reach the incumbent total, so answers equal the
-exhaustive scan of ``top_k``.
+Every candidate tree is scored up front from its compiled structure, and
+each solve pops the trees best-first under its own ``lambda_rel``; only a
+popped tree is evaluated, serialized and built. ``solve`` is branch and
+bound over the graph stage: trees are visited best tree score first, and
+the visit stops at the first tree whose best unconstrained graph cannot
+reach the incumbent total, so answers equal the exhaustive scan of
+``top_k``.
 
 All scoring runs off immutable ScoreTables, so tests can drive inference
 from hand-set mock tables. A ``JointCandidates`` is not: it memoizes its last
-ranking, each visited tree's labelings and their edge picks on itself, so
+ranking, each popped tree, its labelings and their edge picks on itself, so
 one search must not be shared between threads.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import lru_cache, reduce
 from operator import add, getitem
 from typing import Iterator, Mapping, Sequence
 
@@ -197,7 +194,7 @@ def values_match(predicted: Fraction, gold: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 # labeling entries
 
-@dataclass(frozen=True)
+@dataclass
 class _LabelingEntry:
     """One vertex labeling with its vertex sum and two edge picks: each
     pair's best permitted label (ties keep the earlier label), and each
@@ -236,41 +233,40 @@ def _edge_pick(
 
 
 def _labeling_entry(
-    tables: ScoreTables,
     labeling: tuple[bool, ...],
+    vertex_sum: float,
     choices: Sequence[tuple[EdgeType, ...]],
-    picks: dict[tuple[int, tuple[EdgeType, ...]], tuple[EdgeType, float, float]],
+    picks: Sequence[tuple[EdgeType, float, float]],
 ) -> _LabelingEntry:
     """Score a labeling whose pairs, in ``vertex_pairs`` order, may carry
-    ``choices``.
-
-    Each pair's pick is read from ``picks``, keyed by (pair index, options)
-    and filled on first use. A pick depends only on the tables, the pair and
-    its options, so every labeling that offers a pair the same options gets
-    the same floats the scan would give it; the sums still add them pair by
-    pair, so every sum is unchanged."""
-    # one addition at a time, as in every Python version (3.12's sum() compensates)
-    vertex_sum = reduce(
-        add, (tables.vertex_score(v, RATE) for v, flag in enumerate(labeling) if flag), 0
-    )
-    pairs = udg.vertex_pairs(len(labeling) - 1)
+    ``choices``, from each pair's ``_edge_pick`` over its choices."""
     e_max = e_lex = 0.0
-    edges_max: list[EdgeType] = []
-    for key in enumerate(choices):
-        pick = picks.get(key)
-        if pick is None:
-            k, options = key
-            pick = picks[key] = _edge_pick(tables, *pairs[k], options)
-        edges_max.append(pick[0])
-        e_max += pick[1]
-        e_lex += pick[2]
-    edges_lex = tuple(options[0] for options in choices)
-    return _LabelingEntry(labeling, vertex_sum, e_max, tuple(edges_max), e_lex, edges_lex)
+    for _, best_score, first_score in picks:
+        e_max += best_score
+        e_lex += first_score
+    edges_max = tuple([pick[0] for pick in picks])
+    edges_lex = tuple([options[0] for options in choices])
+    return _LabelingEntry(labeling, vertex_sum, e_max, edges_max, e_lex, edges_lex)
+
+
+@lru_cache(maxsize=exprtree.MAX_ENUM_LEAVES)
+def _labelings(n: int) -> tuple[tuple, tuple, dict[tuple[bool, ...], int]]:
+    """Every vertex labeling over n quantities, lexicographically (not-rate
+    first), as (labeling, rate vertices, structurally valid labels of each
+    pair, each pair's position in ``keys``); ``keys``, every distinct (pair
+    index, options); and each labeling's position in the rows."""
+    keys: dict[tuple[int, tuple[EdgeType, ...]], int] = {}
+    rows = []
+    for labeling in itertools.product((False, True), repeat=n + 1):
+        choices = udg.valid_edge_choices(labeling)
+        ids = tuple(keys.setdefault(key, len(keys)) for key in enumerate(choices))
+        rows.append((labeling, tuple(v for v, flag in enumerate(labeling) if flag), choices, ids))
+    return tuple(rows), tuple(keys), {row[0]: k for k, row in enumerate(rows)}
 
 
 def _unconstrained_rows(tables: ScoreTables) -> tuple[_LabelingEntry, ...]:
-    """Every vertex labeling, lexicographically (not-rate first), with the
-    structurally valid labels of a graph bound by no tree.
+    """Every vertex labeling, in ``_labelings`` order, with the structurally
+    valid labels of a graph bound by no tree.
 
     There are 2^(n+1) labelings, so more quantities than a candidate tree
     may cover (``exprtree.MAX_ENUM_LEAVES``) are refused."""
@@ -279,10 +275,19 @@ def _unconstrained_rows(tables: ScoreTables) -> tuple[_LabelingEntry, ...]:
         raise InferenceError(
             f"refusing to label graphs over {n} quantities (max {exprtree.MAX_ENUM_LEAVES})"
         )
-    picks: dict = {}
+    rows, keys, _ = _labelings(n)
+    pairs = udg.vertex_pairs(n)
+    picks = [_edge_pick(tables, *pairs[k], options) for k, options in keys]
+    rate = [tables.vertex_score(v, RATE) for v in range(n + 1)]
     return tuple(
-        _labeling_entry(tables, labeling, udg.valid_edge_choices(labeling), picks)
-        for labeling in itertools.product((False, True), repeat=n + 1)
+        _labeling_entry(
+            labeling,
+            # one addition at a time, as in every Python version (3.12's sum() compensates)
+            reduce(add, map(rate.__getitem__, rates), 0),
+            choices,
+            [picks[i] for i in ids],
+        )
+        for labeling, rates, choices, ids in rows
     )
 
 
@@ -341,58 +346,55 @@ class ScoredTuple:
 
 @dataclass(eq=False)
 class _TreeEntry:
-    """One candidate tree: a compiled structure placed on a quantity subset,
-    with its exact value and term sums. The expression tree itself is built
-    the first time the search asks for it."""
+    """One candidate tree the search popped: a compiled structure placed on a
+    quantity subset, built, with its exact value and term sums."""
 
-    plan: exprtree.TreePlan
-    subset: tuple[int, ...]
+    tree: Expr
     value: Fraction
     serial: str
+    nodes: int
     rel_sum: float
     lca_sum: float
     # the tree's consistent labelings, built when a search first reaches it
     consistent: tuple[_LabelingEntry, ...] | None = None
 
-    @property
-    def nodes(self) -> int:
-        return self.plan.nodes
-
-    @cached_property
-    def tree(self) -> Expr:
-        return self.plan.tree(self.subset)
-
     def base(self, lambda_rel: float) -> float:
         return lambda_rel * self.rel_sum + self.lca_sum
 
 
-def _tree_stage(tables: ScoreTables, values: Sequence[Fraction]) -> tuple[_TreeEntry, ...]:
-    """Every candidate tree with its term sums, in enumeration order.
-
-    The sums are ``tree_term_sums`` of each tree, added in the same order: the
-    irrelevance sum once per subset over the unused quantities in index order,
-    the LCA sum over the subset's pairs in lexicographic order with the plan's
-    operations, each read from the pair's row of LCA scores by operation."""
-    n = tables.n_quantities
-    lca_rows = {
-        (i, j): {op: tables.lca_score(i, j, op) for op in exprtree.OPS}
-        for i, j in itertools.combinations(range(n), 2)
-    }
-    entries = []
-    subset = None
-    for plan, placed, value in exprtree.enumerate_plans(values):
-        if placed != subset:
-            subset = placed
-            rel_sum = 0.0
-            for q in range(n):
-                if q not in subset:
-                    rel_sum += tables.relevance_score(q, IRRELEVANT)
-            rows = [lca_rows[pair] for pair in itertools.combinations(subset, 2)]
-        lca_sum = reduce(add, map(getitem, rows, plan.pair_ops), 0.0)
-        entries.append(_TreeEntry(plan, subset, value, plan.serial(subset), rel_sum, lca_sum))
-    if not entries:
-        raise InferenceError("no candidate expression trees with a positive value")
-    return tuple(entries)
+def _popped_trees(
+    heap: list[tuple[float, int, int]],
+    candidates: Sequence[tuple[float, float, int, exprtree.TreePlan, tuple[int, ...]]],
+    entries: dict[int, _TreeEntry | None],
+    values: Sequence[Fraction],
+) -> Iterator[_TreeEntry]:
+    """The valid trees of a heap of (negated tree score, nodes, candidate
+    index), in key order with equal keys by serial. Each candidate is built
+    and evaluated once, into ``entries`` (None if it divides by zero or is
+    not positive). It holds no reference to the search that keeps it, so
+    a dropped search is freed at once, not left to the cycle collector."""
+    while heap:
+        # -0.0 == 0.0, so signed zeros tie as they do in sorted()
+        score, nodes, index = heapq.heappop(heap)
+        group = [index]
+        while heap and heap[0][0] == score and heap[0][1] == nodes:
+            group.append(heapq.heappop(heap)[2])
+        if len(group) > 1:
+            group.sort(key=lambda i: candidates[i][3].serial(candidates[i][4]))
+        for index in group:
+            if index not in entries:
+                rel_sum, lca_sum, _, plan, subset = candidates[index]
+                tree = plan.tree(subset)
+                try:
+                    value = exprtree.evaluate(tree, values)
+                except exprtree.EvaluationError:
+                    value = 0
+                entries[index] = (
+                    _TreeEntry(tree, value, plan.serial(subset), nodes, rel_sum, lca_sum)
+                    if value > 0 else None
+                )
+            if entries[index] is not None:
+                yield entries[index]
 
 
 def check_beam(beam) -> None:
@@ -402,52 +404,101 @@ def check_beam(beam) -> None:
 
 
 class JointCandidates:
-    """One problem's joint search, with its consistent graphs scored lazily.
+    """One problem's joint search, best-first over trees and lazy in both
+    stages.
 
-    No scale is fixed here. ``entries`` holds every candidate tree with its
-    value and term sums, in enumeration order, computed from compiled
-    structures without building the tree; the unconstrained labeling rows
-    are scored once too, and ``best_graph`` takes the standalone graph
-    prediction from them. A ``beam`` other than None or an int >= 1 raises
-    ValueError. ``solve`` and ``top_k`` rank the trees under their
-    own ``lambda_rel`` and keep the best ``beam`` (``ranked``); the last
-    ranking is reused, so tuning and the ablation variants rank once per
-    ``lambda_rel``. A kept tree's expression tree and consistent labelings
-    are built the first time a search reaches it and reused by every later
-    call.
+    No scale is fixed here. Construction scores every placed plan
+    (``exprtree.placed_plans``) with the term sums of ``tree_term_sums``,
+    added in the same order, but evaluates, serializes and builds no tree.
+    The unconstrained labeling rows are scored once too, and ``best_graph``
+    takes the standalone graph prediction from them. A ``beam`` other than
+    None or an int >= 1 raises ValueError.
 
-    ``solve`` visits trees best tree score first and bounds each by its tree
-    score plus the best graph over all structurally valid (unconstrained)
-    labelings. A consistent labeling's per-pair options are a subset of its
-    valid ones and float rounding is monotone, so no total of the tree
-    exceeds the bound; the bound never rises along the visit order, so the
-    search stops at the first tree bounded strictly below the incumbent.
-    ``top_k`` scans every kept tree."""
+    Under a ``lambda_rel``, candidates pop from a heap keyed by (negated
+    tree score, nodes), equal keys in serial order, and a popped tree is
+    evaluated: one that divides by zero or is not positive is dropped, and
+    popping stops at ``beam`` valid trees. That is the order and cut of
+    sorting the valid trees by (score, nodes, serial). The popped prefix of
+    the last ``lambda_rel`` is kept, and each popped tree (value, serial,
+    tree, consistent labelings) for every ``lambda_rel``. With no tree of
+    positive value, the first ``solve``, ``top_k`` or ``ranked`` raises
+    InferenceError.
+
+    ``solve`` bounds each tree by its tree score plus the best graph over
+    all structurally valid (unconstrained) labelings. A consistent
+    labeling's per-pair options are a subset of its valid ones and float
+    rounding is monotone, so no total of the tree exceeds the bound; the
+    bound never rises along the visit order, so the search stops at the
+    first tree bounded strictly below the incumbent. ``top_k`` scans every
+    kept tree."""
 
     def __init__(self, tables: ScoreTables, values: Sequence[Fraction], beam: int | None = 200):
         check_beam(beam)
         if len(values) != tables.n_quantities:
             raise InferenceError("value list does not match score tables")
         self.tables = tables
+        self.values = tuple(values)
         self.beam = beam
-        self.entries = _tree_stage(tables, values)
+        n = tables.n_quantities
+        lca_rows = {
+            (i, j): {op: tables.lca_score(i, j, op) for op in exprtree.OPS}
+            for i, j in itertools.combinations(range(n), 2)
+        }
+        irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)]
+        # per candidate: (rel_sum, lca_sum, nodes, plan, subset)
+        self._candidates: list[tuple[float, float, int, exprtree.TreePlan, tuple[int, ...]]] = []
+        for subset, plans in exprtree.placed_plans(n):
+            rel_sum = 0.0
+            for q in range(n):
+                if q not in subset:
+                    rel_sum += irrelevant[q]
+            rows = [lca_rows[pair] for pair in itertools.combinations(subset, 2)]
+            self._candidates.extend(
+                (rel_sum, reduce(add, map(getitem, rows, plan.pair_ops), 0.0), plan.nodes, plan, subset)
+                for plan in plans
+            )
         self._unconstrained = _unconstrained_rows(tables)
-        # every visited tree's labelings share one memo of edge picks
-        self._picks: dict = {}
-        self._ranking: tuple[float, tuple[_TreeEntry, ...]] | None = None
+        # popped candidates by index, None for one that is not valid
+        self._entries: dict[int, _TreeEntry | None] = {}
+        self._picks: dict[tuple[int, tuple[EdgeType, ...]], tuple[EdgeType, float, float]] = {}
+        # (lambda_rel, the valid trees left to pop, the ones popped so far)
+        self._ranking: tuple[float, Iterator[_TreeEntry], list[_TreeEntry]] | None = None
+
+    def _popped(self, lambda_rel: float) -> Iterator[_TreeEntry]:
+        """The ``beam`` best valid trees under ``lambda_rel``, best first,
+        each popped only when the iteration reaches it."""
+        if self._ranking is None or self._ranking[0] != lambda_rel:
+            heap = [
+                (-(lambda_rel * rel_sum + lca_sum), nodes, index)
+                for index, (rel_sum, lca_sum, nodes, _, _) in enumerate(self._candidates)
+            ]
+            heapq.heapify(heap)
+            popped = _popped_trees(heap, self._candidates, self._entries, self.values)
+            self._ranking = (lambda_rel, itertools.islice(popped, self.beam), [])
+        _, source, kept = self._ranking
+        for k in itertools.count():
+            if k == len(kept):
+                entry = next(source, None)
+                if entry is None:
+                    if not kept:
+                        raise InferenceError("no candidate expression trees with a positive value")
+                    return
+                kept.append(entry)
+            yield kept[k]
+
+    def _pick(self, key: tuple[int, tuple[EdgeType, ...]]) -> tuple[EdgeType, float, float]:
+        """``_edge_pick`` of (pair index, options), memoized for every
+        visited tree's labelings."""
+        if key not in self._picks:
+            k, options = key
+            pair = udg.vertex_pairs(self.tables.n_quantities)[k]
+            self._picks[key] = _edge_pick(self.tables, *pair, options)
+        return self._picks[key]
 
     def ranked(self, lambda_rel: float) -> tuple[_TreeEntry, ...]:
         """The ``beam`` best trees under ``lambda_rel``, best first; equal
         tree scores keep fewer nodes, then the smaller serial."""
-        if self._ranking is None or self._ranking[0] != lambda_rel:
-            kept = sorted(
-                self.entries,
-                key=lambda e: (-(lambda_rel * e.rel_sum + e.lca_sum), e.nodes, e.serial),
-            )
-            if self.beam is not None:
-                kept = kept[: self.beam]
-            self._ranking = (lambda_rel, tuple(kept))
-        return self._ranking[1]
+        return tuple(self._popped(lambda_rel))
 
     def best_graph(self, params: ScalingParams) -> UnitDependencyGraph:
         """``predict_udg_from_tables(tables, params)``, off the rows scored
@@ -461,11 +512,16 @@ class JointCandidates:
         differ before any edge: tree serials differ, and a tree has one
         entry per labeling."""
         if entry.consistent is None:
+            n = self.tables.n_quantities
+            _, _, position = _labelings(n)
             entry.consistent = tuple(
-                _labeling_entry(self.tables, labeling, choices, self._picks)
-                for labeling, choices in udg.consistent_edge_choices(
-                    entry.tree, self.tables.n_quantities
+                _labeling_entry(
+                    labeling,
+                    self._unconstrained[position[labeling]].vertex_sum,
+                    choices,
+                    [self._pick(key) for key in enumerate(choices)],
                 )
+                for labeling, choices in udg.consistent_edge_choices(entry.tree, n)
             )
         base = entry.base(params.lambda_rel)
         for lab in entry.consistent:
@@ -479,7 +535,7 @@ class JointCandidates:
             for lab in self._unconstrained
         ]
         best = None
-        for entry in self.ranked(params.lambda_rel):
+        for entry in self._popped(params.lambda_rel):
             if best is not None:
                 base = entry.base(params.lambda_rel)
                 # same float expression as a candidate's total; a tie may

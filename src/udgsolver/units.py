@@ -71,7 +71,8 @@ def lemma(word: str) -> str:
 
 def pos_tag(token: str) -> str:
     """Coarse tag: NUM, OTHER (function words), VERB, ADJ, default NOUN."""
-    if token[0].isdigit() or token[0] == "." and token[1:2].isdigit():  # "5", ".5", "1/2", "3 1/2"
+    body = token.removeprefix("-")  # "-4", "-.5"
+    if body[:1].isdigit() or body[:1] == "." and body[1:2].isdigit():  # "5", ".5", "1/2", "3 1/2"
         return NUM
     if not token.isalpha() and "'" not in token:
         return OTHER

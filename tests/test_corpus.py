@@ -119,6 +119,21 @@ def test_fractions_and_mixed_numbers_are_one_quantity():
     assert [q.value for q in extract_quantities(text)] == [q.value for q in p.quantities]
 
 
+def test_minus_sign_before_number_is_part_of_it():
+    text = "It was -4 degrees, 3-4 hours and well-4 below, x--4, -3 1/2, -.5, 1/-2 and (-1,000)."
+    qs = extract_quantities(text)
+    assert [q.value for q in qs] == [-4, 3, 4, 4, 4, Fraction(-7, 2), Fraction(-1, 2), 1, 2, -1000]
+    assert [text[slice(*q.span)] for q in qs][:6] == ["-4", "3", "4", "4", "4", "-3 1/2"]
+    assert [t[0] for t in corpus.tokenize(text)].count("-") == 5  # "3-4", "well-4", "x--4" twice, "1/-2"
+    assert units.pos_tag("-4") == units.pos_tag("-.5") == units.NUM
+    assert units.pos_tag("-") != units.NUM
+    p = build_problem(
+        "t", "It was -4 degrees and rose 10 degrees. How warm is it?", answer=Fraction(6), tree_text="(+ -4 10)"
+    )
+    assert p.values == (-4, 10)
+    assert corpus.record_to_problem(corpus.problem_to_record(p)) == p
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.none(), st.integers(0, 999)), st.integers(0, 10**6), st.integers(1, 10**6))
 def test_fraction_round_trip(whole, num, den):

@@ -231,45 +231,6 @@ def test_enumerate_trees_output_pinned():
     assert digest == "f34608509d2a7334207d13411c6391ebdb2a5719b649d2c718259cb2528958ea"
 
 
-
-def _plans_in_fractions(values):
-    # enumerate_plans' candidates, each tree evaluated on its own in Fractions
-    vals = [Fraction(v) for v in values]
-    for size in range(len(vals), 0, -1):
-        for subset in itertools.combinations(range(len(vals)), size):
-            for plan in exprtree.size_plans(size).plans:
-                try:
-                    value = evaluate(plan.tree(subset), vals)
-                except EvaluationError:
-                    continue
-                if value > 0:
-                    yield plan, subset, value
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        [6, 3, 2],
-        [7, 2, 3],
-        [5, 0, 5],
-        [4, 4, 0, 2],
-        [Fraction(1, 2), Fraction(3, 4), 2, 0],
-        [3, Fraction(-1, 3), 0, 6],
-        [Fraction(5, 2), 5, Fraction(2, 5)],
-        [10**20, 3, 7],
-        [-6, 4, -2],
-    ],
-)
-def test_enumerate_plans_equal_fraction_evaluation(values):
-    # whole operands run on ints; zero divisors, non-integral quotients and
-    # non-integral leaves must still give exactly the Fraction values
-    got = list(exprtree.enumerate_plans([Fraction(v) for v in values]))
-    expected = list(_plans_in_fractions(values))
-    assert [(plan, subset) for plan, subset, _ in got] == [(plan, subset) for plan, subset, _ in expected]
-    assert [value for *_, value in got] == [value for *_, value in expected]
-    assert all(type(value) is Fraction for *_, value in got)
-
-
 def test_canonical_structures_pinned():
     # every structure over up to 5 leaves, in order: n=5 tie-breaks read it
     out = [[serialize(s) for s in canonical_structures(k)] for k in range(1, 6)]

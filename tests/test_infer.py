@@ -673,11 +673,11 @@ def test_reused_search_equals_fresh_build_at_each_lambda_rel():
             assert result == next(r for r in ranked if serialize(r.tree) in kept)
 
 
-# --- compiled tree stage --------------------------------------------------------
+# --- lazy best-first tree stage ---------------------------------------------------
 
 def _relabel_stage(tables, values):
-    # the tree stage before structures were compiled: relabel each structure
-    # onto each subset, evaluate it and walk its root paths for the LCA sum
+    # every valid tree in placement order: relabel each structure onto each
+    # subset, evaluate it and walk its root paths for the term sums
     vals = [Fraction(v) for v in values]
     n = len(vals)
     out = []
@@ -694,25 +694,55 @@ def _relabel_stage(tables, values):
     return out
 
 
+def _oracle_ranking(stage, lambda_rel, beam):
+    # filter, sort, cut: the ranking before trees were popped lazily
+    ranked = sorted(
+        stage,
+        key=lambda t: (-(lambda_rel * t[2] + t[3]), exprtree.node_count(t[0]), serialize(t[0])),
+    )
+    return ranked if beam is None else ranked[:beam]
+
+
 def _float_bits(x):
     return type(x), float(x).hex()
 
 
-def _assert_stage_equals_relabel_oracle(tables, values):
-    expected = _relabel_stage(tables, values)
-    if not expected:
-        with pytest.raises(InferenceError):
-            infer._tree_stage(tables, values)
-        return
-    got = infer._tree_stage(tables, values)
-    assert len(got) == len(expected)
-    for entry, (tree, value, rel_sum, lca_sum) in zip(got, expected):
-        assert entry.serial == serialize(tree)
-        assert entry.nodes == exprtree.node_count(tree)
-        assert type(entry.value) is Fraction and entry.value == value
-        assert _float_bits(entry.rel_sum) == _float_bits(rel_sum)
-        assert _float_bits(entry.lca_sum) == _float_bits(lca_sum)
-        assert entry.tree == tree
+_ORACLE_BEAMS = (1, 2, 7, None)
+_ORACLE_LAMBDAS = (1.0, 0.0, 0.5, 2.0)
+
+
+def _assert_ranking_equals_relabel_oracle(tables, values):
+    """Check every beam and lambda_rel against the oracle; return how many
+    cuts fell inside a group of equal (score, nodes) keys."""
+    stage = _relabel_stage(tables, values)
+    straddles = 0
+    for beam in _ORACLE_BEAMS:
+        cands = JointCandidates(tables, values, beam=beam)
+        for lambda_rel in _ORACLE_LAMBDAS:
+            if not stage:
+                with pytest.raises(InferenceError, match="no candidate expression trees"):
+                    cands.ranked(lambda_rel)
+                continue
+            got = cands.ranked(lambda_rel)
+            expected = _oracle_ranking(stage, lambda_rel, beam)
+            assert len(got) == len(expected)
+            for entry, (tree, value, rel_sum, lca_sum) in zip(got, expected):
+                assert entry.serial == serialize(tree)
+                assert entry.nodes == exprtree.node_count(tree)
+                assert type(entry.value) is Fraction and entry.value == value
+                assert _float_bits(entry.rel_sum) == _float_bits(rel_sum)
+                assert _float_bits(entry.lca_sum) == _float_bits(lca_sum)
+                assert entry.tree == tree
+            full = _oracle_ranking(stage, lambda_rel, None)
+            if beam is not None and beam < len(full):
+                key = lambda t: (-(lambda_rel * t[2] + t[3]), exprtree.node_count(t[0]))
+                straddles += key(full[beam - 1]) == key(full[beam])
+    if not stage:
+        cands = JointCandidates(tables, values)
+        for call in (lambda: cands.solve(ScalingParams()), lambda: cands.top_k(ScalingParams(), 3)):
+            with pytest.raises(InferenceError, match="no candidate expression trees"):
+                call()
+    return straddles
 
 
 # zeros, negatives, duplicates and fractions; several divide by zero in subtrees
@@ -742,15 +772,17 @@ def trained_stage_tables(trained_suite, synthetic_corpus):
 def test_tree_stage_equals_relabel_oracle_trained_tables(trained_stage_tables):
     for tables, own_values in trained_stage_tables:
         for values in [list(own_values)] + _STAGE_VALUES[tables.n_quantities]:
-            _assert_stage_equals_relabel_oracle(tables, values)
+            _assert_ranking_equals_relabel_oracle(tables, values)
 
 
 def test_tree_stage_equals_relabel_oracle_random_tables():
     rng = random.Random(23)
+    straddles = 0
     for trial in range(24):
         n = trial % 4 + 1
         if trial % 3 == 0:
-            draw = lambda: float(rng.randint(-2, 2))  # integer scores make float ties exact
+            # integer scores make float ties exact; some scores are -0.0
+            draw = lambda: rng.choice([float(rng.randint(-2, 2)), -0.0])
         else:
             draw = lambda: rng.uniform(-2.0, 2.0)
         tables = _tables(
@@ -758,13 +790,15 @@ def test_tree_stage_equals_relabel_oracle_random_tables():
             # some queries are left out, so their score is the 0.0 default
             relevance={(q, "Irrelevant"): draw() for q in range(n) if rng.random() < 0.8},
             lca={
-                (i, j, op): min(0.0, draw())
+                (i, j, op): min(draw(), 0.0)
                 for i in range(n) for j in range(i + 1, n) for op in exprtree.OPS
                 if rng.random() < 0.9
             },
         )
         values = rng.choice(_STAGE_VALUES[n])
-        _assert_stage_equals_relabel_oracle(tables, values)
+        straddles += _assert_ranking_equals_relabel_oracle(tables, values)
+    # the integer-score tables put equal keys on both sides of some beam cuts
+    assert straddles > 0
     # scores that cancel, so a sum added in another order gives other bits
     for n in (3, 4):
         pairs = list(itertools.combinations(range(n), 2))
@@ -774,38 +808,89 @@ def test_tree_stage_equals_relabel_oracle_random_tables():
             relevance={(q, "Irrelevant"): cancelling[q] for q in range(n)},
             lca={(i, j, op): -cancelling[k] for k, (i, j) in enumerate(pairs) for op in exprtree.OPS},
         )
-        _assert_stage_equals_relabel_oracle(tables, [2] * n)
+        _assert_ranking_equals_relabel_oracle(tables, [2] * n)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [6, 3, 2],
+        [7, 2, 3],
+        [5, 0, 5],
+        [4, 4, 0, 2],
+        [Fraction(1, 2), Fraction(3, 4), 2, 0],
+        [3, Fraction(-1, 3), 0, 6],
+        [Fraction(5, 2), 5, Fraction(2, 5)],
+        [10**20, 3, 7],
+        [-6, 4, -2],
+    ],
+)
+def test_ranked_values_equal_fraction_evaluation(values):
+    # zero divisors, non-integral quotients, large and negative leaves; all
+    # scores zero, so every tree ties and the ranking is by nodes and serial
+    _assert_ranking_equals_relabel_oracle(_tables(len(values)), [Fraction(v) for v in values])
 
 
 def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synthetic_corpus):
-    built = []
-    tree = exprtree.TreePlan.tree
+    built, evaluated = [], []
+    tree, evaluate = exprtree.TreePlan.tree, exprtree.evaluate
 
-    def counted(plan, subset):
-        built.append((plan, subset))
+    def counted_tree(plan, subset):
+        built.append(plan.serial(subset))
         return tree(plan, subset)
 
-    monkeypatch.setattr(exprtree.TreePlan, "tree", counted)
-    visited = kept = 0
-    for p in [q for q in synthetic_corpus if q.n == 3][:8]:
+    depth = 0
+
+    def counted_evaluate(expr, values):
+        # evaluate recurses through the module attribute; count whole trees only
+        nonlocal depth
+        if depth == 0:
+            evaluated.append(serialize(expr))
+        depth += 1
+        try:
+            return evaluate(expr, values)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(exprtree.TreePlan, "tree", counted_tree)
+    monkeypatch.setattr(exprtree, "evaluate", counted_evaluate)
+    problems = [q for q in synthetic_corpus if q.n == 3][:8]
+    placed = len(problems) * sum(len(plans) for _, plans in exprtree.placed_plans(3))
+    visited = popped_total = 0
+    for p in problems:
         tables = infer.build_score_tables(p, trained_suite)
         cands = JointCandidates(tables, p.values)
-        assert built == []
-        result = cands.solve(ScalingParams())
-        assert cands.solve(ScalingParams()) == result
-        seen = sum(e.consistent is not None for e in cands.entries)
-        assert 1 <= len(built) <= seen
+        assert built == [] and evaluated == []
+        params = ScalingParams()
+        result = cands.solve(params)
+        assert cands.solve(params) == result
+        # every built tree is evaluated once, in the order the heap pops them:
+        # a prefix of all placed trees, valid or not, ranked by (score, nodes, serial)
+        assert built == evaluated
+        order = sorted(
+            (
+                (-score_tree(t, tables, params), exprtree.node_count(t), serialize(t))
+                for subset, plans in exprtree.placed_plans(3)
+                for t in (tree(plan, subset) for plan in plans)
+            )
+        )
+        assert evaluated == [serial for *_, serial in order[: len(evaluated)]]
+        popped = [e for e in cands._entries.values() if e is not None]
+        assert popped and evaluated[-1] == popped[-1].serial
+        seen = sum(e.consistent is not None for e in popped)
+        assert 1 <= seen <= len(popped)
         visited += seen
-        kept += len(cands.entries)
+        popped_total += len(evaluated)
         built.clear()
-    assert visited < kept
+        evaluated.clear()
+    assert popped_total < placed // 10 and visited <= popped_total
 
 
 # --- memoized edge picks -----------------------------------------------------------
 
 def _scanned_entry(tables, labeling, choices):
-    # the scan _labeling_entry ran before it memoized picks: every labeling
-    # rescored each pair's options; floats as (type, hex), so -0.0 shows
+    # the scan before picks were memoized: every labeling rescored each
+    # pair's options; floats as (type, hex), so -0.0 shows
     bits = lambda x: (type(x), float(x).hex())
     vertex_sum = functools.reduce(
         operator.add, (tables.vertex_score(v, "Rate") for v, flag in enumerate(labeling) if flag), 0
@@ -856,7 +941,7 @@ def test_labeling_rows_equal_the_option_scan():
             continue
         cands = JointCandidates(tables, [Fraction(rng.randint(1, 9)) for _ in range(n)], beam=None)
         cands.top_k(ScalingParams(), 1)  # visits every tree
-        for entry in cands.entries:
+        for entry in cands.ranked(ScalingParams().lambda_rel):
             expected = [
                 _scanned_entry(tables, labeling, choices)
                 for labeling, choices in udg.consistent_edge_choices(entry.tree, n)
