@@ -149,11 +149,11 @@ def _classifier_metrics(
 ) -> tuple[float, float]:
     """Raw per-vertex and per-pair classifier accuracy against derived gold:
     each model's share of correct predictions over the test problems'
-    examples."""
-    vertex_set, edge_set, _ = learn.vertex_edge_sets(test, config)
+    examples, each predicted from its blocks."""
+    sets = learn.training_blocks(test, config, ("vertex", "edge"))
     return tuple(
-        sum(model.predict(fv) == label for fv, label in examples) / len(examples)
-        for model, examples in ((vertex, vertex_set), (edge, edge_set))
+        sum(model.predict(blocks) == label for blocks, label in sets[name]) / len(sets[name])
+        for name, model in (("vertex", vertex), ("edge", edge))
     )
 
 
@@ -162,10 +162,10 @@ def _vertex_edge_models(
 ) -> tuple[LinearModel, LinearModel]:
     """The two models ``_classifier_metrics`` reads, trained as ``train_suite``
     trains them; the relevance and lca sets are neither built nor trained."""
-    vertex, edge = learn.vertex_edge_sets(problems, config)[:2]
+    sets = learn.training_blocks(problems, config, ("vertex", "edge"))
     return (
-        learn.train_model(VERTEX_LABELS, vertex, epochs, seed),
-        learn.train_model(EDGE_LABELS, edge, epochs, seed),
+        learn.train_model(VERTEX_LABELS, sets["vertex"], epochs, seed),
+        learn.train_model(EDGE_LABELS, sets["edge"], epochs, seed),
     )
 
 

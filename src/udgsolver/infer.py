@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add, getitem
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import exprtree, learn, udg
 from .corpus import Problem
@@ -362,39 +362,20 @@ class _TreeEntry:
         return lambda_rel * self.rel_sum + self.lca_sum
 
 
-def _popped_trees(
+def _pop_key(
     heap: list[tuple[float, int, int]],
     candidates: Sequence[tuple[float, float, int, exprtree.TreePlan, tuple[int, ...]]],
-    entries: dict[int, _TreeEntry | None],
-    values: Sequence[Fraction],
-) -> Iterator[_TreeEntry]:
-    """The valid trees of a heap of (negated tree score, nodes, candidate
-    index), in key order with equal keys by serial. Each candidate is built
-    and evaluated once, into ``entries`` (None if it divides by zero or is
-    not positive). It holds no reference to the search that keeps it, so
-    a dropped search is freed at once, not left to the cycle collector."""
-    while heap:
-        # -0.0 == 0.0, so signed zeros tie as they do in sorted()
-        score, nodes, index = heapq.heappop(heap)
-        group = [index]
-        while heap and heap[0][0] == score and heap[0][1] == nodes:
-            group.append(heapq.heappop(heap)[2])
-        if len(group) > 1:
-            group.sort(key=lambda i: candidates[i][3].serial(candidates[i][4]))
-        for index in group:
-            if index not in entries:
-                rel_sum, lca_sum, _, plan, subset = candidates[index]
-                tree = plan.tree(subset)
-                try:
-                    value = exprtree.evaluate(tree, values)
-                except exprtree.EvaluationError:
-                    value = 0
-                entries[index] = (
-                    _TreeEntry(tree, value, plan.serial(subset), nodes, rel_sum, lca_sum)
-                    if value > 0 else None
-                )
-            if entries[index] is not None:
-                yield entries[index]
+) -> list[tuple[float, int, int]]:
+    """The items of a heap of (negated tree score, nodes, candidate index)
+    under its next key, by serial."""
+    # -0.0 == 0.0, so signed zeros tie as they do in sorted()
+    group = [heapq.heappop(heap)]
+    score, nodes, _ = group[0]
+    while heap and heap[0][0] == score and heap[0][1] == nodes:
+        group.append(heapq.heappop(heap))
+    if len(group) > 1:
+        group.sort(key=lambda item: candidates[item[2]][3].serial(candidates[item[2]][4]))
+    return group
 
 
 def check_beam(beam) -> None:
@@ -429,8 +410,11 @@ class JointCandidates:
     labeling's per-pair options are a subset of its valid ones and float
     rounding is monotone, so no total of the tree exceeds the bound; the
     bound never rises along the visit order, so the search stops at the
-    first tree bounded strictly below the incumbent. ``top_k`` scans every
-    kept tree."""
+    first tree bounded strictly below the incumbent. That test reads the
+    next heap key's score, before the tree is built: it bounds every valid
+    tree left in the heap, so no tree is built that the search does not
+    visit, except the invalid ones it pops on the way. ``top_k`` scans
+    every kept tree."""
 
     def __init__(self, tables: ScoreTables, values: Sequence[Fraction], beam: int | None = 200):
         check_beam(beam)
@@ -461,30 +445,63 @@ class JointCandidates:
         # popped candidates by index, None for one that is not valid
         self._entries: dict[int, _TreeEntry | None] = {}
         self._picks: dict[tuple[int, tuple[EdgeType, ...]], tuple[EdgeType, float, float]] = {}
-        # (lambda_rel, the valid trees left to pop, the ones popped so far)
-        self._ranking: tuple[float, Iterator[_TreeEntry], list[_TreeEntry]] | None = None
+        # (lambda_rel, the heap left, the popped key's items left, the valid trees popped)
+        self._ranking: tuple[float, list, list, list[_TreeEntry]] | None = None
 
-    def _popped(self, lambda_rel: float) -> Iterator[_TreeEntry]:
+    def _entry(self, index: int) -> _TreeEntry | None:
+        """Candidate ``index`` built and evaluated, once: None if it divides
+        by zero or is not positive."""
+        if index not in self._entries:
+            rel_sum, lca_sum, nodes, plan, subset = self._candidates[index]
+            tree = plan.tree(subset)
+            try:
+                value = exprtree.evaluate(tree, self.values)
+            except exprtree.EvaluationError:
+                value = 0
+            self._entries[index] = (
+                _TreeEntry(tree, value, plan.serial(subset), nodes, rel_sum, lca_sum)
+                if value > 0 else None
+            )
+        return self._entries[index]
+
+    def _popped(
+        self, lambda_rel: float, reach: Callable[[float], bool] | None = None
+    ) -> Iterator[_TreeEntry]:
         """The ``beam`` best valid trees under ``lambda_rel``, best first,
-        each popped only when the iteration reaches it."""
+        each popped only when the iteration reaches it. With ``reach``, the
+        iteration stops at the first tree whose tree score ``reach``
+        refuses; a candidate not popped yet is tested by its heap key,
+        before it is built."""
         if self._ranking is None or self._ranking[0] != lambda_rel:
             heap = [
                 (-(lambda_rel * rel_sum + lca_sum), nodes, index)
                 for index, (rel_sum, lca_sum, nodes, _, _) in enumerate(self._candidates)
             ]
             heapq.heapify(heap)
-            popped = _popped_trees(heap, self._candidates, self._entries, self.values)
-            self._ranking = (lambda_rel, itertools.islice(popped, self.beam), [])
-        _, source, kept = self._ranking
-        for k in itertools.count():
-            if k == len(kept):
-                entry = next(source, None)
-                if entry is None:
-                    if not kept:
-                        raise InferenceError("no candidate expression trees with a positive value")
+            self._ranking = (lambda_rel, heap, [], [])
+        _, heap, group, kept = self._ranking
+        k = 0
+        while True:
+            if k < len(kept):
+                if reach is not None and not reach(kept[k].base(lambda_rel)):
                     return
+            else:
+                if len(kept) == self.beam:
+                    return
+                if not group:
+                    if not heap:
+                        if not kept:
+                            raise InferenceError("no candidate expression trees with a positive value")
+                        return
+                    group += _pop_key(heap, self._candidates)
+                if reach is not None and not reach(-group[0][0]):
+                    return
+                entry = self._entry(group.pop(0)[2])
+                if entry is None:
+                    continue
                 kept.append(entry)
             yield kept[k]
+            k += 1
 
     def _pick(self, key: tuple[int, tuple[EdgeType, ...]]) -> tuple[EdgeType, float, float]:
         """``_edge_pick`` of (pair index, options), memoized for every
@@ -535,13 +552,13 @@ class JointCandidates:
             for lab in self._unconstrained
         ]
         best = None
-        for entry in self._popped(params.lambda_rel):
-            if best is not None:
-                base = entry.base(params.lambda_rel)
-                # same float expression as a candidate's total; a tie may
-                # still win on the tie-break key, so only a strict miss stops
-                if max(base + v + e for v, e in graph_terms) < -best[0][0]:
-                    break
+
+        def reach(base: float) -> bool:
+            # same float expression as a candidate's total; a tie may still
+            # win on the tie-break key, so only a strict miss stops
+            return best is None or not max(base + v + e for v, e in graph_terms) < -best[0][0]
+
+        for entry in self._popped(params.lambda_rel, reach):
             for cand in self._tree_candidates(entry, params):
                 if best is None or cand[0] < best[0]:
                     best = cand

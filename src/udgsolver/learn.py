@@ -5,9 +5,13 @@ six-way edge classifier per vertex pair, a binary relevance classifier per
 quantity, and a six-way lowest-common-ancestor operation classifier per
 quantity pair. One feature pass per (problem, config) lists and tags the
 problem's tokens once and computes each vertex's feature vector and unit
-once; every classifier's vectors are assembled from it, each vertex
-prefixed once per role, and the per-query functions run the same assembly
-over just the vertices they name.
+once. Every classifier's vectors are block vectors that point into it: a
+tuple of (prefix, vector) blocks, such as an edge pair's bias, its first
+vertex's vector under "i|", its second's under "j|" and its unit flags.
+The blocks of one vector are disjoint, so ``expand`` gives the one dict
+they stand for, in block order; training and the eval's classifier
+accuracies read the blocks themselves, and the per-query functions expand
+the same assembly over just the vertices they name.
 
 Inference has one scorer, ``LinearModel.scores``. A model keeps, per role
 prefix, a table from each unprefixed feature name to the tuple of its
@@ -26,13 +30,14 @@ it is not used). Trained models are immutable apart from those tables,
 which are built on first use and hold nothing a rebuild would not
 reproduce, so they are safe for concurrent scoring.
 
-Training compiles its examples once per classifier: feature names get int
-ids, and the weights live in dense per-label lists. The extractor's values
-are whole-number counts, flags and biases, so while training every weight,
-score and margin is an integer; when a bound on the set proves all of them
-stay below 2**53, float arithmetic on them is exact, and scores are summed
-with ``sum()``, whose compensation from Python 3.12 on then adds nothing.
-Any other set is scored one term at a time, as ``LinearModel.scores`` adds.
+Training compiles each distinct block once per classifier: its feature
+names get int ids, and the weights live in dense per-label lists. The
+extractor's values are whole-number counts, flags and biases, so while
+training every weight, score and margin is an integer; when a bound on the
+set proves all of them stay below 2**53, float arithmetic on them is exact,
+and scores are summed with ``sum()``, whose compensation from Python 3.12
+on then adds nothing. Any other set is scored one term at a time, as
+``LinearModel.scores`` adds.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from functools import reduce
-from itertools import chain, repeat
+from functools import lru_cache, reduce
+from itertools import chain, combinations, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -71,7 +76,10 @@ PARTS = (
 CONTEXT_WINDOW = 3
 
 FeatureVector = dict[str, float]
+#: A feature vector as a tuple of disjoint (prefix, vector) blocks; see ``expand``.
+BlockVector = tuple[tuple[str, Mapping[str, float]], ...]
 TrainingSet = list[tuple[FeatureVector, str]]
+BlockSet = list[tuple[BlockVector, str]]
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,9 @@ class FeatureConfig:
 
 
 def _bump(fv: FeatureVector, name: str) -> None:
-    fv[name] = fv.get(name, 0.0) + 1.0
+    # a first count is the one constant 1.0, not a new float per feature
+    count = fv.get(name)
+    fv[name] = 1.0 if count is None else count + 1.0
 
 
 def _context_block(
@@ -164,9 +174,24 @@ def vertex_features(
     return fv
 
 
+def expand(blocks: Iterable[tuple[str, Mapping[str, float]]]) -> FeatureVector:
+    """The one vector that disjoint blocks stand for: each block's names with
+    its prefix before them, in block order."""
+    return {prefix + name: value for prefix, fv in blocks for name, value in fv.items()}
+
+
+@lru_cache(maxsize=32)
+def _flag_block(names: tuple[str, ...]) -> Mapping[str, float]:
+    """A block of 1.0-valued ``names``, one dict shared per name tuple (the
+    names come from a fixed set of biases and unit flags); callers must not
+    change it. A plain dict, not a read-only proxy: scoring a proxy costs
+    about 12 µs more per solve."""
+    return dict.fromkeys(names, 1.0)
+
+
 @dataclass(frozen=True)
 class PairLayout:
-    """A pair vector's layout: ``bias``, the first vertex's features
+    """A pair vector's blocks: ``bias``, the first vertex's features
     prefixed by ``first``, the second's prefixed by ``second``, then (when
     ``unit_flags`` and rule features are on) the shared-unit indicators.
     The prefixes keep the blocks disjoint, so a pair vector's dot product is
@@ -185,10 +210,6 @@ LCA_LAYOUT = PairLayout("lca_bias", "lcai|", "lcaj|", unit_flags=False)
 RELEVANCE_PREFIX = "rel|"
 
 
-def _prefixed(prefix: str, fv: FeatureVector) -> FeatureVector:
-    return {prefix + name: value for name, value in fv.items()}
-
-
 def _denominator_matches(rate: units.QuantityUnit, other: units.QuantityUnit) -> bool:
     return bool(rate.den_unit and set(rate.den_unit) & set(other.surface_unit))
 
@@ -196,68 +217,66 @@ def _denominator_matches(rate: units.QuantityUnit, other: units.QuantityUnit) ->
 @dataclass(frozen=True)
 class ProblemFeatures:
     """One feature pass: the feature vector and (with rule features) the
-    unit of each vertex, computed once. Every classifier's vectors are
-    assembled from these; the last vertex is the question.
+    unit of each vertex, computed once; the last vertex is the question.
 
-    Training vectors prefix a vertex's features once per role and share
-    that dict between all pairs that use it (``_in_role``); scoring reads
-    the unprefixed vectors through the model's role tables instead."""
+    Every classifier's vectors are block vectors over these: a vertex's
+    vector is never copied or prefixed, but is one block, under its role's
+    prefix, of each vector that uses it. Bias and flag blocks are shared
+    dicts (``_flag_block``). Training compiles each (role,
+    vertex) block once, and scoring reads the vertex vectors through the
+    model's role tables."""
 
     vectors: tuple[FeatureVector, ...]
     vertex_units: tuple[units.QuantityUnit, ...] | None
-    _roles: dict[tuple[str, int], FeatureVector] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
-    def _in_role(self, prefix: str, v: int) -> FeatureVector:
-        """Vertex ``v``'s features with each name prefixed, built once per
-        (prefix, vertex); callers copy it and must not change it."""
-        key = (prefix, v)
-        fv = self._roles.get(key)
-        if fv is None:
-            fv = self._roles[key] = _prefixed(prefix, self.vectors[v])
-        return fv
+    def sharing(self, names: dict[str, str]) -> ProblemFeatures:
+        """This pass with each feature name replaced by its equal in
+        ``names`` (added there when new), so that the passes of one training
+        walk hold each distinct name once."""
+        vectors = tuple(dict(zip(map(names.setdefault, fv, fv), fv.values())) for fv in self.vectors)
+        return ProblemFeatures(vectors, self.vertex_units)
 
-    def _pair_flags(self, layout: PairLayout, i: int, j: int) -> FeatureVector:
-        fv: FeatureVector = {}
+    def _pair_flags(self, layout: PairLayout, i: int, j: int) -> Mapping[str, float]:
+        names = []
         if layout.unit_flags and self.vertex_units is not None:
             ui, uj = self.vertex_units[i], self.vertex_units[j]
-            fv["shared_unit" if units.units_share_tokens(ui, uj) else "no_shared_unit"] = 1.0
+            names.append("shared_unit" if units.units_share_tokens(ui, uj) else "no_shared_unit")
             if _denominator_matches(ui, uj):
-                fv["i_den_matches_j"] = 1.0
+                names.append("i_den_matches_j")
             if _denominator_matches(uj, ui):
-                fv["j_den_matches_i"] = 1.0
-        return fv
+                names.append("j_den_matches_i")
+        return _flag_block(tuple(names))
 
-    def _relevance_flags(self, q: int) -> FeatureVector:
+    def _relevance_flags(self, q: int) -> Mapping[str, float]:
         # unprefixed: the relevance vector carries them under RELEVANCE_PREFIX
-        fv: FeatureVector = {}
+        names = []
         if self.vertex_units is not None:
             unit_q, unit_question = self.vertex_units[q], self.vertex_units[-1]
             match = "matches" if units.units_share_tokens(unit_q, unit_question) else "mismatch"
-            fv[f"unit_{match}_question"] = 1.0
+            names.append(f"unit_{match}_question")
             if _denominator_matches(unit_q, unit_question):
-                fv["den_matches_question"] = 1.0
-        return fv
+                names.append("den_matches_question")
+        return _flag_block(tuple(names))
 
-    def pair(self, layout: PairLayout, i: int, j: int) -> FeatureVector:
-        fv: FeatureVector = {layout.bias: 1.0}
-        fv.update(self._in_role(layout.first, i))
-        fv.update(self._in_role(layout.second, j))
-        fv.update(self._pair_flags(layout, i, j))
-        return fv
+    def pair_blocks(self, layout: PairLayout, i: int, j: int) -> BlockVector:
+        return (
+            ("", _flag_block((layout.bias,))),
+            (layout.first, self.vectors[i]),
+            (layout.second, self.vectors[j]),
+            ("", self._pair_flags(layout, i, j)),
+        )
 
-    def relevance(self, q: int) -> FeatureVector:
-        return _prefixed(RELEVANCE_PREFIX, {**self.vectors[q], **self._relevance_flags(q)})
+    def relevance_blocks(self, q: int) -> BlockVector:
+        return ((RELEVANCE_PREFIX, self.vectors[q]), (RELEVANCE_PREFIX, self._relevance_flags(q)))
 
     def pair_scores(
         self, model: LinearModel, layout: PairLayout, pairs: Iterable[tuple[int, int]]
     ) -> list[tuple[float, ...]]:
-        """``model.scores(self.pair(layout, i, j))`` for each pair, bit for
-        bit: each vertex's first-role block is scored once from the bias's
+        """``model.block_scores(self.pair_blocks(layout, i, j))`` for each
+        pair: each vertex's first-role block is scored once from the bias's
         sums, and a pair continues those sums through the second vertex's
         block and its flags, each read through its role's table."""
-        bias = model.scores({layout.bias: 1.0})
+        bias = model.scores(_flag_block((layout.bias,)))
         first: dict[int, tuple[float, ...]] = {}
         out = []
         for i, j in pairs:
@@ -269,7 +288,7 @@ class ProblemFeatures:
         return out
 
     def relevance_scores(self, model: LinearModel, q: int) -> tuple[float, ...]:
-        """``model.scores(self.relevance(q))``, bit for bit: the quantity's
+        """``model.block_scores(self.relevance_blocks(q))``: the quantity's
         block, then its flags, both read through the relevance role."""
         scores = model.scores(self.vectors[q], prefix=RELEVANCE_PREFIX)
         flags = self._relevance_flags(q)
@@ -303,19 +322,19 @@ def edge_features(
     config: FeatureConfig = FeatureConfig(),
 ) -> FeatureVector:
     """Role-prefixed per-vertex features plus shared-unit indicators."""
-    return _feature_pass(problem, (vi, vj), config).pair(EDGE_LAYOUT, 0, 1)
+    return expand(_feature_pass(problem, (vi, vj), config).pair_blocks(EDGE_LAYOUT, 0, 1))
 
 
 def relevance_features(
     problem: Problem, qi: int, config: FeatureConfig = FeatureConfig()
 ) -> FeatureVector:
-    return _feature_pass(problem, (qi, QUESTION), config).relevance(0)
+    return expand(_feature_pass(problem, (qi, QUESTION), config).relevance_blocks(0))
 
 
 def lca_features(
     problem: Problem, qi: int, qj: int, config: FeatureConfig = FeatureConfig()
 ) -> FeatureVector:
-    return _feature_pass(problem, (qi, qj), config).pair(LCA_LAYOUT, 0, 1)
+    return expand(_feature_pass(problem, (qi, qj), config).pair_blocks(LCA_LAYOUT, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +417,18 @@ class LinearModel:
                 rows[k] = tuple([value * w for w in rows[k]])
         return tuple(reduce(add, column, s) for column, s in zip(zip(*rows), starts))
 
-    def predict(self, fv: Mapping[str, float]) -> str:
-        """The best-scoring label; ties go to the earliest in ``labels``."""
-        scores = self.scores(fv)
+    def block_scores(self, blocks: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[float, ...]:
+        """``scores(expand(blocks))``, bit for bit: each block is read through
+        its prefix's role table, continuing the sums of the block before."""
+        scores = None
+        for prefix, fv in blocks:
+            scores = self.scores(fv, scores, prefix)
+        return self.scores({}) if scores is None else scores
+
+    def predict(self, fv: Mapping[str, float] | BlockVector) -> str:
+        """The best-scoring label of a vector or a block vector; ties go to
+        the earliest in ``labels``."""
+        scores = self.block_scores(fv) if isinstance(fv, tuple) else self.scores(fv)
         return self.labels[max(range(len(scores)), key=scores.__getitem__)]
 
     def to_json_obj(self) -> dict:
@@ -451,17 +479,53 @@ def check_epochs(epochs) -> None:
 _EXACT_BOUND = 2**52
 
 
-def _split_row(fv: Mapping[str, float], ids: Mapping[str, int]) -> tuple[tuple, tuple, tuple]:
-    """The ids of ``fv``'s 1.0-valued features, then the ids and the values
-    of its other features, each in ``fv`` order."""
-    ones, rest_ids, rest_values = [], [], []
-    for name, v in fv.items():
-        if v == 1.0:
-            ones.append(ids[name])
-        else:
-            rest_ids.append(ids[name])
-            rest_values.append(v)
-    return tuple(ones), tuple(rest_ids), tuple(rest_values)
+def _blocks(fv: Mapping[str, float] | BlockVector) -> BlockVector:
+    """A block vector's blocks; a plain mapping is one block under the empty
+    prefix."""
+    return fv if isinstance(fv, tuple) else (("", fv),)
+
+
+def _compile(
+    examples: Sequence[tuple[Mapping[str, float] | BlockVector, str]],
+) -> tuple[list[str], dict[str, dict[str, int]], list[tuple[tuple, tuple, tuple]]]:
+    """The expanded feature names in first-seen order, each prefix's table
+    from a block's names to their ids, and each example's split row: the ids
+    of its 1.0-valued features, then the ids and the values of the others,
+    each in feature order.
+
+    Each distinct block object is split once, and each (prefix, name) gets
+    its id, and its prefixed name is built, once; an example's row joins its
+    blocks' splits. Ids go by the prefixed name, so a name that two blocks
+    spell with different prefixes has one id, and the ids follow the
+    first-seen order of the expanded vectors' names."""
+    ids: dict[str, int] = {}
+    tables: dict[str, dict[str, int]] = {}
+    split: dict[tuple[str, int], tuple[tuple, tuple, tuple]] = {}
+    rows = []
+    for fv, _ in examples:
+        parts = []
+        for prefix, block in _blocks(fv):
+            key = (prefix, id(block))
+            part = split.get(key)
+            if part is None:
+                table = tables.setdefault(prefix, {})
+                ones, rest_ids, rest_values = [], [], []
+                for name, v in block.items():
+                    i = table.get(name)
+                    if i is None:
+                        i = table[name] = ids.setdefault(prefix + name, len(ids))
+                    if v == 1.0:
+                        ones.append(i)
+                    else:
+                        rest_ids.append(i)
+                        rest_values.append(v)
+                part = split[key] = (tuple(ones), tuple(rest_ids), tuple(rest_values))
+            parts.append(part)
+        if len(parts) == 1:
+            rows.append(parts[0])
+        else:  # column by column, from an empty split, so that () gives one too
+            rows.append(tuple(map(tuple, map(chain.from_iterable, zip(((), (), ()), *parts)))))
+    return list(ids), tables, rows
 
 
 def _exact_in_floats(rows: Sequence[tuple[tuple, tuple, tuple]], steps: int) -> bool:
@@ -492,16 +556,21 @@ def _exact_score(row: tuple[tuple, tuple, tuple], weights: Sequence[float]) -> f
     return sum(map(get, ones), sum(map(mul, values, map(get, ids)), 0.0))
 
 
-def _ordered_score(row: tuple[tuple, Iterable[float]], weights: Sequence[float]) -> float:
-    """One label's score of a row of (ids, values) in feature order, added
-    one term at a time, as ``LinearModel.scores`` adds them."""
-    ids, values = row
-    return reduce(add, map(mul, values, map(weights.__getitem__, ids)), 0)
+def _ordered_score(
+    row: Iterable[tuple[Sequence[int], Iterable[float]]], weights: Sequence[float]
+) -> float:
+    """One label's score of a row of (ids, values) blocks in feature order,
+    added one term at a time from the int 0, each block continuing the sum
+    of the one before, as ``LinearModel.scores`` adds them."""
+    total = 0
+    for ids, values in row:
+        total = reduce(add, map(mul, values, map(weights.__getitem__, ids)), total)
+    return total
 
 
 def train_model(
     labels: Sequence[str],
-    examples: Sequence[tuple[Mapping[str, float], str]],
+    examples: Sequence[tuple[Mapping[str, float] | BlockVector, str]],
     epochs: int = 10,
     seed: int = 0,
 ) -> LinearModel:
@@ -524,8 +593,11 @@ def train_model(
     would update nothing either. The averaged weights are the same floats,
     in the same order, as those of all ``epochs`` epochs.
 
-    Feature names get int ids in first-seen order, and the weights live in
-    dense per-label lists indexed by id. Scores are added in one of two
+    An example is a mapping or a block vector (a tuple of blocks, see
+    ``expand``); either trains exactly as its expanded vector would. Each
+    distinct block is compiled once (``_compile``), feature names get int ids in the
+    first-seen order of the expanded names, and the weights live in dense
+    per-label lists indexed by id. Scores are added in one of two
     ways, chosen once per call. Write S = epochs * len(examples) for the
     steps, V for the largest |value| and L for the largest sum of |values|
     of one example. When every value is a float holding a whole number (the
@@ -552,15 +624,17 @@ def train_model(
             raise ValueError(f"unknown label {label!r}")
     position = {label: k for k, label in enumerate(labels)}
     golds = [position[label] for _, label in examples]
-    names = list(dict.fromkeys(chain.from_iterable(fv for fv, _ in examples)))
-    ids = {name: i for i, name in enumerate(names)}
+    names, tables, rows = _compile(examples)
     total = epochs * len(examples)  # every epoch's steps, run or not
-    rows = [_split_row(fv, ids) for fv, _ in examples]
     if _exact_in_floats(rows, total):
         score = _exact_score
     else:
         score = _ordered_score
-        rows = [(tuple(map(ids.__getitem__, fv)), fv.values()) for fv, _ in examples]
+        rows = [
+            tuple((tuple(map(tables[prefix].__getitem__, block)), block.values())
+                  for prefix, block in _blocks(fv))
+            for fv, _ in examples
+        ]
     w = [[0.0] * len(names) for _ in labels]
     acc = [[0.0] * len(names) for _ in labels]
     last = [[0] * len(names) for _ in labels]
@@ -570,16 +644,16 @@ def train_model(
     scored = [-1] * len(examples)  # the step that last scored each example
     cached = [[0.0] * len(labels) for _ in examples]  # each example's scores, by label
 
-    def apply(k: int, fv: Mapping[str, float], sign: float) -> None:
+    def apply(k: int, fv: Mapping[str, float] | BlockVector, sign: float) -> None:
         changed[k] = step
         table, atab, ltab, first = w[k], acc[k], last[k], touched[k]
-        for name, v in fv.items():
-            i = ids[name]
-            if not ltab[i]:
-                first.append(i)
-            atab[i] += (step - ltab[i]) * table[i]
-            ltab[i] = step
-            table[i] += sign * v
+        for prefix, block in _blocks(fv):
+            for i, v in zip(map(tables[prefix].__getitem__, block), block.values()):
+                if not ltab[i]:
+                    first.append(i)
+                atab[i] += (step - ltab[i]) * table[i]
+                ltab[i] = step
+                table[i] += sign * v
 
     rng = random.Random(seed)
     order = list(range(len(examples)))
@@ -608,6 +682,7 @@ def train_model(
                 apply(rival, fv, -1.0)
         if not mistakes:  # a fixed point: the remaining epochs would update nothing
             break
+    del rows, cached, tables  # the examples' state, before the averaged tables are built
     averaged = {}
     for k, label in enumerate(labels):
         table, atab, ltab = w[k], acc[k], last[k]
@@ -670,45 +745,56 @@ class ClassifierSuite:
         return cls(**models, config=part("config", lambda cfg: FeatureConfig(**cfg)))
 
 
-def vertex_edge_sets(
-    problems: Iterable[Problem], config: FeatureConfig
-) -> tuple[TrainingSet, TrainingSet, list[tuple[Problem, ProblemFeatures]]]:
-    """The vertex and edge training sets of the problems with gold trees,
-    and each such problem with its feature pass."""
-    vertex: TrainingSet = []
-    edge: TrainingSet = []
-    passes: list[tuple[Problem, ProblemFeatures]] = []
+def training_blocks(
+    problems: Iterable[Problem],
+    config: FeatureConfig = FeatureConfig(),
+    names: Sequence[str] = tuple(name for name, _ in PARTS),
+) -> dict[str, BlockSet]:
+    """The (block vector, label) examples of the classifiers in ``names``,
+    from gold trees and derived graph labels, in one walk with one feature
+    pass per problem; every block points into that pass. Problems without
+    gold trees are skipped."""
+    sets: dict[str, BlockSet] = {name: [] for name in names}
+    shared: dict[str, str] = {}  # each feature name seen, once
     for problem in problems:
         if problem.gold is None or problem.gold.tree is None:
             continue
         derived = annotate.derive_udg_gold(problem)
-        feats = problem_features(problem, config)
-        for fv, is_rate in zip(feats.vectors, derived.vertex_labels):
-            vertex.append((fv, RATE if is_rate else NOT_RATE))
-        for (i, j), label in zip(vertex_pairs(problem.n), derived.edges):
-            edge.append((feats.pair(EDGE_LAYOUT, i, j), label.value))
-        passes.append((problem, feats))
-    return vertex, edge, passes
+        feats = problem_features(problem, config).sharing(shared)
+        if "vertex" in sets:
+            sets["vertex"] += (
+                ((("", fv),), RATE if is_rate else NOT_RATE)
+                for fv, is_rate in zip(feats.vectors, derived.vertex_labels)
+            )
+        if "edge" in sets:
+            sets["edge"] += (
+                (feats.pair_blocks(EDGE_LAYOUT, i, j), label.value)
+                for (i, j), label in zip(vertex_pairs(problem.n), derived.edges)
+            )
+        tree = problem.gold.tree
+        used = sorted(exprtree.used_indices(tree))
+        if "relevance" in sets:
+            sets["relevance"] += (
+                (feats.relevance_blocks(q), RELEVANT if q in used else IRRELEVANT)
+                for q in range(problem.n)
+            )
+        if "lca" in sets:
+            sets["lca"] += (
+                (feats.pair_blocks(LCA_LAYOUT, i, j), exprtree.op_lca(tree, i, j))
+                for i, j in combinations(used, 2)
+            )
+    return sets
 
 
 def build_training_sets(
     problems: Iterable[Problem], config: FeatureConfig = FeatureConfig()
 ) -> dict[str, TrainingSet]:
-    """Assemble (features, label) pairs for all four classifiers from gold
-    trees and derived graph labels. Problems without gold trees are skipped."""
-    vertex, edge, passes = vertex_edge_sets(problems, config)
-    relevance: TrainingSet = []
-    lca: TrainingSet = []
-    for problem, feats in passes:
-        tree = problem.gold.tree
-        used = exprtree.used_indices(tree)
-        for q in range(problem.n):
-            relevance.append((feats.relevance(q), RELEVANT if q in used else IRRELEVANT))
-        for i in sorted(used):
-            for j in sorted(used):
-                if i < j:
-                    lca.append((feats.pair(LCA_LAYOUT, i, j), exprtree.op_lca(tree, i, j)))
-    return {name: s for (name, _), s in zip(PARTS, (vertex, edge, relevance, lca))}
+    """``training_blocks`` of all four classifiers, each block vector
+    expanded into its (features, label) pair."""
+    return {
+        name: [(expand(blocks), label) for blocks, label in examples]
+        for name, examples in training_blocks(problems, config).items()
+    }
 
 
 def train_suite(
@@ -717,7 +803,8 @@ def train_suite(
     epochs: int = 10,
     seed: int = 0,
 ) -> ClassifierSuite:
+    """The four classifiers, each trained on its ``training_blocks`` set."""
     check_epochs(epochs)  # before any feature work
-    sets = build_training_sets(problems, config)
+    sets = training_blocks(problems, config)
     models = {name: train_model(labels, sets[name], epochs, seed) for name, labels in PARTS}
     return ClassifierSuite(**models, config=config)

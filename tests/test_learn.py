@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -313,6 +314,107 @@ def test_extracted_training_sets_take_sum_kernel(training_sets_120, kind):
     with _counting_rescorings() as calls:
         train_model(_CLASSIFIER_LABELS[kind], training_sets_120[kind])
     assert calls["_exact_score"] > 0 and calls["_ordered_score"] == 0
+
+
+# --- block-vector examples ------------------------------------------------------
+
+def _score_bits(scores):
+    return [(type(s), s.hex() if isinstance(s, float) else s) for s in scores]
+
+
+def _expanded(fv):
+    return dict(fv) if isinstance(fv, dict) else learn.expand(fv)
+
+
+@pytest.fixture(scope="module")
+def training_blocks_120():
+    return learn.training_blocks(synth.gen_synthetic_corpus(0, 120))
+
+
+@pytest.mark.parametrize("kind", sorted(_CLASSIFIER_LABELS))
+def test_block_examples_train_as_their_expanded_dicts(training_blocks_120, training_sets_120, kind):
+    labels, blocks, dicts = _CLASSIFIER_LABELS[kind], training_blocks_120[kind], training_sets_120[kind]
+    assert [(list(learn.expand(b).items()), label) for b, label in blocks] == [
+        (list(fv.items()), label) for fv, label in dicts
+    ]
+    for epochs, seed in ((10, 0), (3, 3)):
+        model = train_model(labels, blocks, epochs, seed)
+        assert _model_bits(model) == _model_bits(train_model(labels, dicts, epochs, seed))
+    for (b, _), (fv, _) in zip(blocks, dicts):
+        assert _score_bits(model.block_scores(b)) == _score_bits(model.scores(fv))
+        assert model.predict(b) == model.predict(fv)
+
+
+_block_names = st.sampled_from(("bias", "a", "b", "c"))
+_prefixes = st.sampled_from(("", "i|", "j|", "rel|"))
+
+
+@st.composite
+def _block_sets(draw):
+    # a pool of blocks, empty ones included, that examples share under one
+    # or more prefixes; names carry no "|", so an example's blocks, each under
+    # its own prefix, are disjoint. The values are whole numbers, or not
+    whole = draw(st.booleans())
+    values = st.sampled_from((1.0, 2.0, -1.0, 0.0) if whole else (1.0, 0.5, 2.0, -1.5))
+    pool = draw(st.lists(st.dictionaries(_block_names, values, max_size=4), min_size=1, max_size=4))
+    block = st.integers(0, len(pool) - 1).map(pool.__getitem__)
+    vector = st.lists(st.tuples(_prefixes, block), max_size=4, unique_by=lambda b: b[0]).map(tuple)
+    labels = tuple(f"L{k}" for k in range(draw(st.integers(2, 5))))
+    # a plain dict is one block with the prefix ""
+    examples = draw(st.lists(st.tuples(vector | block, st.sampled_from(labels)), min_size=1, max_size=10))
+    return labels, examples
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_sets(), st.integers(1, 5), st.integers(0, 3))
+def test_random_block_examples_train_as_their_expanded_dicts(labeled, epochs, seed):
+    labels, examples = labeled
+    dicts = [(_expanded(fv), label) for fv, label in examples]
+    whole = all(float(v).is_integer() for fv, _ in dicts for v in fv.values())
+    with _counting_rescorings() as calls:
+        model = train_model(labels, examples, epochs, seed)
+    assert calls["_ordered_score" if whole else "_exact_score"] == 0
+    assert _model_bits(model) == _model_bits(train_model(labels, dicts, epochs, seed))
+    for (fv, _), (expanded, _) in zip(examples, dicts):
+        scores = model.scores(fv) if isinstance(fv, dict) else model.block_scores(fv)
+        assert _score_bits(scores) == _score_bits(model.scores(expanded))
+        assert model.predict(fv) == model.predict(expanded)
+
+
+def test_a_name_spelled_with_two_prefixes_is_one_feature():
+    # ("", "i|a") and ("i|", "a") expand to one name, so they share one weight
+    examples = [
+        ((("", {"i|a": 1.0, "b": 2.0}),), "L1"),
+        ((("i|", {"a": 1.0}), ("", {"b": 1.0})), "L2"),
+    ] * 2
+    dicts = [(learn.expand(fv), label) for fv, label in examples]
+    model = train_model(("L1", "L2"), examples, epochs=3, seed=0)
+    assert set(model.weights["L1"]) == {"i|a", "b"}
+    assert _model_bits(model) == _model_bits(train_model(("L1", "L2"), dicts, epochs=3, seed=0))
+
+
+def test_train_suite_peak_memory_is_below_half_the_dict_sets():
+    # training reads block vectors that point into the feature passes, so
+    # its traced peak (models included) stays below half of what the same
+    # examples hold as expanded dicts; train_suite runs first, so it also
+    # pays for the caches the feature pass fills
+    problems = synth.gen_synthetic_corpus(0, 200)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        suite = learn.train_suite(problems)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        del suite
+        start = tracemalloc.get_traced_memory()[0]
+        sets = learn.build_training_sets(problems)
+        size = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert all(sets.values()) and peak < size / 2
 
 
 def test_tied_rivals_go_to_first_label():
