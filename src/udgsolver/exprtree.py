@@ -8,17 +8,18 @@ ascending index order followed by subtractions of negative terms, and every
 maximal */ region likewise; this gives each unordered pair of used quantities
 a unique lowest-common-ancestor operation.
 
-Candidate trees over a problem's quantities are a canonical structure over k
-leaves placed on an increasing k-subset of the quantities (``placed_plans``).
-Each structure is compiled once per k into a ``TreePlan`` (node count, serial
-template, the LCA operation of every leaf-position pair), so a candidate can
-be scored without building, evaluating or serializing its tree; ``evaluate``
-is the one evaluator, and ``enumerate_trees`` builds and evaluates every
-candidate as the exhaustive reference.
+A candidate tree is a canonical structure over k leaves placed on an
+increasing k-subset of the quantities. Each structure is compiled once per k
+into a ``TreePlan`` (serial template, the LCA operation of every leaf-position
+pair), and ``search_order(n)`` ranks every placed plan once per n by (nodes,
+serial), so a candidate is scored and tie-broken without building its tree.
+``evaluate`` is the one evaluator, and ``enumerate_trees`` builds and
+evaluates every candidate as the exhaustive reference.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Iterator, Mapping, Sequence
 ADD, SUB, SUB_R, MUL, DIV, DIV_R = "+", "-", "-r", "*", "/", "/r"
 OPS = (ADD, SUB, SUB_R, MUL, DIV, DIV_R)
 
-#: Most quantities a problem may have: ``placed_plans`` covers every subset
+#: Most quantities a problem may have: ``search_order`` covers every subset
 #: of them and refuses more, rather than cover only the smaller subsets.
 MAX_ENUM_LEAVES = 6
 
@@ -354,13 +355,17 @@ def _trees_over(ids: tuple[int, ...]) -> list[Expr]:
     return rooted(ids, ADD) + rooted(ids, MUL)
 
 
-@lru_cache(maxsize=MAX_ENUM_LEAVES)
-def canonical_structures(k: int) -> tuple[Expr, ...]:
-    """Every distinct canonical tree over leaves 0..k-1, deterministic order."""
+def _check_leaves(k: int) -> None:
     if k < 1:
         raise ExprError("need at least one leaf")
     if k > MAX_ENUM_LEAVES:
         raise ExprError(f"refusing to enumerate trees over {k} leaves (max {MAX_ENUM_LEAVES})")
+
+
+@lru_cache(maxsize=MAX_ENUM_LEAVES)
+def canonical_structures(k: int) -> tuple[Expr, ...]:
+    """Every distinct canonical tree over leaves 0..k-1, deterministic order."""
+    _check_leaves(k)
     trees = _trees_over(tuple(range(k)))
     return tuple(sorted(trees, key=lambda t: (node_count(t), serialize(t))))
 
@@ -389,7 +394,6 @@ class TreePlan:
     every position pair ``a < b`` in lexicographic order."""
 
     structure: Expr
-    nodes: int
     template: str
     pair_ops: tuple[str, ...]
 
@@ -411,29 +415,38 @@ def size_plans(k: int) -> tuple[TreePlan, ...]:
         paths = [root_path(structure, i) for i in range(k)]
         return tuple(_lca_op(paths[a], paths[b]) for a, b in itertools.combinations(range(k), 2))
 
-    return tuple(TreePlan(s, node_count(s), _template(s), pair_ops(s)) for s in structures)
+    return tuple(TreePlan(s, _template(s), pair_ops(s)) for s in structures)
 
 
-def placed_plans(n: int) -> Iterator[tuple[tuple[int, ...], tuple[TreePlan, ...]]]:
-    """Every subset of n quantities with the plans to place on it: subsets
-    largest-first, lexicographically within a size, so truncation by a beam
-    is reproducible. More than MAX_ENUM_LEAVES quantities raise ExprError
-    before anything is yielded."""
-    if n < 1:
-        raise ExprError("need at least one quantity")
-    for size in range(n, 0, -1):
-        plans = size_plans(size)
-        for subset in itertools.combinations(range(n), size):
-            yield subset, plans
+@lru_cache(maxsize=MAX_ENUM_LEAVES)
+def search_order(n: int) -> tuple[tuple[tuple[int, ...], TreePlan], ...]:
+    """Every (subset, plan) placed on n quantities by (nodes, serial), that
+    is k ascending (2k-1 nodes), then serial; serials of distinct trees
+    differ, so a position breaks every tie. Each ``size_plans(k)`` is in
+    serial order, kept by relabeling while every index is one digit, so a
+    level merges its subsets' runs, formatting one serial per run at a time.
+    More than MAX_ENUM_LEAVES quantities raise ExprError before any level
+    is compiled."""
+    _check_leaves(n)
+    order: list[tuple[tuple[int, ...], TreePlan]] = []
+    for k in range(1, n + 1):
+        plans = size_plans(k)
+        subsets = itertools.combinations(range(n), k)
+        runs = [zip(itertools.repeat(subset), plans) for subset in subsets]
+        order.extend(heapq.merge(*runs, key=lambda placed: placed[1].serial(placed[0])))
+    return tuple(order)
 
 
 def enumerate_trees(values: Sequence[Fraction]) -> Iterator[Expr]:
     """Yield every distinct canonical tree over every subset of quantities
-    whose exact evaluation is strictly positive, in ``placed_plans`` order
-    and plans within a subset in ``canonical_structures`` order. A tree with
-    a division by zero anywhere in it is skipped."""
-    for subset, plans in placed_plans(len(values)):
-        for plan in plans:
+    whose exact evaluation is strictly positive, subsets largest-first and
+    lexicographic, plans in ``canonical_structures`` order. A tree with a
+    division by zero anywhere in it is skipped."""
+    n = len(values)
+    _check_leaves(n)
+    for size in range(n, 0, -1):
+        subsets = itertools.combinations(range(n), size)
+        for subset, plan in itertools.product(subsets, size_plans(size)):
             tree = plan.tree(subset)
             try:
                 value = evaluate(tree, values)

@@ -18,8 +18,9 @@ graphs are those of a scan per labeling.
 
 The joint search is one ``JointCandidates`` per problem, holding no scale.
 Every candidate tree is scored up front from its compiled structure, and
-each solve pops the trees best-first under its own ``lambda_rel``; only a
-popped tree is evaluated, serialized and built. ``solve`` is branch and
+each solve pops the trees best-first under its own ``lambda_rel``, ties by
+``exprtree.search_order``; only a popped tree is evaluated and built, and
+none is serialized. ``solve`` is branch and
 bound over the graph stage: trees are visited best tree score first, and
 the visit stops at the first tree whose best unconstrained graph cannot
 reach the incumbent total, so answers equal the exhaustive scan of
@@ -132,7 +133,9 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     relevance = {
         (q, label): s
         for q in range(n)
-        for label, s in zip(suite.relevance.labels, feats.relevance_scores(suite.relevance, q))
+        for label, s in zip(
+            suite.relevance.labels, suite.relevance.block_scores(feats.relevance_blocks(q))
+        )
     }
     lca = {}
     quantity_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -347,12 +350,12 @@ class ScoredTuple:
 @dataclass(eq=False)
 class _TreeEntry:
     """One candidate tree the search popped: a compiled structure placed on a
-    quantity subset, built, with its exact value and term sums."""
+    quantity subset, built, with its position in ``exprtree.search_order``,
+    its exact value and term sums."""
 
+    index: int
     tree: Expr
     value: Fraction
-    serial: str
-    nodes: int
     rel_sum: float
     lca_sum: float
     # the tree's consistent labelings, built when a search first reaches it
@@ -360,22 +363,6 @@ class _TreeEntry:
 
     def base(self, lambda_rel: float) -> float:
         return lambda_rel * self.rel_sum + self.lca_sum
-
-
-def _pop_key(
-    heap: list[tuple[float, int, int]],
-    candidates: Sequence[tuple[float, float, int, exprtree.TreePlan, tuple[int, ...]]],
-) -> list[tuple[float, int, int]]:
-    """The items of a heap of (negated tree score, nodes, candidate index)
-    under its next key, by serial."""
-    # -0.0 == 0.0, so signed zeros tie as they do in sorted()
-    group = [heapq.heappop(heap)]
-    score, nodes, _ = group[0]
-    while heap and heap[0][0] == score and heap[0][1] == nodes:
-        group.append(heapq.heappop(heap))
-    if len(group) > 1:
-        group.sort(key=lambda item: candidates[item[2]][3].serial(candidates[item[2]][4]))
-    return group
 
 
 def check_beam(beam) -> None:
@@ -389,21 +376,21 @@ class JointCandidates:
     stages.
 
     No scale is fixed here. Construction scores every placed plan
-    (``exprtree.placed_plans``) with the term sums of ``tree_term_sums``,
-    added in the same order, but evaluates, serializes and builds no tree.
+    (``exprtree.search_order``) with the term sums of ``tree_term_sums``,
+    added in the same order, but evaluates and builds no tree.
     The unconstrained labeling rows are scored once too, and ``best_graph``
     takes the standalone graph prediction from them. A ``beam`` other than
     None or an int >= 1 raises ValueError.
 
     Under a ``lambda_rel``, candidates pop from a heap keyed by (negated
-    tree score, nodes), equal keys in serial order, and a popped tree is
-    evaluated: one that divides by zero or is not positive is dropped, and
-    popping stops at ``beam`` valid trees. That is the order and cut of
-    sorting the valid trees by (score, nodes, serial). The popped prefix of
-    the last ``lambda_rel`` is kept, and each popped tree (value, serial,
-    tree, consistent labelings) for every ``lambda_rel``. With no tree of
-    positive value, the first ``solve``, ``top_k`` or ``ranked`` raises
-    InferenceError.
+    tree score, candidate index), and a popped tree is evaluated: one that
+    divides by zero or is not positive is dropped, and popping stops at
+    ``beam`` valid trees. Indices run in (nodes, serial) order, so that is
+    the order and cut of sorting the valid trees by (score, nodes, serial).
+    The popped prefix of the last ``lambda_rel`` is kept, and each popped
+    tree (value, tree, consistent labelings) for every ``lambda_rel``. With
+    no tree of positive value, the first ``solve``, ``top_k`` or ``ranked``
+    raises InferenceError.
 
     ``solve`` bounds each tree by its tree score plus the best graph over
     all structurally valid (unconstrained) labelings. A consistent
@@ -429,37 +416,41 @@ class JointCandidates:
             for i, j in itertools.combinations(range(n), 2)
         }
         irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)]
-        # per candidate: (rel_sum, lca_sum, nodes, plan, subset)
-        self._candidates: list[tuple[float, float, int, exprtree.TreePlan, tuple[int, ...]]] = []
-        for subset, plans in exprtree.placed_plans(n):
-            rel_sum = 0.0
-            for q in range(n):
-                if q not in subset:
-                    rel_sum += irrelevant[q]
-            rows = [lca_rows[pair] for pair in itertools.combinations(subset, 2)]
-            self._candidates.extend(
-                (rel_sum, reduce(add, map(getitem, rows, plan.pair_ops), 0.0), plan.nodes, plan, subset)
-                for plan in plans
-            )
+        self._order = exprtree.search_order(n)
+        # per subset, computed once: (rel_sum, the LCA rows of its pairs)
+        subsets: dict[tuple[int, ...], tuple[float, list]] = {}
+        # per candidate, in search order; two lists, not a pair per candidate
+        # (n=6 places about 1.3 M candidates)
+        self._rel_sums: list[float] = []
+        self._lca_sums: list[float] = []
+        for subset, plan in self._order:
+            if subset not in subsets:
+                subsets[subset] = (
+                    reduce(add, (irrelevant[q] for q in range(n) if q not in subset), 0.0),
+                    [lca_rows[pair] for pair in itertools.combinations(subset, 2)],
+                )
+            rel_sum, rows = subsets[subset]
+            self._rel_sums.append(rel_sum)
+            self._lca_sums.append(reduce(add, map(getitem, rows, plan.pair_ops), 0.0))
         self._unconstrained = _unconstrained_rows(tables)
         # popped candidates by index, None for one that is not valid
         self._entries: dict[int, _TreeEntry | None] = {}
         self._picks: dict[tuple[int, tuple[EdgeType, ...]], tuple[EdgeType, float, float]] = {}
-        # (lambda_rel, the heap left, the popped key's items left, the valid trees popped)
-        self._ranking: tuple[float, list, list, list[_TreeEntry]] | None = None
+        # (lambda_rel, the heap left, the valid trees popped)
+        self._ranking: tuple[float, list, list[_TreeEntry]] | None = None
 
     def _entry(self, index: int) -> _TreeEntry | None:
         """Candidate ``index`` built and evaluated, once: None if it divides
         by zero or is not positive."""
         if index not in self._entries:
-            rel_sum, lca_sum, nodes, plan, subset = self._candidates[index]
+            subset, plan = self._order[index]
             tree = plan.tree(subset)
             try:
                 value = exprtree.evaluate(tree, self.values)
             except exprtree.EvaluationError:
                 value = 0
             self._entries[index] = (
-                _TreeEntry(tree, value, plan.serial(subset), nodes, rel_sum, lca_sum)
+                _TreeEntry(index, tree, value, self._rel_sums[index], self._lca_sums[index])
                 if value > 0 else None
             )
         return self._entries[index]
@@ -474,12 +465,12 @@ class JointCandidates:
         before it is built."""
         if self._ranking is None or self._ranking[0] != lambda_rel:
             heap = [
-                (-(lambda_rel * rel_sum + lca_sum), nodes, index)
-                for index, (rel_sum, lca_sum, nodes, _, _) in enumerate(self._candidates)
+                (-(lambda_rel * rel_sum + lca_sum), index)
+                for index, (rel_sum, lca_sum) in enumerate(zip(self._rel_sums, self._lca_sums))
             ]
             heapq.heapify(heap)
-            self._ranking = (lambda_rel, heap, [], [])
-        _, heap, group, kept = self._ranking
+            self._ranking = (lambda_rel, heap, [])
+        _, heap, kept = self._ranking
         k = 0
         while True:
             if k < len(kept):
@@ -488,15 +479,13 @@ class JointCandidates:
             else:
                 if len(kept) == self.beam:
                     return
-                if not group:
-                    if not heap:
-                        if not kept:
-                            raise InferenceError("no candidate expression trees with a positive value")
-                        return
-                    group += _pop_key(heap, self._candidates)
-                if reach is not None and not reach(-group[0][0]):
+                if not heap:
+                    if not kept:
+                        raise InferenceError("no candidate expression trees with a positive value")
                     return
-                entry = self._entry(group.pop(0)[2])
+                if reach is not None and not reach(-heap[0][0]):
+                    return
+                entry = self._entry(heapq.heappop(heap)[1])
                 if entry is None:
                     continue
                 kept.append(entry)
@@ -514,7 +503,7 @@ class JointCandidates:
 
     def ranked(self, lambda_rel: float) -> tuple[_TreeEntry, ...]:
         """The ``beam`` best trees under ``lambda_rel``, best first; equal
-        tree scores keep fewer nodes, then the smaller serial."""
+        tree scores keep the earlier candidate in ``exprtree.search_order``."""
         return tuple(self._popped(lambda_rel))
 
     def best_graph(self, params: ScalingParams) -> UnitDependencyGraph:
@@ -526,7 +515,7 @@ class JointCandidates:
         self, entry: _TreeEntry, params: ScalingParams
     ) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry]]:
         """(key, tree, labeling) per consistent labeling of the tree. Keys
-        differ before any edge: tree serials differ, and a tree has one
+        differ before any edge: candidate indices differ, and a tree has one
         entry per labeling."""
         if entry.consistent is None:
             n = self.tables.n_quantities
@@ -544,7 +533,7 @@ class JointCandidates:
         for lab in entry.consistent:
             esum = lab.edges(params)[0]
             total = base + params.lambda_vertex * lab.vertex_sum + params.lambda_edge * esum
-            yield (-total, entry.nodes, entry.serial, lab.labeling), entry, lab
+            yield (-total, entry.index, lab.labeling), entry, lab
 
     def solve(self, params: ScalingParams) -> ScoredTuple:
         graph_terms = [

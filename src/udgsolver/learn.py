@@ -287,13 +287,6 @@ class ProblemFeatures:
             out.append(model.scores(flags, scores) if flags else scores)
         return out
 
-    def relevance_scores(self, model: LinearModel, q: int) -> tuple[float, ...]:
-        """``model.block_scores(self.relevance_blocks(q))``: the quantity's
-        block, then its flags, both read through the relevance role."""
-        scores = model.scores(self.vectors[q], prefix=RELEVANCE_PREFIX)
-        flags = self._relevance_flags(q)
-        return model.scores(flags, scores, RELEVANCE_PREFIX) if flags else scores
-
 
 def _feature_pass(
     problem: Problem, vertices: Sequence[int | str], config: FeatureConfig
@@ -720,7 +713,10 @@ class ClassifierSuite:
         """Read a suite written by ``save``. A malformed file raises
         ValueError naming the file and the missing or bad key."""
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"model {path}: not JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValueError(f"model {path}: expected a JSON object")
 

@@ -130,7 +130,7 @@ def test_solve_infinite_lambda_is_data_error(model_file, capsys):
     assert "lambda_edge must be finite" in captured.err
 
 
-def test_solve_malformed_model_is_data_error(tmp_path, model_file, capsys):
+def test_solve_malformed_model_is_data_error(tmp_path, model_file, corpus_file, capsys):
     no_lca = json.loads(model_file.read_text())
     del no_lca["lca"]
     for name, obj, key in (("empty.json", {}, "'vertex'"), ("no_lca.json", no_lca, "'lca'")):
@@ -139,6 +139,10 @@ def test_solve_malformed_model_is_data_error(tmp_path, model_file, capsys):
         assert cli.main(["solve", "--model", str(path), "--text", FIG1_TEXT]) == 2
         err = capsys.readouterr().err
         assert name in err and f"missing key {key}" in err
+    # a corpus given as the model is one JSON object per line, not one object
+    assert cli.main(["solve", "--model", str(corpus_file), "--text", FIG1_TEXT]) == 2
+    err = capsys.readouterr().err
+    assert f"model {corpus_file}: not JSON: Extra data: line 2 column 1" in err
 
 
 @pytest.mark.parametrize(
@@ -248,20 +252,24 @@ def test_eval_bad_fixed_scale_exits_before_training(monkeypatch, tmp_path, capsy
 
 
 def test_solve_too_many_quantities_exits_2(model_file):
-    # more quantities than a tree may cover are refused up front, not searched
-    text = (
-        "A farm has 1 cow, 2 pigs, 3 hens, 4 ducks, 5 goats, 6 sheep, 7 cats, "
-        "8 dogs, 9 geese and 10 horses. How many animals does the farm have?"
-    )
+    # more quantities than a tree may cover are refused up front, not searched;
+    # 7 is the smallest refused n
+    texts = {
+        10: "A farm has 1 cow, 2 pigs, 3 hens, 4 ducks, 5 goats, 6 sheep, 7 cats, "
+            "8 dogs, 9 geese and 10 horses. How many animals does the farm have?",
+        7: "A farm has 1 cow, 2 pigs, 3 hens, 4 ducks, 5 goats, 6 sheep and 7 cats. "
+           "How many animals does the farm have?",
+    }
     src = str(Path(udgsolver.__file__).resolve().parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "udgsolver.cli", "solve", "--model", str(model_file), "--text", text],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert "10 leaves (max 6)" in done.stderr
+    for n, text in texts.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "udgsolver.cli", "solve", "--model", str(model_file), "--text", text],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert f"{n} leaves (max 6)" in done.stderr
 
 
 def test_usage_error_exit_code(capsys):

@@ -16,10 +16,13 @@ from udgsolver.exprtree import (
     canonicalize,
     enumerate_trees,
     evaluate,
+    node_count,
     op_lca,
     parse_prefix,
     region,
+    search_order,
     serialize,
+    size_plans,
     used_indices,
 )
 
@@ -237,6 +240,34 @@ def test_canonical_structures_pinned():
     assert [len(structures) for structures in out] == [1, 6, 68, 1260, 32632]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "52e6f68dbf7bfc9f38078a9b637be9d8e25424dcf1a2bb873b89fb97194e25cf"
+
+
+def _placed(structure, subset):
+    if isinstance(structure, Leaf):
+        return Leaf(subset[structure.index])
+    return Op(structure.op, _placed(structure.left, subset), _placed(structure.right, subset))
+
+
+def test_search_order_is_nodes_then_serial():
+    # the tree search breaks ties by a candidate's position here
+    for n in range(1, 6):
+        placed = [
+            _placed(structure, subset)
+            for k in range(1, n + 1)
+            for subset in itertools.combinations(range(n), k)
+            for structure in canonical_structures(k)
+        ]
+        got = [plan.tree(subset) for subset, plan in search_order(n)]
+        assert got == sorted(placed, key=lambda t: (node_count(t), serialize(t)))
+        assert len({serialize(t) for t in got}) == len(got)
+
+
+def test_search_order_refuses_before_compiling():
+    # a refused n must fail at once, not after compiling the levels below it
+    before = size_plans.cache_info(), canonical_structures.cache_info()
+    with pytest.raises(ExprError, match=r"7 leaves \(max 6\)"):
+        search_order(7)
+    assert (size_plans.cache_info(), canonical_structures.cache_info()) == before
 
 
 def test_canonicalize_random_trees_pinned():

