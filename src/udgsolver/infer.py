@@ -100,13 +100,16 @@ class ScoreTables:
 def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     """Score every inference query once, off one feature pass.
 
-    ``learn.problem_features`` computes each vertex's features and unit once;
-    each model scores all its labels at a time, reading every block of a
-    query's vector through the model's table for that block's role prefix,
-    and pair scores continue the first vertex's block sums into the second's
-    (``pair_scores``). Blocks are scored in the vector's order, and each
-    label's terms are added one at a time, so every score is the float
-    ``LinearModel.score`` gives for the query's assembled vector.
+    ``learn.problem_features`` computes each vertex's features and unit
+    once, and the suite's ``learn.InferenceTable`` looks each vertex's names
+    up once for all six roles it is scored in (vertex, edge first and
+    second, relevance, LCA first and second), turning them into per-vertex
+    columns of terms. Every score is then one C-level ``reduce`` per label
+    over a column, from its start: the int 0, the bias's sums, or the sums
+    of the pair's first vertex; flags continue from the vertex sums. Each
+    label's terms are added one at a time in the vector's order, so every
+    score is the float ``LinearModel.score`` gives for the query's
+    assembled vector.
 
     LCA scores are shifted per pair so the pair's best operation scores zero
     and every other operation is negative (the margin analogue of a log
@@ -118,30 +121,25 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     """
     n = problem.n
     feats = learn.problem_features(problem, suite.config)
+    vertex_scores, edge_scores, relevance_scores, lca_scores = suite.inference_table().scores(feats)
     vertex = {
         (v, label): s
-        for v, fv in enumerate(feats.vectors)
-        for label, s in zip(suite.vertex.labels, suite.vertex.scores(fv))
+        for v, scores in enumerate(vertex_scores)
+        for label, s in zip(suite.vertex.labels, scores)
     }
-    pairs = udg.vertex_pairs(n)
     edge_types = [EdgeType(label) for label in suite.edge.labels]
     edge = {
         (i, j, label): s
-        for (i, j), scores in zip(pairs, feats.pair_scores(suite.edge, learn.EDGE_LAYOUT, pairs))
+        for (i, j), scores in zip(udg.vertex_pairs(n), edge_scores)
         for label, s in zip(edge_types, scores)
     }
     relevance = {
         (q, label): s
-        for q in range(n)
-        for label, s in zip(
-            suite.relevance.labels, suite.relevance.block_scores(feats.relevance_blocks(q))
-        )
+        for q, scores in enumerate(relevance_scores)
+        for label, s in zip(suite.relevance.labels, scores)
     }
     lca = {}
-    quantity_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for (i, j), scores in zip(
-        quantity_pairs, feats.pair_scores(suite.lca, learn.LCA_LAYOUT, quantity_pairs)
-    ):
+    for (i, j), scores in zip(itertools.combinations(range(n), 2), lca_scores):
         top = max(scores)
         for op, s in zip(suite.lca.labels, scores):
             lca[(i, j, op)] = s - top

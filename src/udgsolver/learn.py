@@ -13,22 +13,26 @@ they stand for, in block order; training and the eval's classifier
 accuracies read the blocks themselves, and the per-query functions expand
 the same assembly over just the vertices they name.
 
-Inference has one scorer, ``LinearModel.scores``. A model keeps, per role
-prefix, a table from each unprefixed feature name to the tuple of its
-weights under every label, so a block of features costs one lookup per
-feature for all labels and builds no prefixed name. Only the features
-whose value is not the float 1.0 are multiplied out, since ``1.0 * w`` is
-``w`` bit for bit for every float ``w`` (signed zeros included); a model
-holding a weight that is not a float (a JSON model may hold the int -2)
-multiplies every value, as do int and bool values, so each term keeps the
-type the product gives. Each label's score then adds its terms one at a
-time in feature order, from the block's start (the int 0 for a fresh
-vector): the same float operations in the same order as a per-label dot
-product over the prefixed vector, so scores are the same floats on every
-supported Python version (``sum()`` compensates rounding from 3.12 on, so
-it is not used). Trained models are immutable apart from those tables,
-which are built on first use and hold nothing a rebuild would not
-reproduce, so they are safe for concurrent scoring.
+Inference has two paths over one kernel. ``LinearModel.scores`` keeps,
+per role prefix, a table from each unprefixed feature name to the tuple of
+its weights under every label, so a block of features costs one lookup per
+feature for all labels and builds no prefixed name. A suite's
+``InferenceTable`` scores a whole feature pass: it maps each feature name to
+its weights under every label of all six roles a vertex vector is read in,
+so each vertex's names are looked up once per solve. Both share the kernel:
+only the features whose value is not the float 1.0 are multiplied out,
+since ``1.0 * w`` is ``w`` bit for bit for every float ``w`` (signed zeros
+included); weights that are not all floats (a JSON model may hold the int
+-2) multiply every value, as do int and bool values, so each term keeps the
+type the product gives (``_columns``). Each label's score then adds its
+terms one at a time in feature order, from the block's start (the int 0 for
+a fresh vector), in one C-level ``reduce`` per label (``_sums``): the same
+float operations in the same order as a per-label dot product over the
+prefixed vector, so scores are the same floats on every supported Python
+version (``sum()`` compensates rounding from 3.12 on, so it is not used).
+Trained models and suites are immutable apart from those tables, which are
+built on first use and hold nothing a rebuild would not reproduce, so they
+are safe for concurrent scoring.
 
 Training compiles each distinct block once per classifier: its feature
 names get int ids, and the weights live in dense per-label lists. The
@@ -48,7 +52,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, combinations, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from . import annotate, exprtree, units
@@ -222,9 +226,9 @@ class ProblemFeatures:
     Every classifier's vectors are block vectors over these: a vertex's
     vector is never copied or prefixed, but is one block, under its role's
     prefix, of each vector that uses it. Bias and flag blocks are shared
-    dicts (``_flag_block``). Training compiles each (role,
-    vertex) block once, and scoring reads the vertex vectors through the
-    model's role tables."""
+    dicts (``_flag_block``). Training compiles each (role, vertex) block
+    once, and inference reads each vertex vector once for all its roles
+    (``InferenceTable``)."""
 
     vectors: tuple[FeatureVector, ...]
     vertex_units: tuple[units.QuantityUnit, ...] | None
@@ -236,7 +240,7 @@ class ProblemFeatures:
         vectors = tuple(dict(zip(map(names.setdefault, fv, fv), fv.values())) for fv in self.vectors)
         return ProblemFeatures(vectors, self.vertex_units)
 
-    def _pair_flags(self, layout: PairLayout, i: int, j: int) -> Mapping[str, float]:
+    def _pair_flag_names(self, layout: PairLayout, i: int, j: int) -> tuple[str, ...]:
         names = []
         if layout.unit_flags and self.vertex_units is not None:
             ui, uj = self.vertex_units[i], self.vertex_units[j]
@@ -245,9 +249,9 @@ class ProblemFeatures:
                 names.append("i_den_matches_j")
             if _denominator_matches(uj, ui):
                 names.append("j_den_matches_i")
-        return _flag_block(tuple(names))
+        return tuple(names)
 
-    def _relevance_flags(self, q: int) -> Mapping[str, float]:
+    def _relevance_flag_names(self, q: int) -> tuple[str, ...]:
         # unprefixed: the relevance vector carries them under RELEVANCE_PREFIX
         names = []
         if self.vertex_units is not None:
@@ -256,36 +260,19 @@ class ProblemFeatures:
             names.append(f"unit_{match}_question")
             if _denominator_matches(unit_q, unit_question):
                 names.append("den_matches_question")
-        return _flag_block(tuple(names))
+        return tuple(names)
 
     def pair_blocks(self, layout: PairLayout, i: int, j: int) -> BlockVector:
         return (
             ("", _flag_block((layout.bias,))),
             (layout.first, self.vectors[i]),
             (layout.second, self.vectors[j]),
-            ("", self._pair_flags(layout, i, j)),
+            ("", _flag_block(self._pair_flag_names(layout, i, j))),
         )
 
     def relevance_blocks(self, q: int) -> BlockVector:
-        return ((RELEVANCE_PREFIX, self.vectors[q]), (RELEVANCE_PREFIX, self._relevance_flags(q)))
-
-    def pair_scores(
-        self, model: LinearModel, layout: PairLayout, pairs: Iterable[tuple[int, int]]
-    ) -> list[tuple[float, ...]]:
-        """``model.block_scores(self.pair_blocks(layout, i, j))`` for each
-        pair: each vertex's first-role block is scored once from the bias's
-        sums, and a pair continues those sums through the second vertex's
-        block and its flags, each read through its role's table."""
-        bias = model.scores(_flag_block((layout.bias,)))
-        first: dict[int, tuple[float, ...]] = {}
-        out = []
-        for i, j in pairs:
-            if i not in first:
-                first[i] = model.scores(self.vectors[i], bias, layout.first)
-            scores = model.scores(self.vectors[j], first[i], layout.second)
-            flags = self._pair_flags(layout, i, j)
-            out.append(model.scores(flags, scores) if flags else scores)
-        return out
+        flags = _flag_block(self._relevance_flag_names(q))
+        return ((RELEVANCE_PREFIX, self.vectors[q]), (RELEVANCE_PREFIX, flags))
 
 
 def _feature_pass(
@@ -342,13 +329,37 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _columns(
+    rows: list[Sequence[float]], values: Iterable[float], floats: bool, width: int
+) -> list[tuple[float, ...]]:
+    """Weight rows, one per feature in feature order and ``width`` weights
+    wide, turned into ``width`` columns of terms. A row is multiplied by its
+    feature's value unless the value is the float 1.0 and ``floats`` says
+    every weight is a float: ``1.0 * w`` is ``w`` bit for bit for every
+    float ``w`` (signed zeros included), so each term has the type the
+    product would give. No rows give ``width`` empty columns. Replaces the
+    multiplied entries of ``rows``."""
+    for k, value in enumerate(values):
+        if value != 1.0 or type(value) is not float or not floats:
+            rows[k] = tuple([value * w for w in rows[k]])
+    return list(zip(*rows)) or [()] * width
+
+
+def _sums(columns: Iterable[Sequence[float]], starts: Iterable[float]) -> tuple[float, ...]:
+    """Each column's terms added one at a time, in order, to its start: the
+    float operations of a per-label dot product that continues ``starts``."""
+    return tuple(map(reduce, repeat(add), columns, starts))
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Per-label sparse weight table; a label's score is a dot product.
 
     ``_roles`` caches the role tables of ``scores``, one per prefix asked
-    for, each built on first use from ``weights``; it is no part of the
-    model's value."""
+    for, each built on first use from ``weights``, and ``_floats`` caches
+    ``_all_floats``; neither is part of the model's value. Inference over a
+    whole feature pass reads the models through their suite's
+    ``InferenceTable`` instead."""
 
     labels: tuple[str, ...]
     weights: Mapping[str, Mapping[str, float]]  # label -> feature -> weight
@@ -357,6 +368,16 @@ class LinearModel:
     _roles: dict[str, tuple[dict[str, tuple[float, ...]], bool]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _floats: list[bool] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def _all_floats(self) -> bool:
+        """Whether every weight is a float: recorded by ``train_model``
+        (whose weights always are) and ``from_json_obj`` (which checks each
+        weight's type), else computed on first use."""
+        if not self._floats:
+            values = chain.from_iterable(self.weights[label].values() for label in self.labels)
+            self._floats.append(set(map(type, values)) <= {float})
+        return self._floats[0]
 
     def _role(self, prefix: str) -> tuple[dict[str, tuple[float, ...]], bool]:
         """Each weighted name that starts with ``prefix``, without it, mapped
@@ -367,15 +388,14 @@ class LinearModel:
         role = self._roles.get(prefix)
         if role is None:
             if prefix:
-                full, floats = self._role("")
+                full, _ = self._role("")
                 cut = len(prefix)
                 table = {name[cut:]: row for name, row in full.items() if name.startswith(prefix)}
             else:
                 tabs = [self.weights[label] for label in self.labels]
                 names = list(dict.fromkeys(chain.from_iterable(tabs)))
                 table = dict(zip(names, zip(*(map(w.get, names, repeat(0.0)) for w in tabs))))
-                floats = set(map(type, chain.from_iterable(w.values() for w in tabs))) <= {float}
-            role = self._roles[prefix] = (table, floats)
+            role = self._roles[prefix] = (table, self._all_floats())
         return role
 
     def score(self, fv: Mapping[str, float], label: str) -> float:
@@ -395,20 +415,14 @@ class LinearModel:
         they start from the int 0, so an empty vector scores 0.
 
         Each name is looked up once, in the prefix's role table, for all
-        labels, and only a row whose value is not the float 1.0 (or whose
-        model holds a weight that is not a float) is multiplied by its
-        value: ``1.0 * w`` is ``w`` for every float. Each label then adds
-        its terms one at a time in ``fv`` order, the float operations of a
-        per-label dot product over the prefixed vector."""
-        starts = repeat(0) if start is None else start
+        labels; ``_columns`` multiplies the rows that need it, and each
+        label then adds its terms one at a time in ``fv`` order
+        (``_sums``): the float operations of a per-label dot product over
+        the prefixed vector."""
         table, floats = self._role(prefix)
-        rows = list(map(table.get, fv, repeat((0.0,) * len(self.labels))))
-        if not rows:
-            return tuple(s for s, _ in zip(starts, self.labels))
-        for k, value in enumerate(fv.values()):
-            if value != 1.0 or type(value) is not float or not floats:
-                rows[k] = tuple([value * w for w in rows[k]])
-        return tuple(reduce(add, column, s) for column, s in zip(zip(*rows), starts))
+        width = len(self.labels)
+        rows = list(map(table.get, fv, repeat((0.0,) * width)))
+        return _sums(_columns(rows, fv.values(), floats, width), repeat(0) if start is None else start)
 
     def block_scores(self, blocks: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[float, ...]:
         """``scores(expand(blocks))``, bit for bit: each block is read through
@@ -451,15 +465,20 @@ class LinearModel:
         if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
             raise ValueError(f"seed must be an int, got {obj['seed']!r}")
         weights: dict[str, dict[str, float]] = {label: {} for label in labels}
+        floats = True
         for key, w in obj["weights"].items():
             label, sep, name = key.partition("\x1f")
             if not sep or label not in weights:
                 raise ValueError(f"weight key {key!r} names no label in {labels!r}")
             # a finite float passes the first test; anything else gets the full check
-            if not (type(w) is float and -math.inf < w < math.inf) and not _finite_number(w):
-                raise ValueError(f"weight {key!r} must be a finite number, got {w!r}")
+            if not (type(w) is float and -math.inf < w < math.inf):
+                if not _finite_number(w):
+                    raise ValueError(f"weight {key!r} must be a finite number, got {w!r}")
+                floats = False
             weights[label][name] = w
-        return cls(labels=tuple(labels), weights=weights, epochs=obj["epochs"], seed=obj["seed"])
+        model = cls(labels=tuple(labels), weights=weights, epochs=obj["epochs"], seed=obj["seed"])
+        model._floats.append(floats)
+        return model
 
 
 def check_epochs(epochs) -> None:
@@ -682,19 +701,159 @@ def train_model(
         averaged[label] = {
             names[i]: (atab[i] + (total - ltab[i]) * table[i]) / total for i in touched[k]
         }
-    return LinearModel(labels=tuple(labels), weights=averaged, epochs=epochs, seed=seed)
+    model = LinearModel(labels=tuple(labels), weights=averaged, epochs=epochs, seed=seed)
+    model._floats.append(True)  # each average is a float divided by an int
+    return model
 
 
 # ---------------------------------------------------------------------------
 # classifier suite
 
+#: The roles a vertex vector is scored in, as (classifier, prefix), in the
+#: order of an ``InferenceTable`` row: vertex, edge first and second vertex,
+#: relevance, LCA first and second vertex.
+VERTEX_ROLES = (
+    ("vertex", ""),
+    ("edge", EDGE_LAYOUT.first),
+    ("edge", EDGE_LAYOUT.second),
+    ("relevance", RELEVANCE_PREFIX),
+    ("lca", LCA_LAYOUT.first),
+    ("lca", LCA_LAYOUT.second),
+)
+
+
+class InferenceTable:
+    """A suite's weights laid out to score one feature pass at a time.
+
+    ``_rows`` maps each feature name to its weights under every label of
+    every role in ``VERTEX_ROLES``, concatenated in that order (2 + 6 + 6 +
+    2 + 6 + 6 = 28 floats for a trained suite), with 0.0 where a role lacks
+    the name. It is built straight from each model's weights, so no model
+    builds its prefixed role tables. ``scores`` looks each vertex's names up
+    once, multiplies the rows that need it (``_columns``, with ``_floats``
+    telling whether every weight of the suite is a float) and reads every
+    role's terms off the vertex's columns; bias and flag blocks are read as
+    columns cached per block. The table holds the models' weight dicts but
+    never the suite, so it keeps no suite alive."""
+
+    def __init__(self, suite: ClassifierSuite):
+        models = {part: getattr(suite, part) for part, _ in PARTS}
+        self._weights = {part: [m.weights[label] for label in m.labels] for part, m in models.items()}
+        self._floats = all(m._all_floats() for m in models.values())
+        names = {part: list(dict.fromkeys(chain.from_iterable(t))) for part, t in self._weights.items()}
+        self._zero = (0.0,) * sum(len(self._weights[part]) for part, _ in VERTEX_ROLES)
+        self._slices: list[slice] = []  # each role's part of a row
+        self._rows: dict[str, list[float]] = {}  # lists, filled here and never changed after
+        for part, prefix in VERTEX_ROLES:
+            tabs, kept = self._weights[part], names[part]
+            stripped = kept
+            if prefix:
+                kept = [name for name in kept if name.startswith(prefix)]
+                stripped = map(itemgetter(slice(len(prefix), None)), kept)
+            start = self._slices[-1].stop if self._slices else 0
+            role = slice(start, start + len(tabs))
+            self._slices.append(role)
+            for name, role_row in zip(stripped, zip(*(map(w.get, kept, repeat(0.0)) for w in tabs))):
+                row = self._rows.get(name)
+                if row is None:
+                    row = self._rows[name] = list(self._zero)
+                row[role] = role_row
+        self._blocks: dict[tuple[str, str, tuple[str, ...]], list[tuple[float, ...]]] = {}
+
+    def _vertex_columns(self, fv: Mapping[str, float]) -> list[list[tuple[float, ...]]]:
+        """Each role's columns of terms for one vertex vector."""
+        rows = list(map(self._rows.get, fv, repeat(self._zero)))
+        columns = _columns(rows, fv.values(), self._floats, len(self._zero))
+        return [columns[role] for role in self._slices]
+
+    def _block_columns(self, part: str, prefix: str, names: tuple[str, ...]) -> list[tuple[float, ...]]:
+        """The columns of the ``_flag_block`` of ``names`` under ``prefix``
+        in ``part``'s model, cached per block: bias and flag blocks come
+        from a fixed set of names."""
+        key = (part, prefix, names)
+        columns = self._blocks.get(key)
+        if columns is None:
+            tabs = self._weights[part]
+            rows = [tuple(w.get(prefix + name, 0.0) for w in tabs) for name in names]
+            columns = _columns(rows, _flag_block(names).values(), self._floats, len(tabs))
+            self._blocks[key] = columns
+        return columns
+
+    def _pair_scores(
+        self,
+        feats: ProblemFeatures,
+        columns: Sequence[list[list[tuple[float, ...]]]],
+        part: str,
+        layout: PairLayout,
+        pairs: Iterable[tuple[int, int]],
+    ) -> list[tuple[float, ...]]:
+        """``block_scores(feats.pair_blocks(layout, i, j))`` of ``part``'s
+        model for each pair: each vertex's first-role terms are added once
+        to the bias's sums, and a pair continues those sums through the
+        second vertex's terms and its flags."""
+        first = VERTEX_ROLES.index((part, layout.first))
+        second = VERTEX_ROLES.index((part, layout.second))
+        bias = _sums(self._block_columns(part, "", (layout.bias,)), repeat(0))
+        firsts: dict[int, tuple[float, ...]] = {}
+        out = []
+        for i, j in pairs:
+            start = firsts.get(i)
+            if start is None:
+                start = firsts[i] = _sums(columns[i][first], bias)
+            scores = _sums(columns[j][second], start)
+            flags = self._block_columns(part, "", feats._pair_flag_names(layout, i, j))
+            out.append(_sums(flags, scores))
+        return out
+
+    def scores(self, feats: ProblemFeatures) -> tuple[list[tuple[float, ...]], ...]:
+        """Every query's scores, in each model's ``labels`` order, off one
+        feature pass over n quantities and the question: the vertex model's
+        for each vertex, the edge model's for each pair of
+        ``vertex_pairs(n)``, the relevance model's for each quantity and the
+        LCA model's for each pair of ``combinations(range(n), 2)``. Each is
+        the float ``LinearModel.block_scores`` gives for the query's blocks:
+        every label's terms are the same products, added one at a time in
+        the same order from the same start."""
+        n = len(feats.vectors) - 1
+        columns = list(map(self._vertex_columns, feats.vectors))
+        vertex_role = VERTEX_ROLES.index(("vertex", ""))
+        relevance_role = VERTEX_ROLES.index(("relevance", RELEVANCE_PREFIX))
+        vertex = [_sums(c[vertex_role], repeat(0)) for c in columns]
+        edge = self._pair_scores(feats, columns, "edge", EDGE_LAYOUT, vertex_pairs(n))
+        relevance = [
+            _sums(
+                self._block_columns("relevance", RELEVANCE_PREFIX, feats._relevance_flag_names(q)),
+                _sums(columns[q][relevance_role], repeat(0)),
+            )
+            for q in range(n)
+        ]
+        lca = self._pair_scores(feats, columns, "lca", LCA_LAYOUT, combinations(range(n), 2))
+        return vertex, edge, relevance, lca
+
+
 @dataclass(frozen=True)
 class ClassifierSuite:
+    """The four classifiers and the feature config they were trained with.
+
+    ``_inference`` caches the suite's ``InferenceTable``, built on first use
+    by ``inference_table``; like ``LinearModel._roles`` it is no part of the
+    suite's value, and since the table holds no reference to the suite, a
+    suite is freed as soon as its last reference goes."""
+
     vertex: LinearModel
     edge: LinearModel
     relevance: LinearModel
     lca: LinearModel
     config: FeatureConfig = field(default_factory=FeatureConfig)
+    _inference: list[InferenceTable] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+
+    def inference_table(self) -> InferenceTable:
+        """The suite's ``InferenceTable``, built on first use."""
+        if not self._inference:
+            self._inference.append(InferenceTable(self))
+        return self._inference[0]
 
     def save(self, path) -> None:
         obj = {name: getattr(self, name).to_json_obj() for name, _ in PARTS}

@@ -1,11 +1,13 @@
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import math
 import operator
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -553,8 +555,27 @@ def _thinned(model, rng):
     return learn.LinearModel(model.labels, weights, model.epochs, model.seed)
 
 
+def _with_json_ints(suite, path):
+    # the suite as a JSON model may hold it: the vertex feature "bias" is
+    # weighed by the edge model alone, and one edge label holds the ints -2
+    # (the pair bias) and 2**53 + 1 (the first vertex's bias, its first
+    # feature). Added as ints they would give 2**53 - 1; times 1.0 each, as
+    # the oracle adds them, -2.0 + 2.0**53
+    suite.save(path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    for part, prefix in learn.VERTEX_ROLES:
+        if part != "edge":
+            for label in obj[part]["labels"]:
+                obj[part]["weights"].pop(f"{label}\x1f{prefix}bias", None)
+    label = obj["edge"]["labels"][0]
+    obj["edge"]["weights"][f"{label}\x1fpair_bias"] = -2
+    obj["edge"]["weights"][f"{label}\x1fi|bias"] = 2**53 + 1
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return learn.ClassifierSuite.load(path)
+
+
 @pytest.fixture(scope="module")
-def feature_variant_suites(synthetic_corpus):
+def feature_variant_suites(synthetic_corpus, tmp_path_factory):
     train = synthetic_corpus[:150]
     configs = (
         learn.FeatureConfig(),
@@ -571,6 +592,7 @@ def feature_variant_suites(synthetic_corpus):
             config=base.config,
         )
     )
+    suites.append(_with_json_ints(base, tmp_path_factory.mktemp("ints") / "model.json"))
     return suites
 
 
@@ -579,6 +601,47 @@ def test_score_tables_bit_identical_to_per_query_oracle(feature_variant_suites):
     for suite in feature_variant_suites:
         for p in held_out:
             assert _bits(infer.build_score_tables(p, suite)) == _bits(_oracle_tables(p, suite))
+
+
+def test_json_int_suite_scores_keep_the_product_types(feature_variant_suites):
+    suite = feature_variant_suites[-1]
+    weights = suite.edge.weights[suite.edge.labels[0]]
+    assert (weights["pair_bias"], weights["i|bias"]) == (-2, 2**53 + 1)
+    assert {type(weights["pair_bias"]), type(weights["i|bias"])} == {int}
+    bias = {prefix + "bias" for _, prefix in learn.VERTEX_ROLES}
+    weighing = {
+        part
+        for part, _ in learn.PARTS
+        for table in getattr(suite, part).weights.values()
+        if bias & table.keys()
+    }
+    assert weighing == {"edge"}
+    p = synth.gen_synthetic_corpus(seed=3, size=50)[0]
+    tables = infer.build_score_tables(p, suite)
+    assert {kind for part in _bits(tables) for _, kind, _ in part} == {float}
+    assert _bits(tables) == _bits(_oracle_tables(p, suite))
+
+
+def test_inference_table_is_no_part_of_the_suite(trained_suite, synthetic_corpus, tmp_path):
+    path, again = tmp_path / "model.json", tmp_path / "again.json"
+    trained_suite.save(path)
+    suite, fresh = learn.ClassifierSuite.load(path), learn.ClassifierSuite.load(path)
+    shown = repr(suite)
+    for p in synthetic_corpus[:5]:
+        infer.build_score_tables(p, suite)
+    assert suite._inference
+    assert suite == fresh and repr(suite) == shown == repr(fresh)
+    suite.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    # no reference cycle: the suite goes with its last reference, not at the
+    # next collection
+    gc.disable()
+    try:
+        ref = weakref.ref(suite)
+        del suite
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_score_tables_run_one_feature_pass(monkeypatch, trained_suite, synthetic_corpus):
@@ -994,11 +1057,11 @@ def test_joint_search_output_pinned():
 
 
 def test_joint_search_candidates_differ_before_edges():
-    # (nodes, serial, labeling) alone orders every pair of candidates
+    # (index, labeling) alone orders every pair of candidates
     for cands in _tie_heavy_searches():
         for params in JOINT_GRID:
             keys = [
-                cand[0][1:4]
+                cand[0][1:3]
                 for entry in cands.ranked(params.lambda_rel)
                 for cand in cands._tree_candidates(entry, params)
             ]
