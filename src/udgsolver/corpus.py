@@ -60,8 +60,9 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     sentence = 0
     for m in _TOKEN_RE.finditer(text):
-        tokens.append((m.group(0).lower(), sentence, (m.start(), m.end())))
-        if m.group(0) in _SENTENCE_END:
+        tok = m.group()
+        tokens.append((tok.lower(), sentence, m.span()))
+        if tok in _SENTENCE_END:
             sentence += 1
     return tokens
 
@@ -88,8 +89,9 @@ _ones_alt = "|".join(w for w in _ONES if w != "zero")
 # Standalone "one" is deliberately not replaced: it is usually a pronoun
 # ("each one", "one of them"). Compounds and bigrams that contain it still are.
 _single_alt = "|".join(w for w in _WORD_VALUES if w != "one")
+# the lookahead skips every word whose first letter starts no alternative
 _NUMBER_WORD_RE = re.compile(
-    rf"\b(?:(?P<compound>(?:{_tens_alt})-(?:{_ones_alt}))"
+    rf"\b(?=[adefhnostz])(?:(?P<compound>(?:{_tens_alt})-(?:{_ones_alt}))"
     rf"|(?P<bigram>(?:a|one)\s+(?:dozen|hundred))"
     rf"|(?P<single>{_single_alt}))\b",
     re.IGNORECASE,
@@ -208,9 +210,15 @@ def _number_value(tok: str) -> Fraction:
 def _token_quantities(tokens: Sequence[Token]) -> list[Quantity]:
     out = []
     for pos, (tok, _sent, span) in enumerate(tokens):
-        if _NUMBER_TOKEN_RE.match(tok):
+        # ``\d`` matches exactly what ``str.isdecimal`` accepts: an all-decimal
+        # token is a whole number, and any other number starts "-", "." or \d
+        if tok.isdecimal():
+            value = Fraction(int(tok))
+        elif (tok[0] in "-." or tok[0].isdecimal()) and _NUMBER_TOKEN_RE.match(tok):
             value = _number_value(tok)
-            out.append(Quantity(index=len(out), value=value, token_index=pos, span=span))
+        else:
+            continue
+        out.append(Quantity(index=len(out), value=value, token_index=pos, span=span))
     return out
 
 

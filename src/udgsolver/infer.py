@@ -8,16 +8,21 @@ must be consistent with the tree.
 
 Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
-a tree); ``_labeling_entry`` scores one labeling from its pairs' picks (best
-label, its score, first label's score) for both. ``_unconstrained_rows``
-scores every labeling of a problem with no tree off one table per n
-(``_labelings``), scanning each distinct (pair, options) pick once, and
-``_best_graph`` takes the standalone prediction from those rows. Sums still
-add the picks pair by pair in ``vertex_pairs`` order, so sums, ties and
-graphs are those of a scan per labeling.
+a tree). A problem's edge scores are read once into one row, and a pair's
+options are positions in it (one table per n, ``_labelings``): a pick is a
+``max`` over those positions, which keeps the first of equal labels, and
+``_labeling_entry`` sums a labeling's picks in ``vertex_pairs`` order from
+0.0 for both searches. ``_unconstrained_rows`` picks each distinct (pair,
+options) of the labelings bound by no tree once, and ``_best_graph`` takes
+the standalone prediction from those rows; a tree's consistent labelings,
+with their options as row positions, are listed once per tree
+(``_consistent``, a bounded cache keyed by the tree, not the problem). Sums,
+ties and graphs are those of a scan per labeling, and a labeling's edge
+tuple is built only when a search returns it.
 
 The joint search is one ``JointCandidates`` per problem, holding no scale.
-Every candidate tree is scored up front from its compiled structure, and
+Every candidate tree is scored up front off one table per n (``_candidates``:
+each candidate's subset, each subset's unused quantities and pairs), and
 each solve pops the trees best-first under its own ``lambda_rel``, ties by
 ``exprtree.search_order``; only a popped tree is evaluated and built, and
 none is serialized. ``solve`` is branch and
@@ -39,8 +44,8 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, getitem
+from functools import lru_cache, partial, reduce
+from operator import add, attrgetter, getitem, itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import exprtree, learn, udg
@@ -108,8 +113,8 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     over a column, from its start: the int 0, the bias's sums, or the sums
     of the pair's first vertex; flags continue from the vertex sums. Each
     label's terms are added one at a time in the vector's order, so every
-    score is the float ``LinearModel.score`` gives for the query's
-    assembled vector.
+    score is the float ``LinearModel.score`` gives for the query's assembled
+    vector. Each dict is one ``zip`` of the table's keys for n and the scores.
 
     LCA scores are shifted per pair so the pair's best operation scores zero
     and every other operation is negative (the margin analogue of a log
@@ -120,29 +125,17 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     raw (every graph labels every pair, so per-pair shifts cancel).
     """
     n = problem.n
-    feats = learn.problem_features(problem, suite.config)
-    vertex_scores, edge_scores, relevance_scores, lca_scores = suite.inference_table().scores(feats)
-    vertex = {
-        (v, label): s
-        for v, scores in enumerate(vertex_scores)
-        for label, s in zip(suite.vertex.labels, scores)
-    }
-    edge_types = [EdgeType(label) for label in suite.edge.labels]
-    edge = {
-        (i, j, label): s
-        for (i, j), scores in zip(udg.vertex_pairs(n), edge_scores)
-        for label, s in zip(edge_types, scores)
-    }
-    relevance = {
-        (q, label): s
-        for q, scores in enumerate(relevance_scores)
-        for label, s in zip(suite.relevance.labels, scores)
-    }
-    lca = {}
-    for (i, j), scores in zip(itertools.combinations(range(n), 2), lca_scores):
-        top = max(scores)
-        for op, s in zip(suite.lca.labels, scores):
-            lca[(i, j, op)] = s - top
+    table = suite.inference_table()
+    vertex_scores, edge_scores, relevance_scores, lca_scores = table.scores(
+        learn.problem_features(problem, suite.config)
+    )
+    vertex_keys, edge_keys, relevance_keys, lca_keys = table.keys(n)
+    flat = itertools.chain.from_iterable
+    vertex = dict(zip(vertex_keys, flat(vertex_scores)))
+    edge = dict(zip(edge_keys, flat(edge_scores)))
+    relevance = dict(zip(relevance_keys, flat(relevance_scores)))
+    shifted = ([s - top for s in scores] for scores, top in zip(lca_scores, map(max, lca_scores)))
+    lca = dict(zip(lca_keys, flat(shifted)))
     return ScoreTables(n, vertex, edge, relevance, lca)
 
 
@@ -195,79 +188,103 @@ def values_match(predicted: Fraction, gold: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 # labeling entries
 
+#: A problem's edge row holds every pair's score under each label, pair by
+#: pair in ``vertex_pairs`` order: position p is pair p // 6 under
+#: ``_EDGE_TYPES[p % 6]``.
+_EDGE_TYPES = tuple(EdgeType)
+
+
 @dataclass
 class _LabelingEntry:
-    """One vertex labeling with its vertex sum and two edge picks: each
-    pair's best permitted label (ties keep the earlier label), and each
-    pair's first permitted label."""
+    """One vertex labeling with its vertex sum and two edge picks, as
+    positions in the problem's edge row: each pair's best permitted label
+    (ties keep the earlier label), and each pair's first permitted label.
+    Its edge tuple is built only for a labeling a search returns."""
 
     labeling: tuple[bool, ...]
     vertex_sum: float
     edge_sum_max: float
-    edges_max: tuple[EdgeType, ...]
+    best: tuple[int, ...]
     edge_sum_lex: float
-    edges_lex: tuple[EdgeType, ...]
+    first: tuple[int, ...]
 
-    def edges(self, params: ScalingParams) -> tuple[float, tuple[EdgeType, ...]]:
-        """(edge sum, edges) of the labeling's best graph. With a zero edge
-        scale every label ties, so the lexicographically first is taken."""
-        if params.lambda_edge > 0:
-            return self.edge_sum_max, self.edges_max
-        return self.edge_sum_lex, self.edges_lex
+    def edge_sum(self, params: ScalingParams) -> float:
+        """The edge sum of the labeling's best graph. With a zero edge scale
+        every label ties, so the lexicographically first is taken."""
+        return self.edge_sum_max if params.lambda_edge > 0 else self.edge_sum_lex
+
+    def edges(self, params: ScalingParams) -> tuple[EdgeType, ...]:
+        """The edges of the labeling's best graph, as ``edge_sum`` picks them."""
+        positions = self.best if params.lambda_edge > 0 else self.first
+        return tuple([_EDGE_TYPES[p % len(_EDGE_TYPES)] for p in positions])
 
     def score(self, params: ScalingParams) -> float:
-        return params.lambda_vertex * self.vertex_sum + params.lambda_edge * self.edges(params)[0]
+        return params.lambda_vertex * self.vertex_sum + params.lambda_edge * self.edge_sum(params)
 
 
-def _edge_pick(
-    tables: ScoreTables, i: int, j: int, options: tuple[EdgeType, ...]
-) -> tuple[EdgeType, float, float]:
-    """(best label, its score, first label's score) of pair (i, j) over
-    ``options``; ties keep the earlier label."""
-    best = options[0]
-    best_score = first_score = tables.edge_score(i, j, best)
-    for label in options[1:]:
-        s = tables.edge_score(i, j, label)
-        if s > best_score:
-            best, best_score = label, s
-    return best, best_score, first_score
+class _Picks(dict):
+    """A problem's edge ``row``, and the (best, first) row positions of each
+    pair's options asked for (as row positions), picked once. ``best`` is
+    the one pick: a ``max`` over option positions, which keeps the first of
+    equal scores."""
+
+    def __init__(self, row: list[float]):
+        super().__init__()
+        self.row, self.best = row, partial(max, key=row.__getitem__)
+
+    def __missing__(self, positions: tuple[int, ...]) -> tuple[int, int]:
+        pick = self[positions] = (self.best(positions), positions[0])
+        return pick
 
 
 def _labeling_entry(
-    labeling: tuple[bool, ...],
-    vertex_sum: float,
-    choices: Sequence[tuple[EdgeType, ...]],
-    picks: Sequence[tuple[EdgeType, float, float]],
+    labeling: tuple[bool, ...], vertex_sum: float, row: list[float], best: tuple[int, ...],
+    first: tuple[int, ...],
 ) -> _LabelingEntry:
-    """Score a labeling whose pairs, in ``vertex_pairs`` order, may carry
-    ``choices``, from each pair's ``_edge_pick`` over its choices."""
-    e_max = e_lex = 0.0
-    for _, best_score, first_score in picks:
-        e_max += best_score
-        e_lex += first_score
-    edges_max = tuple([pick[0] for pick in picks])
-    edges_lex = tuple([options[0] for options in choices])
-    return _LabelingEntry(labeling, vertex_sum, e_max, edges_max, e_lex, edges_lex)
+    """Score a labeling from its pairs' best and first option positions in
+    the edge ``row``, in ``vertex_pairs`` order: each edge sum adds its pick
+    scores one at a time from 0.0."""
+    get = row.__getitem__
+    edge_sum_max, edge_sum_lex = reduce(add, map(get, best), 0.0), reduce(add, map(get, first), 0.0)
+    return _LabelingEntry(labeling, vertex_sum, edge_sum_max, best, edge_sum_lex, first)
+
+
+class _Positions(dict):
+    """The edge row positions of each (pair index, labels in declaration
+    order), built on first use (threads racing on a key store equal tuples)."""
+
+    def __missing__(self, key: tuple[int, tuple[EdgeType, ...]]) -> tuple[int, ...]:
+        k, labels = key
+        positions = self[key] = tuple(k * len(_EDGE_TYPES) + udg.EDGE_ORDER[e] for e in labels)
+        return positions
 
 
 @lru_cache(maxsize=exprtree.MAX_ENUM_LEAVES)
-def _labelings(n: int) -> tuple[tuple, tuple, dict[tuple[bool, ...], int]]:
-    """Every vertex labeling over n quantities, lexicographically (not-rate
-    first), as (labeling, rate vertices, structurally valid labels of each
-    pair, each pair's position in ``keys``); ``keys``, every distinct (pair
-    index, options); and each labeling's position in the rows."""
+def _labelings(n: int) -> tuple[tuple, tuple, tuple, dict, dict]:
+    """The edge row's (i, j, label) keys over n quantities; every labeling,
+    lexicographically (not-rate first), as (labeling, rate vertices, each
+    pair's position in ``options``, each pair's first valid label's row
+    position); ``options``, every distinct (pair, valid labels) as row
+    positions; each labeling's index; and the row positions of any (pair
+    index, labels in declaration order)."""
+    pairs = udg.vertex_pairs(n)
+    positions = _Positions()
     keys: dict[tuple[int, tuple[EdgeType, ...]], int] = {}
     rows = []
     for labeling in itertools.product((False, True), repeat=n + 1):
-        choices = udg.valid_edge_choices(labeling)
-        ids = tuple(keys.setdefault(key, len(keys)) for key in enumerate(choices))
-        rows.append((labeling, tuple(v for v, flag in enumerate(labeling) if flag), choices, ids))
-    return tuple(rows), tuple(keys), {row[0]: k for k, row in enumerate(rows)}
+        choices = tuple(enumerate(udg.valid_edge_choices(labeling)))
+        ids = tuple(keys.setdefault(key, len(keys)) for key in choices)
+        first = tuple(positions[key][0] for key in choices)
+        rows.append((labeling, tuple(v for v, flag in enumerate(labeling) if flag), ids, first))
+    edge_keys = tuple((i, j, e) for i, j in pairs for e in _EDGE_TYPES)
+    options = tuple(map(positions.__getitem__, keys))
+    return edge_keys, tuple(rows), options, {row[0]: k for k, row in enumerate(rows)}, positions
 
 
-def _unconstrained_rows(tables: ScoreTables) -> tuple[_LabelingEntry, ...]:
-    """Every vertex labeling, in ``_labelings`` order, with the structurally
-    valid labels of a graph bound by no tree.
+def _unconstrained_rows(tables: ScoreTables) -> tuple[_Picks, tuple[_LabelingEntry, ...]]:
+    """The problem's picks, and every vertex labeling, in ``_labelings``
+    order, with the structurally valid labels of a graph bound by no tree;
+    each distinct (pair, options) is picked once.
 
     There are 2^(n+1) labelings, so more quantities than a candidate tree
     may cover (``exprtree.MAX_ENUM_LEAVES``) are refused."""
@@ -276,19 +293,14 @@ def _unconstrained_rows(tables: ScoreTables) -> tuple[_LabelingEntry, ...]:
         raise InferenceError(
             f"refusing to label graphs over {n} quantities (max {exprtree.MAX_ENUM_LEAVES})"
         )
-    rows, keys, _ = _labelings(n)
-    pairs = udg.vertex_pairs(n)
-    picks = [_edge_pick(tables, *pairs[k], options) for k, options in keys]
-    rate = [tables.vertex_score(v, RATE) for v in range(n + 1)]
-    return tuple(
-        _labeling_entry(
-            labeling,
-            # one addition at a time, as in every Python version (3.12's sum() compensates)
-            reduce(add, map(rate.__getitem__, rates), 0),
-            choices,
-            [picks[i] for i in ids],
-        )
-        for labeling, rates, choices, ids in rows
+    edge_keys, rows, options, _, _ = _labelings(n)
+    picks = _Picks(list(map(tables.edge.get, edge_keys, itertools.repeat(0.0))))
+    best = list(map(picks.best, options)).__getitem__
+    rate = [tables.vertex_score(v, RATE) for v in range(n + 1)].__getitem__
+    # vertex sums add one term at a time, as in every Python version (3.12's sum() compensates)
+    return picks, tuple(
+        _labeling_entry(lab, reduce(add, map(rate, rates), 0), picks.row, tuple(map(best, ids)), first)
+        for lab, rates, ids, first in rows
     )
 
 
@@ -299,7 +311,7 @@ def _best_graph(rows: Sequence[_LabelingEntry], params: ScalingParams) -> UnitDe
     """The best graph of the unconstrained labeling ``rows`` under ``params``;
     ties go to the earliest row."""
     best = max(rows, key=lambda e: e.score(params))  # first of equal scores
-    return UnitDependencyGraph.from_labeling(best.labeling, best.edges(params)[1])
+    return UnitDependencyGraph.from_labeling(best.labeling, best.edges(params))
 
 
 def predict_udg_from_tables(tables: ScoreTables, params: ScalingParams) -> UnitDependencyGraph:
@@ -307,7 +319,7 @@ def predict_udg_from_tables(tables: ScoreTables, params: ScalingParams) -> UnitD
     vertex labelings; ties break toward the lexicographically smallest
     encoding. More than ``exprtree.MAX_ENUM_LEAVES`` quantities raise
     InferenceError."""
-    return _best_graph(_unconstrained_rows(tables), params)
+    return _best_graph(_unconstrained_rows(tables)[1], params)
 
 
 def predict_udg(
@@ -363,6 +375,33 @@ class _TreeEntry:
         return lambda_rel * self.rel_sum + self.lca_sum
 
 
+@lru_cache(maxsize=exprtree.MAX_ENUM_LEAVES)
+def _candidates(n: int) -> tuple[tuple, bytes, tuple, tuple, tuple]:
+    """``exprtree.search_order(n)``; each candidate's subset id; each
+    subset's unused quantities, and its pairs' positions in
+    ``combinations(range(n), 2)``, in order; and the LCA score keys of each
+    of those pairs, one per operation."""
+    order = exprtree.search_order(n)
+    ids: dict[tuple[int, ...], int] = {}
+    subset_ids = bytes(ids.setdefault(subset, len(ids)) for subset, _ in order)  # at most 63 subsets
+    pair_ids = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
+    unused = tuple(tuple(q for q in range(n) if q not in subset) for subset in ids)
+    pairs = tuple(tuple(map(pair_ids.__getitem__, itertools.combinations(subset, 2))) for subset in ids)
+    lca_keys = tuple(tuple((i, j, op) for op in exprtree.OPS) for i, j in pair_ids)
+    return order, subset_ids, unused, pairs, lca_keys
+
+
+@lru_cache(maxsize=256)
+def _consistent(tree: Expr, n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """Each labeling consistent with the tree (``udg.consistent_edge_choices``):
+    its row in ``_labelings(n)`` and its pairs' options as edge row positions."""
+    _, _, _, row_of, positions = _labelings(n)
+    return tuple(
+        (row_of[labeling], tuple(map(positions.__getitem__, enumerate(choices))))
+        for labeling, choices in udg.consistent_edge_choices(tree, n)
+    )
+
+
 def check_beam(beam) -> None:
     """Raise ValueError unless ``beam`` is None (no cut) or an int >= 1."""
     if beam is not None and (isinstance(beam, bool) or not isinstance(beam, int) or beam < 1):
@@ -409,31 +448,21 @@ class JointCandidates:
         self.values = tuple(values)
         self.beam = beam
         n = tables.n_quantities
-        lca_rows = {
-            (i, j): {op: tables.lca_score(i, j, op) for op in exprtree.OPS}
-            for i, j in itertools.combinations(range(n), 2)
-        }
-        irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)]
-        self._order = exprtree.search_order(n)
-        # per subset, computed once: (rel_sum, the LCA rows of its pairs)
-        subsets: dict[tuple[int, ...], tuple[float, list]] = {}
-        # per candidate, in search order; two lists, not a pair per candidate
-        # (n=6 places about 1.3 M candidates)
-        self._rel_sums: list[float] = []
-        self._lca_sums: list[float] = []
-        for subset, plan in self._order:
-            if subset not in subsets:
-                subsets[subset] = (
-                    reduce(add, (irrelevant[q] for q in range(n) if q not in subset), 0.0),
-                    [lca_rows[pair] for pair in itertools.combinations(subset, 2)],
-                )
-            rel_sum, rows = subsets[subset]
-            self._rel_sums.append(rel_sum)
-            self._lca_sums.append(reduce(add, map(getitem, rows, plan.pair_ops), 0.0))
-        self._unconstrained = _unconstrained_rows(tables)
+        self._order, subset_ids, unused, pairs, lca_keys = _candidates(n)
+        lca = tables.lca.get
+        pair_rows = [dict(zip(exprtree.OPS, map(lca, keys, itertools.repeat(0.0)))) for keys in lca_keys]
+        irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)].__getitem__
+        rel_sums = [reduce(add, map(irrelevant, qs), 0.0) for qs in unused]  # per subset
+        rows = [list(map(pair_rows.__getitem__, ks)) for ks in pairs]  # its pairs' LCA rows
+        # two lists per candidate (n=6 places about 1.3 M); an LCA sum adds its
+        # plan's operation scores over its subset's pairs, as ``tree_term_sums``
+        self._rel_sums = list(map(rel_sums.__getitem__, subset_ids))
+        plan_ops = map(attrgetter("pair_ops"), map(itemgetter(1), self._order))
+        terms = map(map, itertools.repeat(getitem), map(rows.__getitem__, subset_ids), plan_ops)
+        self._lca_sums = list(map(reduce, itertools.repeat(add), terms, itertools.repeat(0.0)))
+        self._picks, self._unconstrained = _unconstrained_rows(tables)
         # popped candidates by index, None for one that is not valid
         self._entries: dict[int, _TreeEntry | None] = {}
-        self._picks: dict[tuple[int, tuple[EdgeType, ...]], tuple[EdgeType, float, float]] = {}
         # (lambda_rel, the heap left, the valid trees popped)
         self._ranking: tuple[float, list, list[_TreeEntry]] | None = None
 
@@ -490,15 +519,6 @@ class JointCandidates:
             yield kept[k]
             k += 1
 
-    def _pick(self, key: tuple[int, tuple[EdgeType, ...]]) -> tuple[EdgeType, float, float]:
-        """``_edge_pick`` of (pair index, options), memoized for every
-        visited tree's labelings."""
-        if key not in self._picks:
-            k, options = key
-            pair = udg.vertex_pairs(self.tables.n_quantities)[k]
-            self._picks[key] = _edge_pick(self.tables, *pair, options)
-        return self._picks[key]
-
     def ranked(self, lambda_rel: float) -> tuple[_TreeEntry, ...]:
         """The ``beam`` best trees under ``lambda_rel``, best first; equal
         tree scores keep the earlier candidate in ``exprtree.search_order``."""
@@ -516,26 +536,20 @@ class JointCandidates:
         differ before any edge: candidate indices differ, and a tree has one
         entry per labeling."""
         if entry.consistent is None:
-            n = self.tables.n_quantities
-            _, _, position = _labelings(n)
+            row, pick, rows = self._picks.row, self._picks.__getitem__, self._unconstrained
             entry.consistent = tuple(
-                _labeling_entry(
-                    labeling,
-                    self._unconstrained[position[labeling]].vertex_sum,
-                    choices,
-                    [self._pick(key) for key in enumerate(choices)],
-                )
-                for labeling, choices in udg.consistent_edge_choices(entry.tree, n)
+                _labeling_entry(rows[k].labeling, rows[k].vertex_sum, row, *zip(*map(pick, options)))
+                for k, options in _consistent(entry.tree, self.tables.n_quantities)
             )
         base = entry.base(params.lambda_rel)
         for lab in entry.consistent:
-            esum = lab.edges(params)[0]
+            esum = lab.edge_sum(params)
             total = base + params.lambda_vertex * lab.vertex_sum + params.lambda_edge * esum
             yield (-total, entry.index, lab.labeling), entry, lab
 
     def solve(self, params: ScalingParams) -> ScoredTuple:
         graph_terms = [
-            (params.lambda_vertex * lab.vertex_sum, params.lambda_edge * lab.edges(params)[0])
+            (params.lambda_vertex * lab.vertex_sum, params.lambda_edge * lab.edge_sum(params))
             for lab in self._unconstrained
         ]
         best = None
@@ -566,16 +580,15 @@ class JointCandidates:
 
     def _build(self, cand, params: ScalingParams) -> ScoredTuple:
         key, entry, lab = cand
-        esum, edges = lab.edges(params)
         return ScoredTuple(
             tree=entry.tree,
-            graph=UnitDependencyGraph.from_labeling(lab.labeling, edges),
+            graph=UnitDependencyGraph.from_labeling(lab.labeling, lab.edges(params)),
             value=entry.value,
             score=-key[0],
             rel_sum=entry.rel_sum,
             lca_sum=entry.lca_sum,
             vertex_sum=lab.vertex_sum,
-            edge_sum=esum,
+            edge_sum=lab.edge_sum(params),
             params=params,
         )
 

@@ -3,11 +3,12 @@
 Four classifiers drive inference: a binary rate detector per vertex, a
 six-way edge classifier per vertex pair, a binary relevance classifier per
 quantity, and a six-way lowest-common-ancestor operation classifier per
-quantity pair. One feature pass per (problem, config) lists and tags the
-problem's tokens once and computes each vertex's feature vector and unit
-once. Every classifier's vectors are block vectors that point into it: a
-tuple of (prefix, vector) blocks, such as an edge pair's bias, its first
-vertex's vector under "i|", its second's under "j|" and its unit flags.
+quantity pair. One feature pass per (problem, config) tags the tokens and
+finds the sentence bounds once (``units.tag_tokens``), for each vertex's
+unit and feature vector. Every classifier's vectors are block vectors that
+point into it: a tuple of (prefix, vector) blocks, such as an edge pair's
+bias, its first vertex's vector under "i|", its second's under "j|" and its
+unit flags.
 The blocks of one vector are disjoint, so ``expand`` gives the one dict
 they stand for, in block order; training and the eval's classifier
 accuracies read the blocks themselves, and the per-query functions expand
@@ -102,36 +103,20 @@ class FeatureConfig:
             raise ValueError(f"window must be an int >= 0, got {self.window!r}")
 
 
-def _bump(fv: FeatureVector, name: str) -> None:
-    # a first count is the one constant 1.0, not a new float per feature
-    count = fv.get(name)
-    fv[name] = 1.0 if count is None else count + 1.0
-
-
-def _context_block(
-    toks: Sequence[str], tags: Sequence[str], lo: int, hi: int, anchor: int, fv: FeatureVector
-) -> None:
+def _context_names(toks: Sequence[str], tags: Sequence[str], lo: int, hi: int, anchor: int) -> list[str]:
+    names = []
     for i in range(lo, hi):
         tok, tag = toks[i], tags[i]
-        _bump(fv, f"u:{tok}")
-        _bump(fv, f"u@{i - anchor}:{tok}")
-        _bump(fv, f"p:{tag}")
-        _bump(fv, f"wp:{tok}_{tag}")
+        names += (f"u:{tok}", f"u@{i - anchor}:{tok}", f"p:{tag}", f"wp:{tok}_{tag}")
     for i in range(lo, hi - 1):
         a, b = toks[i], toks[i + 1]
         ta, tb = tags[i], tags[i + 1]
-        _bump(fv, f"b:{a} {b}")
-        _bump(fv, f"pb:{ta} {tb}")
+        names += (f"b:{a} {b}", f"pb:{ta} {tb}")
         if ta == units.NUM:
-            _bump(fv, f"bn:<n> {b}")
+            names.append(f"bn:<n> {b}")
         if tb == units.NUM:
-            _bump(fv, f"bn:{a} <n>")
-
-
-def _tagged(problem: Problem) -> tuple[list[str], list[str]]:
-    """The problem's token texts and their ``units.pos_tag`` tags."""
-    toks = problem.token_texts()
-    return toks, list(map(units.pos_tag, toks))
+            names.append(f"bn:{a} <n>")
+    return names
 
 
 def _vertex_window(problem: Problem, vertex: int | str, window: int) -> tuple[int, int, int]:
@@ -144,14 +129,12 @@ def _vertex_window(problem: Problem, vertex: int | str, window: int) -> tuple[in
     return lo, hi, q.token_index
 
 
-def _rule_block(unit: units.QuantityUnit, fv: FeatureVector) -> None:
-    if unit.rule_rate_flag:
-        _bump(fv, "rule:rate")
-    for tok in unit.surface_unit:
-        _bump(fv, f"unit:{tok}")
+def _rule_names(unit: units.QuantityUnit) -> list[str]:
+    names = ["rule:rate"] if unit.rule_rate_flag else []
+    names += [f"unit:{tok}" for tok in unit.surface_unit]
     if unit.den_unit:
-        for tok in unit.den_unit:
-            _bump(fv, f"denu:{tok}")
+        names += [f"denu:{tok}" for tok in unit.den_unit]
+    return names
 
 
 def vertex_features(
@@ -159,22 +142,27 @@ def vertex_features(
     vertex: int | str,
     config: FeatureConfig = FeatureConfig(),
     unit: units.QuantityUnit | None = None,
-    tagged: tuple[Sequence[str], Sequence[str]] | None = None,
+    tagged: units.Tagged | None = None,
 ) -> FeatureVector:
     """Windowed context features plus rule-based rate extraction features.
 
-    ``unit`` is the vertex's ``units.extract_unit`` result and ``tagged``
-    the problem's ``_tagged`` token texts and tags, when the caller already
-    has them; otherwise they are computed here (when a feature family needs
-    them)."""
-    fv: FeatureVector = {"bias": 1.0}
-    if vertex == QUESTION:
-        _bump(fv, "is_question")
+    ``unit`` is the vertex's unit and ``tagged`` the problem's
+    ``units.tag_tokens``, when the caller already has them; otherwise they
+    are computed here. The names are counted in first-seen order, as a
+    feature pass needs them. A vertex that is neither a quantity index nor
+    QUESTION raises ValueError."""
+    units.check_vertices(problem, vertex)
+    tagged = tagged or units.tag_tokens(problem)
+    names = ["is_question"] if vertex == QUESTION else []
     if config.context_features:
-        lo, hi, anchor = _vertex_window(problem, vertex, config.window)
-        _context_block(*(tagged or _tagged(problem)), lo, hi, anchor, fv)
+        names += _context_names(tagged[0], tagged[1], *_vertex_window(problem, vertex, config.window))
     if config.rule_features:
-        _rule_block(unit if unit is not None else units.extract_unit(problem, vertex), fv)
+        names += _rule_names(unit if unit is not None else units.unit_at(problem, vertex, tagged))
+    fv: FeatureVector = {"bias": 1.0}
+    get = fv.get
+    for name in names:  # a first count is the one constant 1.0, not a new float per feature
+        count = get(name)
+        fv[name] = 1.0 if count is None else count + 1.0
     return fv
 
 
@@ -278,11 +266,9 @@ class ProblemFeatures:
 def _feature_pass(
     problem: Problem, vertices: Sequence[int | str], config: FeatureConfig
 ) -> ProblemFeatures:
-    found = (
-        tuple(units.extract_unit(problem, v) for v in vertices) if config.rule_features else None
-    )
-    # each token is listed and tagged once per pass, not once per window
-    tagged = _tagged(problem) if config.context_features else None
+    # tokens, tags and sentence bounds, once per pass for every unit and window
+    tagged = units.tag_tokens(problem)
+    found = tuple(units.unit_at(problem, v, tagged) for v in vertices) if config.rule_features else None
     vectors = tuple(
         vertex_features(problem, v, config, unit, tagged)
         for v, unit in zip(vertices, found or repeat(None))
@@ -302,18 +288,21 @@ def edge_features(
     config: FeatureConfig = FeatureConfig(),
 ) -> FeatureVector:
     """Role-prefixed per-vertex features plus shared-unit indicators."""
+    units.check_vertices(problem, vi, vj)
     return expand(_feature_pass(problem, (vi, vj), config).pair_blocks(EDGE_LAYOUT, 0, 1))
 
 
 def relevance_features(
     problem: Problem, qi: int, config: FeatureConfig = FeatureConfig()
 ) -> FeatureVector:
+    units.check_vertices(problem, qi)
     return expand(_feature_pass(problem, (qi, QUESTION), config).relevance_blocks(0))
 
 
 def lca_features(
     problem: Problem, qi: int, qj: int, config: FeatureConfig = FeatureConfig()
 ) -> FeatureVector:
+    units.check_vertices(problem, qi, qj)
     return expand(_feature_pass(problem, (qi, qj), config).pair_blocks(LCA_LAYOUT, 0, 1))
 
 
@@ -734,10 +723,16 @@ class InferenceTable:
     telling whether every weight of the suite is a float) and reads every
     role's terms off the vertex's columns; bias and flag blocks are read as
     columns cached per block. The table holds the models' weight dicts but
-    never the suite, so it keeps no suite alive."""
+    never the suite, so it keeps no suite alive.
+
+    ``keys(n)`` gives the score tables' keys over n quantities, with the
+    edge labels as ``EdgeType``s, each built once."""
 
     def __init__(self, suite: ClassifierSuite):
         models = {part: getattr(suite, part) for part, _ in PARTS}
+        edge_types = tuple(map(EdgeType, suite.edge.labels))
+        self._labels = (suite.vertex.labels, edge_types, suite.relevance.labels, suite.lca.labels)
+        self._keys: dict[int, tuple[tuple, ...]] = {}
         self._weights = {part: [m.weights[label] for label in m.labels] for part, m in models.items()}
         self._floats = all(m._all_floats() for m in models.values())
         names = {part: list(dict.fromkeys(chain.from_iterable(t))) for part, t in self._weights.items()}
@@ -759,6 +754,21 @@ class InferenceTable:
                     row = self._rows[name] = list(self._zero)
                 row[role] = role_row
         self._blocks: dict[tuple[str, str, tuple[str, ...]], list[tuple[float, ...]]] = {}
+
+    def keys(self, n: int) -> tuple[tuple, ...]:
+        """The keys of ``scores``' floats over n quantities, in order: (vertex,
+        label), (i, j, ``EdgeType``), (quantity, label), (i, j, operation);
+        kept for n up to ``exprtree.MAX_ENUM_LEAVES`` (no wider n is cached)."""
+        keys = self._keys.get(n)
+        if keys is None:
+            vertices, quantities = [(v,) for v in range(n + 1)], [(q,) for q in range(n)]
+            queries = (vertices, vertex_pairs(n), quantities, combinations(range(n), 2))
+            keys = tuple(
+                tuple((*q, label) for q in qs for label in part) for qs, part in zip(queries, self._labels)
+            )
+            if n <= exprtree.MAX_ENUM_LEAVES:
+                self._keys[n] = keys
+        return keys
 
     def _vertex_columns(self, fv: Mapping[str, float]) -> list[list[tuple[float, ...]]]:
         """Each role's columns of terms for one vertex vector."""

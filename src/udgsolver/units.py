@@ -4,12 +4,16 @@ A rate quantity measures one entity per unit of another ("40 miles per
 hour", "Each student has 3 books"). Extraction finds the nearest noun phrase
 as the surface unit and fills the numerator/denominator decomposition when a
 lexical rate trigger ("per", "/", "each", "every", "a" in rate position)
-fires. Everything operates on immutable problems and is thread-safe.
+fires. A feature pass tags the tokens and finds the sentence bounds once
+(``tag_tokens``) and reads every vertex's unit off them (``unit_at``).
+Everything operates on immutable problems and is thread-safe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .corpus import QUESTION, Problem
 
@@ -105,102 +109,106 @@ class QuantityUnit:
         return self.den_unit is not None
 
 
-def _noun_at(tokens: list[str], i: int) -> bool:
-    return pos_tag(tokens[i]) == NOUN
-
-
-def _noun_run(tokens: list[str], start: int, limit: int) -> tuple[str, ...]:
+def _noun_run(toks: list[str], tags: list[str], start: int, limit: int) -> tuple[str, ...]:
     """Lemmas of the consecutive noun run starting at ``start`` (max 2)."""
-    run = [lemma(tokens[start])]
-    if start + 1 < limit and _noun_at(tokens, start + 1):
-        run.append(lemma(tokens[start + 1]))
+    run = [lemma(toks[start])]
+    if start + 1 < limit and tags[start + 1] == NOUN:
+        run.append(lemma(toks[start + 1]))
     return tuple(run)
 
 
-def _nearest_noun_after(tokens: list[str], pos: int, limit: int) -> int | None:
+def _nearest_noun_after(tags: list[str], pos: int, limit: int) -> int | None:
     for i in range(pos + 1, min(limit, pos + 1 + SEARCH_WINDOW)):
-        if _noun_at(tokens, i):
+        if tags[i] == NOUN:
             return i
     return None
 
 
-def _nearest_noun_before(tokens: list[str], pos: int, lo: int) -> int | None:
+def _nearest_noun_before(tags: list[str], pos: int, lo: int) -> int | None:
     for i in range(pos - 1, max(lo - 1, pos - 1 - SEARCH_WINDOW), -1):
-        if _noun_at(tokens, i):
+        if tags[i] == NOUN:
             return i
     return None
 
 
-def _den_noun_after(tokens: list[str], pos: int, limit: int) -> int | None:
+def _den_noun_after(toks: list[str], tags: list[str], pos: int, limit: int) -> int | None:
     # "each one" is anaphoric but still names the denominator entity
     for i in range(pos + 1, min(limit, pos + 1 + SEARCH_WINDOW)):
-        if _noun_at(tokens, i) or tokens[i] == "one":
+        if tags[i] == NOUN or toks[i] == "one":
             return i
     return None
 
 
-def _extract_in_window(tokens: list[str], anchor: int, lo: int, hi: int) -> QuantityUnit:
+def _extract_in_window(toks: list[str], tags: list[str], anchor: int, lo: int, hi: int) -> QuantityUnit:
     """Shared unit/rate logic for a quantity at ``anchor`` or a question span."""
-    noun_i = _nearest_noun_after(tokens, anchor, hi)
+    noun_i = _nearest_noun_after(tags, anchor, hi)
     if noun_i is None:
-        noun_i = _nearest_noun_before(tokens, anchor, lo)
-    surface = _noun_run(tokens, noun_i, hi) if noun_i is not None else ()
+        noun_i = _nearest_noun_before(tags, anchor, lo)
+    if noun_i is None:
+        return QuantityUnit(())  # no surface unit, so no rate either
+    surface = _noun_run(toks, tags, noun_i, hi)
 
-    window_end = min(hi, anchor + 1 + SEARCH_WINDOW)
-
-    # explicit "per" / "/" beats "each"/"every"
-    for i in range(anchor + 1, window_end):
-        if tokens[i] in ("per", "/"):
-            den_i = _den_noun_after(tokens, i, hi)
-            if den_i is not None and surface:
-                return QuantityUnit(surface, num_unit=surface, den_unit=_noun_run(tokens, den_i, hi))
-
-    # "each"/"every" after the quantity: "8 flowers in each one"
-    for i in range(anchor + 1, window_end):
-        if tokens[i] in ("each", "every"):
-            den_i = _den_noun_after(tokens, i, hi)
-            if den_i is not None and surface:
-                return QuantityUnit(surface, num_unit=surface, den_unit=_noun_run(tokens, den_i, hi))
-
-    # "each"/"every" before the quantity binds the subject noun:
-    # "Each student has 3 books"
-    for i in range(lo, anchor):
-        if tokens[i] in ("each", "every"):
-            den_i = _den_noun_after(tokens, i, anchor)
-            if den_i is not None and surface:
-                return QuantityUnit(surface, num_unit=surface, den_unit=_noun_run(tokens, den_i, anchor))
-
-    # "a"/"an" in rate position: "60 miles an hour"; the preceding token must
-    # be the number or its unit noun, so "gave 3 plums to a friend" stays flat
-    for i in range(anchor + 1, window_end):
-        if tokens[i] in ("a", "an") and (i == anchor + 1 or _noun_at(tokens, i - 1)):
-            den_i = _den_noun_after(tokens, i, hi)
-            if den_i is not None and surface:
-                return QuantityUnit(surface, num_unit=surface, den_unit=_noun_run(tokens, den_i, hi))
-
+    # explicit "per" / "/" beats "each"/"every" after the quantity ("8
+    # flowers in each one"), which beats "each"/"every" before it, binding
+    # the subject noun ("Each student has 3 books"); then "a"/"an" in rate
+    # position ("60 miles an hour"), after the number or its unit noun, so
+    # "gave 3 plums to a friend" stays flat
+    after = range(anchor + 1, min(hi, anchor + 1 + SEARCH_WINDOW))
+    triggers = chain(
+        ((i, hi) for i in after if toks[i] in ("per", "/")),
+        ((i, hi) for i in after if toks[i] in ("each", "every")),
+        ((i, anchor) for i in range(lo, anchor) if toks[i] in ("each", "every")),
+        ((i, hi) for i in after if toks[i] in ("a", "an") and (i == anchor + 1 or tags[i - 1] == NOUN)),
+    )
+    for i, limit in triggers:
+        den_i = _den_noun_after(toks, tags, i, limit)
+        if den_i is not None:
+            return QuantityUnit(surface, num_unit=surface, den_unit=_noun_run(toks, tags, den_i, limit))
     return QuantityUnit(surface)
+
+
+def check_vertices(problem: Problem, *vertices: int | str) -> None:
+    """Raise ValueError unless each vertex is QUESTION or a quantity index
+    (an int, not a bool, in 0..n-1)."""
+    for vertex in vertices:
+        if vertex != QUESTION and (type(vertex) is not int or not 0 <= vertex < problem.n):
+            raise ValueError(f"no quantity with index {vertex!r}")
+
+
+#: (token texts, their ``pos_tag`` tags, sentence starts); see ``tag_tokens``
+Tagged = tuple[list[str], list[str], list[int]]
+
+
+def tag_tokens(problem: Problem) -> Tagged:
+    """The problem's token texts and tags, each token tagged once, and where
+    its sentences start: sentence s spans tokens ``starts[s]:starts[s + 1]``
+    (tokens carry nondecreasing sentence indices from 0)."""
+    toks = problem.token_texts()
+    sentences = [t[1] for t in problem.tokens]
+    starts = [bisect_left(sentences, s) for s in range(sentences[-1] + 2)]
+    return toks, list(map(pos_tag, toks)), starts
+
+
+def unit_at(problem: Problem, vertex: int | str, tagged: Tagged) -> QuantityUnit:
+    """``extract_unit(problem, vertex)`` for a vertex of the problem (see
+    ``check_vertices``), read off the problem's ``tag_tokens``."""
+    toks, tags, starts = tagged
+    if vertex == QUESTION:
+        lo, hi = problem.question_span
+        anchor = next((i for i in range(lo, hi) if toks[i] in ("many", "much")), lo)
+        return _extract_in_window(toks, tags, anchor, lo, hi)
+    anchor = problem.quantities[vertex].token_index
+    sentence = problem.tokens[anchor][1]
+    return _extract_in_window(toks, tags, anchor, starts[sentence], starts[sentence + 1])
 
 
 def extract_unit(problem: Problem, vertex: int | str) -> QuantityUnit:
     """Unit of a quantity (by index) or of the question (vertex=QUESTION).
 
-    Never fails: an empty surface unit is returned when no noun is found.
-    """
-    tokens = problem.token_texts()
-    if vertex == QUESTION:
-        lo, hi = problem.question_span
-        anchor = lo
-        for i in range(lo, hi):
-            if tokens[i] in ("many", "much"):
-                anchor = i
-                break
-        return _extract_in_window(tokens, anchor, lo, hi)
-    if not isinstance(vertex, int) or not 0 <= vertex < problem.n:
-        raise ValueError(f"no quantity with index {vertex!r}")
-    q = problem.quantities[vertex]
-    sent = problem.tokens[q.token_index][1]
-    sent_idx = [i for i, t in enumerate(problem.tokens) if t[1] == sent]
-    return _extract_in_window(tokens, q.token_index, sent_idx[0], sent_idx[-1] + 1)
+    Never fails on a vertex of the problem: an empty surface unit is
+    returned when no noun is found. Any other vertex raises ValueError."""
+    check_vertices(problem, vertex)
+    return unit_at(problem, vertex, tag_tokens(problem))
 
 
 def units_share_tokens(u1: QuantityUnit, u2: QuantityUnit) -> bool:

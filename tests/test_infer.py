@@ -655,11 +655,14 @@ def test_score_tables_run_one_feature_pass(monkeypatch, trained_suite, synthetic
         return wrapper
 
     monkeypatch.setattr(learn, "vertex_features", counted("vertex", learn.vertex_features))
-    monkeypatch.setattr(units, "extract_unit", counted("unit", units.extract_unit))
+    # a pass lists and tags the tokens once and reads every unit off them
+    monkeypatch.setattr(units, "tag_tokens", counted("tag", units.tag_tokens))
+    monkeypatch.setattr(units, "unit_at", counted("unit", units.unit_at))
+    monkeypatch.setattr(units, "pos_tag", counted("pos_tag", units.pos_tag))
     for p in [q for q in synthetic_corpus if q.n == 2][:2] + [q for q in synthetic_corpus if q.n == 3][:2]:
         calls.clear()
         infer.build_score_tables(p, trained_suite)
-        assert calls == {"vertex": p.n + 1, "unit": p.n + 1}
+        assert calls == {"vertex": p.n + 1, "unit": p.n + 1, "tag": 1, "pos_tag": len(p.tokens)}
 
 
 # --- one search per problem, ranked by each solve's own lambda_rel -------------
@@ -949,12 +952,11 @@ def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synth
     assert popped_total < placed // 10 and visited == popped_total
 
 
-# --- memoized edge picks -----------------------------------------------------------
+# --- memoized edge picks and the compiled search ----------------------------------
 
-def _scanned_entry(tables, labeling, choices):
-    # the scan before picks were memoized: every labeling rescored each
-    # pair's options; floats as (type, hex), so -0.0 shows
-    bits = lambda x: (type(x), float(x).hex())
+def _scan(tables, labeling, choices):
+    # the scan before picks were memoized and the search compiled: every
+    # labeling rescored each pair's options and built both edge tuples
     vertex_sum = functools.reduce(
         operator.add, (tables.vertex_score(v, "Rate") for v, flag in enumerate(labeling) if flag), 0
     )
@@ -971,35 +973,45 @@ def _scanned_entry(tables, labeling, choices):
         e_max += best_score
         e_lex += first_score
     edges_lex = tuple(options[0] for options in choices)
-    return labeling, bits(vertex_sum), bits(e_max), tuple(edges_max), bits(e_lex), edges_lex
+    return labeling, vertex_sum, e_max, tuple(edges_max), e_lex, edges_lex
+
+
+def _scanned_entry(tables, labeling, choices):
+    labeling, vertex_sum, e_max, edges_max, e_lex, edges_lex = _scan(tables, labeling, choices)
+    return labeling, _float_bits(vertex_sum), _float_bits(e_max), edges_max, _float_bits(e_lex), edges_lex
 
 
 def _entry_bits(e):
-    bits = lambda x: (type(x), float(x).hex())
-    return e.labeling, bits(e.vertex_sum), bits(e.edge_sum_max), e.edges_max, bits(e.edge_sum_lex), e.edges_lex
+    edges_max, edges_lex = e.edges(ScalingParams()), e.edges(ScalingParams(lambda_edge=0.0))
+    return e.labeling, _float_bits(e.vertex_sum), _float_bits(e.edge_sum_max), edges_max, _float_bits(e.edge_sum_lex), edges_lex
+
+
+def _random_tables(rng, n):
+    # equal scores (ties keep the earlier label), signed zeros, negative
+    # scores and absent queries
+    draw = lambda: rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -2.5, rng.uniform(-2.0, 2.0)])
+    return _tables(
+        n,
+        vertex={(v, "Rate"): draw() for v in range(n + 1) if rng.random() < 0.9},
+        edge={(i, j, e): draw() for i, j in vertex_pairs(n) for e in EdgeType if rng.random() < 0.9},
+        relevance={(q, "Irrelevant"): draw() for q in range(n) if rng.random() < 0.9},
+        lca={
+            (i, j, op): min(0.0, draw())
+            for i in range(n) for j in range(i + 1, n) for op in exprtree.OPS if rng.random() < 0.9
+        },
+    )
 
 
 def test_labeling_rows_equal_the_option_scan():
-    # equal scores (ties keep the earlier label), signed zeros and absent queries
     rng = random.Random(29)
     for trial in range(24):
         n = trial % 4 + 1
-        draw = lambda: rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, rng.uniform(-2.0, 2.0)])
-        tables = _tables(
-            n,
-            vertex={(v, "Rate"): draw() for v in range(n + 1) if rng.random() < 0.9},
-            edge={(i, j, e): draw() for i, j in vertex_pairs(n) for e in EdgeType if rng.random() < 0.9},
-            relevance={(q, "Irrelevant"): draw() for q in range(n)},
-            lca={
-                (i, j, op): min(0.0, draw())
-                for i in range(n) for j in range(i + 1, n) for op in exprtree.OPS
-            },
-        )
+        tables = _random_tables(rng, n)
         expected = [
             _scanned_entry(tables, labeling, udg.valid_edge_choices(labeling))
             for labeling in itertools.product((False, True), repeat=n + 1)
         ]
-        assert [_entry_bits(e) for e in infer._unconstrained_rows(tables)] == expected
+        assert [_entry_bits(e) for e in infer._unconstrained_rows(tables)[1]] == expected
         if n > 3:
             continue
         cands = JointCandidates(tables, [Fraction(rng.randint(1, 9)) for _ in range(n)], beam=None)
@@ -1010,6 +1022,88 @@ def test_labeling_rows_equal_the_option_scan():
                 for labeling, choices in udg.consistent_edge_choices(entry.tree, n)
             ]
             assert [_entry_bits(e) for e in entry.consistent] == expected
+
+
+def _tuple_bits(tree, graph, value, score, sums):
+    return (serialize(tree), json.dumps(graph.to_json_obj()), str(value), *map(_float_bits, (score, *sums)))
+
+
+def _result_bits(r):
+    return _tuple_bits(r.tree, r.graph, r.value, r.score, (r.rel_sum, r.lca_sum, r.vertex_sum, r.edge_sum))
+
+
+def _scanned_search(tables, values, params):
+    # every valid tree of the search order with every consistent labeling,
+    # scored from the scan, sorted by the search key (-total, index, labeling)
+    n = tables.n_quantities
+    ranked = []
+    for index, (subset, plan) in enumerate(exprtree.search_order(n)):
+        tree = plan.tree(subset)
+        try:
+            value = exprtree.evaluate(tree, values)
+        except exprtree.EvaluationError:
+            continue
+        if value <= 0:
+            continue
+        rel_sum, lca_sum = infer.tree_term_sums(tree, tables)
+        base = params.lambda_rel * rel_sum + lca_sum
+        for labeling, choices in udg.consistent_edge_choices(tree, n):
+            _, vertex_sum, e_max, edges_max, e_lex, edges_lex = _scan(tables, labeling, choices)
+            esum, edges = (e_max, edges_max) if params.lambda_edge > 0 else (e_lex, edges_lex)
+            total = base + params.lambda_vertex * vertex_sum + params.lambda_edge * esum
+            graph = UnitDependencyGraph.from_labeling(labeling, edges)
+            fields = _tuple_bits(tree, graph, value, total, (rel_sum, lca_sum, vertex_sum, esum))
+            ranked.append(((-total, index, labeling), fields))
+    ranked.sort(key=lambda item: item[0])
+    return [fields for _, fields in ranked]
+
+
+def _scanned_graph(tables, params):
+    # the best unconstrained labeling of the scan, the first of equal scores
+    n = tables.n_quantities
+    best = None
+    for labeling in itertools.product((False, True), repeat=n + 1):
+        _, vertex_sum, e_max, edges_max, e_lex, edges_lex = _scan(tables, labeling, udg.valid_edge_choices(labeling))
+        esum, edges = (e_max, edges_max) if params.lambda_edge > 0 else (e_lex, edges_lex)
+        score = params.lambda_vertex * vertex_sum + params.lambda_edge * esum
+        if best is None or score > best[0]:
+            best = (score, UnitDependencyGraph.from_labeling(labeling, edges))
+    return best[1]
+
+
+def test_compiled_search_equals_the_scan(monkeypatch):
+    built = []
+    edges = infer._LabelingEntry.edges
+
+    def counted_edges(self, params):
+        built.append(self.labeling)
+        return edges(self, params)
+
+    monkeypatch.setattr(infer._LabelingEntry, "edges", counted_edges)
+    rng = random.Random(31)
+    grid = (ScalingParams(), ScalingParams(1.0, 0.5, 0.0), ScalingParams(0.5, 2.0, 0.25), ScalingParams(0.0, 0.0, 0.0))
+    for trial in range(30):
+        n = trial % 3 + 1
+        tables = _random_tables(rng, n)
+        values = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(n)]
+        if not any(values):
+            values[0] = Fraction(1)
+        built.clear()
+        cands = JointCandidates(tables, values, beam=None)
+        assert built == []  # construction builds no edge tuple
+        for params in grid:
+            expected = _scanned_search(tables, values, params)
+            built.clear()
+            result = cands.solve(params)
+            assert _result_bits(result) == expected[0]
+            # the one edge tuple the solve built is the returned labeling's
+            assert built == [tuple(v in result.graph.rates for v in range(n + 1))]
+            top = cands.top_k(params, 5)
+            assert [_result_bits(r) for r in top] == expected[:5]
+            built.clear()
+            graph = cands.best_graph(params)
+            assert graph == predict_udg_from_tables(tables, params) == _scanned_graph(tables, params)
+            assert built == [tuple(v in graph.rates for v in range(n + 1))] * 2
 
 
 # --- joint search output, pinned ------------------------------------------------
