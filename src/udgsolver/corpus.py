@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from . import exprtree
@@ -90,8 +90,9 @@ _ones_alt = "|".join(w for w in _ONES if w != "zero")
 # ("each one", "one of them"). Compounds and bigrams that contain it still are.
 _single_alt = "|".join(w for w in _WORD_VALUES if w != "one")
 # the lookahead skips every word whose first letter starts no alternative
+_first_letters = "".join(sorted({w[0] for w in (*_WORD_VALUES, "a")}))
 _NUMBER_WORD_RE = re.compile(
-    rf"\b(?=[adefhnostz])(?:(?P<compound>(?:{_tens_alt})-(?:{_ones_alt}))"
+    rf"\b(?=[{_first_letters}])(?:(?P<compound>(?:{_tens_alt})-(?:{_ones_alt}))"
     rf"|(?P<bigram>(?:a|one)\s+(?:dozen|hundred))"
     rf"|(?P<single>{_single_alt}))\b",
     re.IGNORECASE,
@@ -152,6 +153,9 @@ class Problem:
     def __post_init__(self):
         if not self.tokens:
             raise CorpusError(f"problem {self.id}: no tokens")
+        sentences = [t[1] for t in self.tokens]
+        if sentences[0] != 0 or not set(map(sub, sentences[1:], sentences)) <= {0, 1}:
+            raise CorpusError(f"problem {self.id}: token sentence indices do not run 0, 1, ... in order")
         last = -1
         for q in self.quantities:
             if q.span[0] < last or q.span[1] > len(self.text):
@@ -210,8 +214,7 @@ def _number_value(tok: str) -> Fraction:
 def _token_quantities(tokens: Sequence[Token]) -> list[Quantity]:
     out = []
     for pos, (tok, _sent, span) in enumerate(tokens):
-        # ``\d`` matches exactly what ``str.isdecimal`` accepts: an all-decimal
-        # token is a whole number, and any other number starts "-", "." or \d
+        # ``\d`` is exactly ``str.isdecimal``; any other number starts "-", "." or \d
         if tok.isdecimal():
             value = Fraction(int(tok))
         elif (tok[0] in "-." or tok[0].isdecimal()) and _NUMBER_TOKEN_RE.match(tok):

@@ -9,16 +9,14 @@ must be consistent with the tree.
 Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
 a tree). A problem's edge scores are read once into one row, and a pair's
-options are positions in it (one table per n, ``_labelings``): a pick is a
-``max`` over those positions, which keeps the first of equal labels, and
-``_labeling_entry`` sums a labeling's picks in ``vertex_pairs`` order from
-0.0 for both searches. ``_unconstrained_rows`` picks each distinct (pair,
-options) of the labelings bound by no tree once, and ``_best_graph`` takes
-the standalone prediction from those rows; a tree's consistent labelings,
-with their options as row positions, are listed once per tree
-(``_consistent``, a bounded cache keyed by the tree, not the problem). Sums,
-ties and graphs are those of a scan per labeling, and a labeling's edge
-tuple is built only when a search returns it.
+options are positions in it: a pick (``_Picks``) is a ``max`` over them,
+which keeps the first of equal labels, and ``_labeling_entry`` sums a
+labeling's picks in ``vertex_pairs`` order from 0.0, for both searches. The
+labelings bound by no tree are one table per n (``_labelings``), a tree's
+consistent ones are listed once per tree (``_consistent``), and
+``_best_graph`` takes the standalone prediction from the former. Sums, ties
+and graphs are those of a scan per labeling; a labeling's edge tuple is
+built only when a search returns it.
 
 The joint search is one ``JointCandidates`` per problem, holding no scale.
 Every candidate tree is scored up front off one table per n (``_candidates``:
@@ -45,7 +43,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from operator import add, attrgetter, getitem, itemgetter
+from operator import add, getitem
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import exprtree, learn, udg
@@ -223,68 +221,59 @@ class _LabelingEntry:
 
 
 class _Picks(dict):
-    """A problem's edge ``row``, and the (best, first) row positions of each
-    pair's options asked for (as row positions), picked once. ``best`` is
-    the one pick: a ``max`` over option positions, which keeps the first of
-    equal scores."""
+    """A problem's edge ``row``, and the best row position of each pair's
+    options (row positions), picked on first use: ``best`` is a ``max`` over
+    the options, which keeps the earlier of equal labels."""
 
     def __init__(self, row: list[float]):
-        super().__init__()
         self.row, self.best = row, partial(max, key=row.__getitem__)
 
-    def __missing__(self, positions: tuple[int, ...]) -> tuple[int, int]:
-        pick = self[positions] = (self.best(positions), positions[0])
-        return pick
+    def __missing__(self, options: tuple[int, ...]) -> int:
+        best = self[options] = self.best(options)
+        return best
 
 
 def _labeling_entry(
-    labeling: tuple[bool, ...], vertex_sum: float, row: list[float], best: tuple[int, ...],
-    first: tuple[int, ...],
+    labeling: tuple[bool, ...], vertex_sum: float, row: list[float], best: tuple[int, ...], first: tuple[int, ...]
 ) -> _LabelingEntry:
-    """Score a labeling from its pairs' best and first option positions in
+    """Score a labeling from each pair's best and first option position in
     the edge ``row``, in ``vertex_pairs`` order: each edge sum adds its pick
     scores one at a time from 0.0."""
     get = row.__getitem__
-    edge_sum_max, edge_sum_lex = reduce(add, map(get, best), 0.0), reduce(add, map(get, first), 0.0)
-    return _LabelingEntry(labeling, vertex_sum, edge_sum_max, best, edge_sum_lex, first)
+    return _LabelingEntry(
+        labeling, vertex_sum, reduce(add, map(get, best), 0.0), best, reduce(add, map(get, first), 0.0), first
+    )
 
 
-class _Positions(dict):
-    """The edge row positions of each (pair index, labels in declaration
-    order), built on first use (threads racing on a key store equal tuples)."""
-
-    def __missing__(self, key: tuple[int, tuple[EdgeType, ...]]) -> tuple[int, ...]:
-        k, labels = key
-        positions = self[key] = tuple(k * len(_EDGE_TYPES) + udg.EDGE_ORDER[e] for e in labels)
-        return positions
+def _options(choices: Sequence[Sequence[EdgeType]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Each pair's label ``choices``, in ``vertex_pairs`` order, as edge row
+    positions, and each pair's first position."""
+    width = len(_EDGE_TYPES)
+    options = tuple([tuple([k * width + udg.EDGE_ORDER[e] for e in labels]) for k, labels in enumerate(choices)])
+    return options, tuple([o[0] for o in options])
 
 
 @lru_cache(maxsize=exprtree.MAX_ENUM_LEAVES)
-def _labelings(n: int) -> tuple[tuple, tuple, tuple, dict, dict]:
+def _labelings(n: int) -> tuple[tuple, tuple, tuple, dict[tuple[bool, ...], int]]:
     """The edge row's (i, j, label) keys over n quantities; every labeling,
     lexicographically (not-rate first), as (labeling, rate vertices, each
-    pair's position in ``options``, each pair's first valid label's row
-    position); ``options``, every distinct (pair, valid labels) as row
-    positions; each labeling's index; and the row positions of any (pair
-    index, labels in declaration order)."""
-    pairs = udg.vertex_pairs(n)
-    positions = _Positions()
-    keys: dict[tuple[int, tuple[EdgeType, ...]], int] = {}
+    pair's index in ``distinct``, each pair's first position); ``distinct``,
+    every distinct pair options of those labelings as row positions; and
+    each labeling's index."""
+    distinct: dict[tuple[int, ...], int] = {}
     rows = []
     for labeling in itertools.product((False, True), repeat=n + 1):
-        choices = tuple(enumerate(udg.valid_edge_choices(labeling)))
-        ids = tuple(keys.setdefault(key, len(keys)) for key in choices)
-        first = tuple(positions[key][0] for key in choices)
+        options, first = _options(udg.valid_edge_choices(labeling))
+        ids = tuple([distinct.setdefault(o, len(distinct)) for o in options])
         rows.append((labeling, tuple(v for v, flag in enumerate(labeling) if flag), ids, first))
-    edge_keys = tuple((i, j, e) for i, j in pairs for e in _EDGE_TYPES)
-    options = tuple(map(positions.__getitem__, keys))
-    return edge_keys, tuple(rows), options, {row[0]: k for k, row in enumerate(rows)}, positions
+    edge_keys = tuple((i, j, e) for i, j in udg.vertex_pairs(n) for e in _EDGE_TYPES)
+    return edge_keys, tuple(rows), tuple(distinct), {row[0]: k for k, row in enumerate(rows)}
 
 
 def _unconstrained_rows(tables: ScoreTables) -> tuple[_Picks, tuple[_LabelingEntry, ...]]:
     """The problem's picks, and every vertex labeling, in ``_labelings``
     order, with the structurally valid labels of a graph bound by no tree;
-    each distinct (pair, options) is picked once.
+    each distinct pair options is picked once.
 
     There are 2^(n+1) labelings, so more quantities than a candidate tree
     may cover (``exprtree.MAX_ENUM_LEAVES``) are refused."""
@@ -293,14 +282,20 @@ def _unconstrained_rows(tables: ScoreTables) -> tuple[_Picks, tuple[_LabelingEnt
         raise InferenceError(
             f"refusing to label graphs over {n} quantities (max {exprtree.MAX_ENUM_LEAVES})"
         )
-    edge_keys, rows, options, _, _ = _labelings(n)
-    picks = _Picks(list(map(tables.edge.get, edge_keys, itertools.repeat(0.0))))
-    best = list(map(picks.best, options)).__getitem__
-    rate = [tables.vertex_score(v, RATE) for v in range(n + 1)].__getitem__
-    # vertex sums add one term at a time, as in every Python version (3.12's sum() compensates)
+    edge_keys, rows, distinct, _ = _labelings(n)
+    picks = _Picks([tables.edge.get(key, 0.0) for key in edge_keys])
+    best = list(map(picks.best, distinct))
+    rate = [tables.vertex_score(v, RATE) for v in range(n + 1)]
     return picks, tuple(
-        _labeling_entry(lab, reduce(add, map(rate, rates), 0), picks.row, tuple(map(best, ids)), first)
-        for lab, rates, ids, first in rows
+        _labeling_entry(
+            labeling,
+            # one addition at a time, as in every Python version (3.12's sum() compensates)
+            reduce(add, map(rate.__getitem__, rates), 0),
+            picks.row,
+            tuple(map(best.__getitem__, ids)),
+            first,
+        )
+        for labeling, rates, ids, first in rows
     )
 
 
@@ -376,29 +371,28 @@ class _TreeEntry:
 
 
 @lru_cache(maxsize=exprtree.MAX_ENUM_LEAVES)
-def _candidates(n: int) -> tuple[tuple, bytes, tuple, tuple, tuple]:
-    """``exprtree.search_order(n)``; each candidate's subset id; each
+def _candidates(n: int) -> tuple[tuple, bytes, tuple, tuple]:
+    """``exprtree.search_order(n)``; each candidate's subset id; and each
     subset's unused quantities, and its pairs' positions in
-    ``combinations(range(n), 2)``, in order; and the LCA score keys of each
-    of those pairs, one per operation."""
+    ``combinations(range(n), 2)``, in order."""
     order = exprtree.search_order(n)
     ids: dict[tuple[int, ...], int] = {}
     subset_ids = bytes(ids.setdefault(subset, len(ids)) for subset, _ in order)  # at most 63 subsets
     pair_ids = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
     unused = tuple(tuple(q for q in range(n) if q not in subset) for subset in ids)
-    pairs = tuple(tuple(map(pair_ids.__getitem__, itertools.combinations(subset, 2))) for subset in ids)
-    lca_keys = tuple(tuple((i, j, op) for op in exprtree.OPS) for i, j in pair_ids)
-    return order, subset_ids, unused, pairs, lca_keys
+    pairs = tuple(tuple(pair_ids[pair] for pair in itertools.combinations(subset, 2)) for subset in ids)
+    return order, subset_ids, unused, pairs
 
 
-@lru_cache(maxsize=256)
-def _consistent(tree: Expr, n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+# trees recur across problems (a benchmark pass pops 10-32 distinct ones); an
+# entry is about 6 KB at n=3 and 67 KB at n=5, so memory sets the bound
+@lru_cache(maxsize=64)
+def _consistent(tree: Expr, n: int) -> tuple[tuple[int, tuple, tuple[int, ...]], ...]:
     """Each labeling consistent with the tree (``udg.consistent_edge_choices``):
-    its row in ``_labelings(n)`` and its pairs' options as edge row positions."""
-    _, _, _, row_of, positions = _labelings(n)
+    its row in ``_labelings(n)`` and the ``_options`` of its choices."""
+    row_of = _labelings(n)[3]
     return tuple(
-        (row_of[labeling], tuple(map(positions.__getitem__, enumerate(choices))))
-        for labeling, choices in udg.consistent_edge_choices(tree, n)
+        (row_of[labeling], *_options(choices)) for labeling, choices in udg.consistent_edge_choices(tree, n)
     )
 
 
@@ -448,18 +442,22 @@ class JointCandidates:
         self.values = tuple(values)
         self.beam = beam
         n = tables.n_quantities
-        self._order, subset_ids, unused, pairs, lca_keys = _candidates(n)
-        lca = tables.lca.get
-        pair_rows = [dict(zip(exprtree.OPS, map(lca, keys, itertools.repeat(0.0)))) for keys in lca_keys]
-        irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)].__getitem__
-        rel_sums = [reduce(add, map(irrelevant, qs), 0.0) for qs in unused]  # per subset
-        rows = [list(map(pair_rows.__getitem__, ks)) for ks in pairs]  # its pairs' LCA rows
-        # two lists per candidate (n=6 places about 1.3 M); an LCA sum adds its
-        # plan's operation scores over its subset's pairs, as ``tree_term_sums``
-        self._rel_sums = list(map(rel_sums.__getitem__, subset_ids))
-        plan_ops = map(attrgetter("pair_ops"), map(itemgetter(1), self._order))
-        terms = map(map, itertools.repeat(getitem), map(rows.__getitem__, subset_ids), plan_ops)
-        self._lca_sums = list(map(reduce, itertools.repeat(add), terms, itertools.repeat(0.0)))
+        self._order, subset_ids, unused, pairs = _candidates(n)
+        lca_rows = [
+            {op: tables.lca_score(i, j, op) for op in exprtree.OPS}
+            for i, j in itertools.combinations(range(n), 2)
+        ]
+        irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)]
+        # per subset: its rel_sum, and its pairs' LCA rows
+        rel_sums = [reduce(add, [irrelevant[q] for q in qs], 0.0) for qs in unused]
+        rows = [[lca_rows[k] for k in ks] for ks in pairs]
+        # per candidate, in search order; two lists, not a pair per candidate
+        # (n=6 places about 1.3 M candidates)
+        self._rel_sums = [rel_sums[s] for s in subset_ids]
+        self._lca_sums = [
+            reduce(add, map(getitem, rows[s], plan.pair_ops), 0.0)
+            for s, (_, plan) in zip(subset_ids, self._order)
+        ]
         self._picks, self._unconstrained = _unconstrained_rows(tables)
         # popped candidates by index, None for one that is not valid
         self._entries: dict[int, _TreeEntry | None] = {}
@@ -536,10 +534,12 @@ class JointCandidates:
         differ before any edge: candidate indices differ, and a tree has one
         entry per labeling."""
         if entry.consistent is None:
-            row, pick, rows = self._picks.row, self._picks.__getitem__, self._unconstrained
+            rows, picks = self._unconstrained, self._picks
             entry.consistent = tuple(
-                _labeling_entry(rows[k].labeling, rows[k].vertex_sum, row, *zip(*map(pick, options)))
-                for k, options in _consistent(entry.tree, self.tables.n_quantities)
+                _labeling_entry(
+                    rows[k].labeling, rows[k].vertex_sum, picks.row, tuple(map(picks.__getitem__, options)), first
+                )
+                for k, options, first in _consistent(entry.tree, self.tables.n_quantities)
             )
         base = entry.base(params.lambda_rel)
         for lab in entry.consistent:

@@ -763,9 +763,7 @@ class InferenceTable:
         if keys is None:
             vertices, quantities = [(v,) for v in range(n + 1)], [(q,) for q in range(n)]
             queries = (vertices, vertex_pairs(n), quantities, combinations(range(n), 2))
-            keys = tuple(
-                tuple((*q, label) for q in qs for label in part) for qs, part in zip(queries, self._labels)
-            )
+            keys = tuple(tuple((*q, label) for q in qs for label in ls) for qs, ls in zip(queries, self._labels))
             if n <= exprtree.MAX_ENUM_LEAVES:
                 self._keys[n] = keys
         return keys

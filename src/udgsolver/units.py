@@ -4,9 +4,8 @@ A rate quantity measures one entity per unit of another ("40 miles per
 hour", "Each student has 3 books"). Extraction finds the nearest noun phrase
 as the surface unit and fills the numerator/denominator decomposition when a
 lexical rate trigger ("per", "/", "each", "every", "a" in rate position)
-fires. A feature pass tags the tokens and finds the sentence bounds once
-(``tag_tokens``) and reads every vertex's unit off them (``unit_at``).
-Everything operates on immutable problems and is thread-safe.
+fires. A feature pass tags the tokens once (``tag_tokens``) and reads every
+vertex's unit off them (``unit_at``); all of it is immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -182,7 +181,8 @@ Tagged = tuple[list[str], list[str], list[int]]
 def tag_tokens(problem: Problem) -> Tagged:
     """The problem's token texts and tags, each token tagged once, and where
     its sentences start: sentence s spans tokens ``starts[s]:starts[s + 1]``
-    (tokens carry nondecreasing sentence indices from 0)."""
+    (``Problem`` checks that its tokens' sentence indices run 0, 1, ... in
+    order, with no gap)."""
     toks = problem.token_texts()
     sentences = [t[1] for t in problem.tokens]
     starts = [bisect_left(sentences, s) for s in range(sentences[-1] + 2)]

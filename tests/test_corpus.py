@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -61,6 +62,17 @@ def test_normalize_against_hand_built_table():
             continue  # standalone "one" is left alone (pronoun reading)
         assert normalize_digits(f"{word} apples") == f"{value} apples", word
 
+
+
+def test_every_word_of_the_module_tables_is_rewritten():
+    # the pattern's first-letter lookahead is built from these tables, so a
+    # word added to them is matched in any case
+    words = [w for w in corpus._WORD_VALUES if w != "one"]
+    words += [f"{t}-{o}" for t in corpus._TENS for o in corpus._ONES if o != "zero"]
+    words += ["a dozen", "one dozen", "a hundred", "one hundred"]
+    for word in words:
+        for cased in (word, word.title(), word.upper()):
+            assert normalize_digits(f"{cased} apples")[0].isdigit(), cased
 
 def test_standalone_one_passes_through():
     assert normalize_digits("with 8 flowers in each one") == "with 8 flowers in each one"
@@ -148,6 +160,25 @@ def test_quantity_spans_point_into_text():
     for q in extract_quantities(text):
         assert text[q.span[0] : q.span[1]] == str(q.value)
 
+
+
+def test_problem_refuses_tokens_whose_sentences_do_not_run_in_order():
+    # a sentence's tokens are found by bisecting the sentence indices, so a
+    # Problem built directly must number its sentences 0, 1, ... in order
+    p = build_problem("a", "Sam has 3 apples. He eats 1. How many are left?")
+    sentences = [t[1] for t in p.tokens]
+    assert sentences[0] == 0 and set(b - a for a, b in zip(sentences, sentences[1:])) == {0, 1}
+    assert dataclasses.replace(p, tokens=p.tokens).tokens == p.tokens
+    for renumber in (
+        lambda s: s + 1,  # starts at 1
+        lambda s: s - 1,  # starts at -1
+        lambda s: 2 * s,  # skips a sentence index
+        lambda s: 2 - s,  # runs backwards
+        lambda s: {0: 0, 1: 2, 2: 1}[s],  # out of order
+    ):
+        tokens = tuple((text, renumber(s), span) for text, s, span in p.tokens)
+        with pytest.raises(CorpusError, match="sentence"):
+            dataclasses.replace(p, tokens=tokens)
 
 # --- n-gram overlap and pruning --------------------------------------------
 
