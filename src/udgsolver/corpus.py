@@ -99,14 +99,25 @@ _NUMBER_WORD_RE = re.compile(
 )
 
 
+def _word_value(word: str, table: dict[str, int]) -> int:
+    """The value of the table word that ``word`` matches case-insensitively,
+    as the pattern matched it. Case-insensitive matching also equates a few
+    non-ASCII letters with ASCII ones ("ſ" with "s", "ı" and "İ" with "i"),
+    whose ``lower()`` is no table word, so those spellings are looked up by
+    the same rule."""
+    value = table.get(word.lower())
+    if value is None:
+        value = next(v for w, v in table.items() if re.fullmatch(w, word, re.IGNORECASE))
+    return value
+
+
 def _number_word_value(m: re.Match) -> str:
     if m.group("compound"):
-        tens, ones = m.group("compound").lower().split("-")
-        return str(_TENS[tens] + _ONES[ones])
+        tens, ones = m.group("compound").split("-")
+        return str(_word_value(tens, _TENS) + _word_value(ones, _ONES))
     if m.group("bigram"):
-        tail = m.group("bigram").lower().split()[-1]
-        return str(_WORD_VALUES[tail])
-    return str(_WORD_VALUES[m.group("single").lower()])
+        return str(_word_value(m.group("bigram").split()[-1], _WORD_VALUES))
+    return str(_word_value(m.group("single"), _WORD_VALUES))
 
 
 def normalize_digits(text: str) -> str:

@@ -5,6 +5,10 @@ slice, tune scaling parameters on dev, retrain on the full training split,
 then solve the held-out test problems. Reports solve accuracy for the full
 system and its lambda ablations, graph-prediction metrics against derived
 (noisy) gold, and classifier accuracies under feature-family ablations.
+Each test problem's gold graph is derived once per fold. Its vertex and
+edge classifier accuracies are argmaxes read off the score tables its
+solve built; each ablation scores the fold's suite, with its vertex and
+edge models retrained on the ablated features, through its own table.
 Fixed seeds make the report byte-identical across runs.
 """
 
@@ -14,12 +18,13 @@ import json
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import annotate, corpus, infer, learn
 from .corpus import Problem
-from .infer import JointCandidates, ScalingParams, build_score_tables, values_match
-from .learn import EDGE_LABELS, VERTEX_LABELS, FeatureConfig, LinearModel
+from .infer import JointCandidates, ScalingParams, ScoreTables, build_score_tables, values_match
+from .learn import EDGE_LABELS, NOT_RATE, RATE, VERTEX_LABELS, ClassifierSuite, FeatureConfig
+from .udg import EdgeType, vertex_pairs
 
 SOLVE_VARIANTS = ("full", "no_vertex", "no_edge", "base")
 FEATURE_VARIANTS = ("all_features", "no_rule_features", "no_context_features")
@@ -144,28 +149,44 @@ def _variant_params(tuned: ScalingParams) -> dict[str, ScalingParams]:
     }
 
 
-def _classifier_metrics(
-    vertex: LinearModel, edge: LinearModel, config: FeatureConfig, test: Sequence[Problem]
+def _classifier_accuracy(
+    suite: ClassifierSuite, scored: Iterable[ScoreTables], derived: Sequence[annotate.DerivedUdgGold]
 ) -> tuple[float, float]:
-    """Raw per-vertex and per-pair classifier accuracy against derived gold:
-    each model's share of correct predictions over the test problems'
-    examples, each predicted from its blocks."""
-    sets = learn.training_blocks(test, config, ("vertex", "edge"))
-    return tuple(
-        sum(model.predict(blocks) == label for blocks, label in sets[name]) / len(sets[name])
-        for name, model in (("vertex", vertex), ("edge", edge))
-    )
+    """The share of vertices the suite's vertex model, and of vertex pairs
+    its edge model, labels as the derived gold does, over the problems whose
+    score tables ``scored`` gives in ``derived``'s order. Each label is the
+    argmax read off the tables in the model's ``labels`` order, so ties go
+    to the earliest label, as ``LinearModel.predict`` breaks them."""
+    edge_labels = tuple(map(EdgeType, suite.edge.labels))
+    vertex_hits: list[bool] = []
+    edge_hits: list[bool] = []
+    for tables, gold in zip(scored, derived):
+        vertex_hits += (
+            max(suite.vertex.labels, key=lambda label: tables.vertex[v, label])
+            == (RATE if is_rate else NOT_RATE)
+            for v, is_rate in enumerate(gold.vertex_labels)
+        )
+        edge_hits += (
+            max(edge_labels, key=lambda label: tables.edge[i, j, label]) == label
+            for (i, j), label in zip(vertex_pairs(tables.n_quantities), gold.edges)
+        )
+    return sum(vertex_hits) / len(vertex_hits), sum(edge_hits) / len(edge_hits)
 
 
-def _vertex_edge_models(
-    problems: Sequence[Problem], config: FeatureConfig, epochs: int, seed: int
-) -> tuple[LinearModel, LinearModel]:
-    """The two models ``_classifier_metrics`` reads, trained as ``train_suite``
-    trains them; the relevance and lca sets are neither built nor trained."""
+def _ablation_suite(
+    suite: ClassifierSuite, problems: Sequence[Problem], config: FeatureConfig, epochs: int, seed: int
+) -> ClassifierSuite:
+    """``suite`` with its vertex and edge models retrained on ``config``'s
+    features, as ``train_suite`` trains them. The eval reads only its
+    vertex and edge scores: its relevance and LCA models are ``suite``'s,
+    and the scores ``build_score_tables`` gives them over ``config``'s
+    features are never read, so those sets are neither built nor trained."""
     sets = learn.training_blocks(problems, config, ("vertex", "edge"))
-    return (
-        learn.train_model(VERTEX_LABELS, sets["vertex"], epochs, seed),
-        learn.train_model(EDGE_LABELS, sets["edge"], epochs, seed),
+    return replace(
+        suite,
+        vertex=learn.train_model(VERTEX_LABELS, sets["vertex"], epochs, seed),
+        edge=learn.train_model(EDGE_LABELS, sets["edge"], epochs, seed),
+        config=config,
     )
 
 
@@ -195,10 +216,14 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
         suite = learn.train_suite(train + dev, feature_config, config.epochs, config.seed)
         variants = _variant_params(tuned)
 
+        # each test problem's derived gold, once, for its graph and every variant's accuracy
+        derived = [annotate.derive_udg_gold(p) for p in test]
+        scored = []
         correct = {v: 0 for v in SOLVE_VARIANTS}
         udg_exact = 0
-        for p in test:
+        for p, gold in zip(test, derived):
             tables = build_score_tables(p, suite)
+            scored.append(tables)
             candidates = JointCandidates(tables, p.values, beam=config.beam)
             record = {"fold": fold, "correct": {}}
             for name, params in variants.items():
@@ -208,25 +233,18 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
                 record["correct"][name] = bool(hit)
             per_problem[p.id] = record
             predicted = candidates.best_graph(ScalingParams())
-            udg_exact += predicted == annotate.derive_udg_gold(p).to_graph()
+            udg_exact += predicted == gold.to_graph()
 
-        vertex_acc = {}
-        edge_acc = {}
-        for variant in FEATURE_VARIANTS:
-            if variant == "all_features":
-                vertex, edge, variant_config = suite.vertex, suite.edge, suite.config
-            else:
-                variant_config = replace(
-                    feature_config,
-                    rule_features=variant != "no_rule_features",
-                    context_features=variant != "no_context_features",
-                )
-                vertex, edge = _vertex_edge_models(
-                    train + dev, variant_config, config.epochs, config.seed
-                )
-            v_acc, e_acc = _classifier_metrics(vertex, edge, variant_config, test)
-            vertex_acc[variant] = v_acc
-            edge_acc[variant] = e_acc
+        accuracy = {"all_features": _classifier_accuracy(suite, scored, derived)}
+        for variant in FEATURE_VARIANTS[1:]:
+            variant_config = replace(
+                feature_config,
+                rule_features=variant != "no_rule_features",
+                context_features=variant != "no_context_features",
+            )
+            variant_suite = _ablation_suite(suite, train + dev, variant_config, config.epochs, config.seed)
+            variant_scored = (build_score_tables(p, variant_suite) for p in test)
+            accuracy[variant] = _classifier_accuracy(variant_suite, variant_scored, derived)
 
         fold_results.append(
             FoldResult(
@@ -240,8 +258,8 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
                 solve_correct=dict(correct),
                 solve_accuracy={v: correct[v] / len(test) for v in SOLVE_VARIANTS},
                 udg_exact_accuracy=udg_exact / len(test),
-                vertex_accuracy=vertex_acc,
-                edge_accuracy=edge_acc,
+                vertex_accuracy={v: vertex for v, (vertex, _) in accuracy.items()},
+                edge_accuracy={v: edge for v, (_, edge) in accuracy.items()},
             )
         )
 

@@ -10,30 +10,30 @@ point into it: a tuple of (prefix, vector) blocks, such as an edge pair's
 bias, its first vertex's vector under "i|", its second's under "j|" and its
 unit flags.
 The blocks of one vector are disjoint, so ``expand`` gives the one dict
-they stand for, in block order; training and the eval's classifier
-accuracies read the blocks themselves, and the per-query functions expand
-the same assembly over just the vertices they name.
+they stand for, in block order; training reads the blocks themselves, and
+the per-query functions expand the same assembly over just the vertices
+they name.
 
-Inference has two paths over one kernel. ``LinearModel.scores`` keeps,
-per role prefix, a table from each unprefixed feature name to the tuple of
-its weights under every label, so a block of features costs one lookup per
-feature for all labels and builds no prefixed name. A suite's
-``InferenceTable`` scores a whole feature pass: it maps each feature name to
-its weights under every label of all six roles a vertex vector is read in,
-so each vertex's names are looked up once per solve. Both share the kernel:
-only the features whose value is not the float 1.0 are multiplied out,
-since ``1.0 * w`` is ``w`` bit for bit for every float ``w`` (signed zeros
-included); weights that are not all floats (a JSON model may hold the int
--2) multiply every value, as do int and bool values, so each term keeps the
-type the product gives (``_columns``). Each label's score then adds its
-terms one at a time in feature order, from the block's start (the int 0 for
-a fresh vector), in one C-level ``reduce`` per label (``_sums``): the same
-float operations in the same order as a per-label dot product over the
-prefixed vector, so scores are the same floats on every supported Python
-version (``sum()`` compensates rounding from 3.12 on, so it is not used).
-Trained models and suites are immutable apart from those tables, which are
-built on first use and hold nothing a rebuild would not reproduce, so they
-are safe for concurrent scoring.
+A label's score is the dot product of the model's weights with the
+expanded vector: each value times its weight, added one at a time in
+feature order from the int 0 (``LinearModel.scores``, the definition). A
+suite's ``InferenceTable`` gives the same floats for a whole feature pass:
+it maps each feature name to its weights under every label of all six
+roles a vertex vector is read in, so each vertex's names are looked up
+once per solve. Only the features whose value is not the float 1.0 are
+multiplied out, since ``1.0 * w`` is ``w`` bit for bit for every float
+``w`` (signed zeros included); weights that are not all floats (a JSON
+model may hold the int -2) multiply every value, as do int and bool
+values, so each term keeps the type the product gives (``_columns``).
+Each label's score then adds its terms one at a time in feature order,
+from the block's start, in one C-level ``reduce`` per label (``_sums``):
+the same float operations in the same order as the dot product, so scores
+are the same floats on every supported Python version (``sum()``
+compensates rounding from 3.12 on, so it is not used). Both the solve and
+the eval's classifier accuracies score through that table. Trained models
+and suites are immutable apart from the table, which is built on first
+use and holds nothing a rebuild would not reproduce, so they are safe for
+concurrent scoring.
 
 Training compiles each distinct block once per classifier: its feature
 names get int ids, and the weights live in dense per-label lists. The
@@ -344,19 +344,14 @@ def _sums(columns: Iterable[Sequence[float]], starts: Iterable[float]) -> tuple[
 class LinearModel:
     """Per-label sparse weight table; a label's score is a dot product.
 
-    ``_roles`` caches the role tables of ``scores``, one per prefix asked
-    for, each built on first use from ``weights``, and ``_floats`` caches
-    ``_all_floats``; neither is part of the model's value. Inference over a
-    whole feature pass reads the models through their suite's
-    ``InferenceTable`` instead."""
+    ``_floats`` caches ``_all_floats`` and is no part of the model's value.
+    Inference over a whole feature pass reads the models through their
+    suite's ``InferenceTable`` instead of ``scores``."""
 
     labels: tuple[str, ...]
     weights: Mapping[str, Mapping[str, float]]  # label -> feature -> weight
     epochs: int = 10
     seed: int = 0
-    _roles: dict[str, tuple[dict[str, tuple[float, ...]], bool]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _floats: list[bool] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def _all_floats(self) -> bool:
@@ -368,63 +363,24 @@ class LinearModel:
             self._floats.append(set(map(type, values)) <= {float})
         return self._floats[0]
 
-    def _role(self, prefix: str) -> tuple[dict[str, tuple[float, ...]], bool]:
-        """Each weighted name that starts with ``prefix``, without it, mapped
-        to its weights under every label in ``labels`` order (0.0 where a
-        label lacks it), and whether every weight of the model is a float.
-        The empty prefix's table, of every name, is built first and the
-        others are cut from it, sharing its tuples."""
-        role = self._roles.get(prefix)
-        if role is None:
-            if prefix:
-                full, _ = self._role("")
-                cut = len(prefix)
-                table = {name[cut:]: row for name, row in full.items() if name.startswith(prefix)}
-            else:
-                tabs = [self.weights[label] for label in self.labels]
-                names = list(dict.fromkeys(chain.from_iterable(tabs)))
-                table = dict(zip(names, zip(*(map(w.get, names, repeat(0.0)) for w in tabs))))
-            role = self._roles[prefix] = (table, self._all_floats())
-        return role
-
     def score(self, fv: Mapping[str, float], label: str) -> float:
         if label not in self.labels:
             raise KeyError(f"unknown label {label!r}")
         return self.scores(fv)[self.labels.index(label)]
 
-    def scores(
-        self,
-        fv: Mapping[str, float],
-        start: Sequence[float] | None = None,
-        prefix: str = "",
-    ) -> tuple[float, ...]:
-        """Every label's score of ``fv`` with ``prefix`` before each name, in
-        ``labels`` order. With ``start`` (one running sum per label, from an
-        earlier block of the same vector) the sums continue from it; without,
-        they start from the int 0, so an empty vector scores 0.
+    def scores(self, fv: Mapping[str, float]) -> tuple[float, ...]:
+        """Every label's score of ``fv``, in ``labels`` order: each value
+        times the label's weight (0.0 where it has none), added one at a time
+        in ``fv`` order from the int 0, so an empty vector scores 0."""
+        return tuple(
+            reduce(add, map(mul, fv.values(), map(self.weights[label].get, fv, repeat(0.0))), 0)
+            for label in self.labels
+        )
 
-        Each name is looked up once, in the prefix's role table, for all
-        labels; ``_columns`` multiplies the rows that need it, and each
-        label then adds its terms one at a time in ``fv`` order
-        (``_sums``): the float operations of a per-label dot product over
-        the prefixed vector."""
-        table, floats = self._role(prefix)
-        width = len(self.labels)
-        rows = list(map(table.get, fv, repeat((0.0,) * width)))
-        return _sums(_columns(rows, fv.values(), floats, width), repeat(0) if start is None else start)
-
-    def block_scores(self, blocks: Iterable[tuple[str, Mapping[str, float]]]) -> tuple[float, ...]:
-        """``scores(expand(blocks))``, bit for bit: each block is read through
-        its prefix's role table, continuing the sums of the block before."""
-        scores = None
-        for prefix, fv in blocks:
-            scores = self.scores(fv, scores, prefix)
-        return self.scores({}) if scores is None else scores
-
-    def predict(self, fv: Mapping[str, float] | BlockVector) -> str:
-        """The best-scoring label of a vector or a block vector; ties go to
-        the earliest in ``labels``."""
-        scores = self.block_scores(fv) if isinstance(fv, tuple) else self.scores(fv)
+    def predict(self, fv: Mapping[str, float]) -> str:
+        """The best-scoring label of ``fv``; ties go to the earliest in
+        ``labels``."""
+        scores = self.scores(fv)
         return self.labels[max(range(len(scores)), key=scores.__getitem__)]
 
     def to_json_obj(self) -> dict:
@@ -717,13 +673,13 @@ class InferenceTable:
     ``_rows`` maps each feature name to its weights under every label of
     every role in ``VERTEX_ROLES``, concatenated in that order (2 + 6 + 6 +
     2 + 6 + 6 = 28 floats for a trained suite), with 0.0 where a role lacks
-    the name. It is built straight from each model's weights, so no model
-    builds its prefixed role tables. ``scores`` looks each vertex's names up
-    once, multiplies the rows that need it (``_columns``, with ``_floats``
-    telling whether every weight of the suite is a float) and reads every
-    role's terms off the vertex's columns; bias and flag blocks are read as
-    columns cached per block. The table holds the models' weight dicts but
-    never the suite, so it keeps no suite alive.
+    the name, built straight from each model's weights. ``scores`` looks
+    each vertex's names up once, multiplies the rows that need it
+    (``_columns``, with ``_floats`` telling whether every weight of the
+    suite is a float) and reads every role's terms off the vertex's
+    columns; bias and flag blocks are read as columns cached per block. The
+    table holds the models' weight dicts but never the suite, so it keeps no
+    suite alive.
 
     ``keys(n)`` gives the score tables' keys over n quantities, with the
     edge labels as ``EdgeType``s, each built once."""
@@ -795,8 +751,8 @@ class InferenceTable:
         layout: PairLayout,
         pairs: Iterable[tuple[int, int]],
     ) -> list[tuple[float, ...]]:
-        """``block_scores(feats.pair_blocks(layout, i, j))`` of ``part``'s
-        model for each pair: each vertex's first-role terms are added once
+        """``part``'s model's scores of ``expand(feats.pair_blocks(layout,
+        i, j))`` for each pair: each vertex's first-role terms are added once
         to the bias's sums, and a pair continues those sums through the
         second vertex's terms and its flags."""
         first = VERTEX_ROLES.index((part, layout.first))
@@ -819,9 +775,9 @@ class InferenceTable:
         for each vertex, the edge model's for each pair of
         ``vertex_pairs(n)``, the relevance model's for each quantity and the
         LCA model's for each pair of ``combinations(range(n), 2)``. Each is
-        the float ``LinearModel.block_scores`` gives for the query's blocks:
-        every label's terms are the same products, added one at a time in
-        the same order from the same start."""
+        the float ``LinearModel.scores`` gives for the query's expanded
+        vector: every label's terms are the same products, added one at a
+        time in the same order from the int 0."""
         n = len(feats.vectors) - 1
         columns = list(map(self._vertex_columns, feats.vectors))
         vertex_role = VERTEX_ROLES.index(("vertex", ""))
@@ -844,9 +800,10 @@ class ClassifierSuite:
     """The four classifiers and the feature config they were trained with.
 
     ``_inference`` caches the suite's ``InferenceTable``, built on first use
-    by ``inference_table``; like ``LinearModel._roles`` it is no part of the
-    suite's value, and since the table holds no reference to the suite, a
-    suite is freed as soon as its last reference goes."""
+    by ``inference_table``. It is no part of the suite's value, and since it
+    is an ``init=False`` field, a suite made by ``dataclasses.replace``
+    starts with none and builds its own. The table holds no reference to
+    the suite, so a suite is freed as soon as its last reference goes."""
 
     vertex: LinearModel
     edge: LinearModel

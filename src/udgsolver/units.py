@@ -75,7 +75,8 @@ def lemma(word: str) -> str:
 def pos_tag(token: str) -> str:
     """Coarse tag: NUM, OTHER (function words), VERB, ADJ, default NOUN."""
     body = token.removeprefix("-")  # "-4", "-.5"
-    if body[:1].isdigit() or body[:1] == "." and body[1:2].isdigit():  # "5", ".5", "1/2", "3 1/2"
+    # the characters \d matches, so "²" is no number: "5", ".5", "1/2", "3 1/2"
+    if body[:1].isdecimal() or body[:1] == "." and body[1:2].isdecimal():
         return NUM
     if not token.isalpha() and "'" not in token:
         return OTHER

@@ -1,12 +1,16 @@
 """Shared fixtures: the bouquet walkthrough problem, mock score tables, a
 random raw-tree generator, an independent unit-propagation oracle used to
-cross-check tree-determined edge labels, and the per-label dot product that
-the fused classifier scorer must equal."""
+cross-check tree-determined edge labels, the per-label dot product that
+the fused classifier scorer must equal, and the non-ASCII letters that
+case-insensitive matching equates to ASCII ones."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
+import string
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -26,6 +30,18 @@ def oracle_dot(fv, weights, start=0):
     ``sum()`` compensates rounding from Python 3.12 on, so it would give
     other floats there than on 3.10 and 3.11."""
     return reduce(add, map(mul, fv.values(), map(weights.get, fv, repeat(0.0))), start)
+
+
+def case_equated_letters() -> dict[str, str]:
+    """Every non-ASCII code point that a case-insensitive pattern's ASCII
+    letter matches, mapped to that letter (U+0130, U+0131, U+017F and the
+    Kelvin sign U+212A on current Pythons)."""
+    letter = re.compile("[a-z]", re.IGNORECASE).fullmatch
+    equated = {}
+    for c in map(chr, range(128, sys.maxunicode + 1)):
+        if letter(c):
+            (equated[c],) = (l for l in string.ascii_lowercase if re.fullmatch(l, c, re.IGNORECASE))
+    return equated
 
 
 FIG1_TEXT = (

@@ -10,7 +10,7 @@ import pytest
 import udgsolver
 from udgsolver import cli, corpus, learn, synth
 
-from conftest import FIG1_TEXT, MELANIE_TEXT
+from conftest import FIG1_TEXT, MELANIE_TEXT, case_equated_letters
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +270,26 @@ def test_solve_too_many_quantities_exits_2(model_file):
         assert done.returncode == 2
         assert done.stdout == ""
         assert f"{n} leaves (max 6)" in done.stderr
+
+
+def test_solve_reads_number_words_spelled_with_case_equated_letters(model_file):
+    # "ſix" is "six" to the case-insensitive number-word pattern, so it is
+    # rewritten to 6 and solved as "six" is, with no traceback
+    src = str(Path(udgsolver.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    spelled = {c: "six".replace(letter, c) for c, letter in case_equated_letters().items() if letter in "six"}
+    assert set(spelled) >= {"\u0130", "\u0131", "\u017f"}
+    outputs = {}
+    for word in ("six", *spelled.values()):
+        text = f"Sam has {word} apples and 3 pears. How many fruits does Sam have?"
+        done = subprocess.run(
+            [sys.executable, "-m", "udgsolver.cli", "solve", "--model", str(model_file), "--text", text],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+        outputs[word] = done.stdout
+    assert "6" in json.loads(outputs["six"])["tree"]
+    assert all(out == outputs["six"] for out in outputs.values())
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from udgsolver.corpus import (
     save_problems,
 )
 
-from conftest import FIG1_TEXT
+from conftest import FIG1_TEXT, case_equated_letters
 
 
 # --- digit normalization ---------------------------------------------------
@@ -73,6 +74,36 @@ def test_every_word_of_the_module_tables_is_rewritten():
     for word in words:
         for cased in (word, word.title(), word.upper()):
             assert normalize_digits(f"{cased} apples")[0].isdigit(), cased
+
+def test_number_words_spelled_with_case_equated_letters_are_rewritten():
+    # the pattern matches case-insensitively, so a non-ASCII letter that such
+    # matching equates to an ASCII one ("ſ" to "s") spells the same word
+    equated = case_equated_letters()
+    assert {"\u0130", "\u0131", "\u017f"} <= set(equated)
+    words = {w: v for w, v in corpus._WORD_VALUES.items() if w != "one"}
+    words |= {
+        f"{t}-{o}": corpus._TENS[t] + corpus._ONES[o]
+        for t in corpus._TENS
+        for o in corpus._ONES
+        if o != "zero"
+    }
+    words |= {f"{a} {w}": corpus._WORD_VALUES[w] for a in ("a", "one") for w in ("dozen", "hundred")}
+    checked = 0
+    for c, letter in equated.items():
+        for word, value in words.items():
+            for cased in (word, word.upper()):
+                k = cased.lower().find(letter)
+                if k < 0:
+                    continue
+                # every occurrence of the letter replaced, and only the first
+                for spelled in (re.sub(letter, c, cased, flags=re.IGNORECASE), cased[:k] + c + cased[k + 1 :]):
+                    text = f"Sam has {spelled} apples."
+                    once = normalize_digits(text)
+                    assert once == f"Sam has {value} apples.", spelled
+                    assert normalize_digits(once) == once
+                    checked += 1
+    assert checked > 100
+
 
 def test_standalone_one_passes_through():
     assert normalize_digits("with 8 flowers in each one") == "with 8 flowers in each one"

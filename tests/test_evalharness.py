@@ -2,8 +2,11 @@ import hashlib
 
 import pytest
 
-from udgsolver import infer, synth
-from udgsolver.evalharness import RunConfig, run_eval
+from udgsolver import annotate, corpus, evalharness, infer, learn, synth
+from udgsolver.evalharness import FEATURE_VARIANTS, RunConfig, run_eval
+from udgsolver.learn import EDGE_LABELS, VERTEX_LABELS, FeatureConfig
+
+from conftest import oracle_dot
 
 # sha256 of the report below; any change to training, tuning, inference or
 # report formatting that alters a single byte of it changes this value
@@ -33,6 +36,73 @@ def test_eval_scores_unconstrained_rows_once_per_problem(counted_eval):
     # the test problems' standalone graphs come from their searches' rows
     _, calls = counted_eval
     assert calls == 42
+
+
+def _oracle_accuracy(model, examples):
+    # each example's label: the first label of the highest oracle score over
+    # its expanded vector
+    hits = 0
+    for blocks, gold in examples:
+        fv = learn.expand(blocks)
+        scores = [oracle_dot(fv, model.weights[label]) for label in model.labels]
+        hits += model.labels[scores.index(max(scores))] == gold
+    return hits / len(examples)
+
+
+@pytest.mark.parametrize(
+    "config", [RunConfig(), RunConfig(rule_features=False), RunConfig(context_features=False)]
+)
+def test_classifier_accuracies_equal_a_per_example_oracle(monkeypatch, config):
+    scored_suites = []
+    build = infer.build_score_tables
+    monkeypatch.setattr(
+        evalharness, "build_score_tables", lambda p, suite: scored_suites.append(suite) or build(p, suite)
+    )
+    problems = synth.gen_synthetic_corpus(1, 50)[:30]
+    report = run_eval(problems, config)
+    by_id = {p.id: p for p in problems}
+    split = corpus.make_folds(problems, config.folds, config.seed, config.dev_fraction)
+    for fold in range(config.folds):
+        train, dev, test = ([by_id[i] for i in ids] for ids in split.train_dev_test(fold))
+        for variant in FEATURE_VARIANTS:
+            if variant == "all_features":
+                variant_config = config.feature_config()
+            else:
+                variant_config = FeatureConfig(
+                    rule_features=variant != "no_rule_features",
+                    context_features=variant != "no_context_features",
+                )
+            # the vertex and edge models, trained on train + dev as the eval trains them
+            sets = learn.training_blocks(train + dev, variant_config, ("vertex", "edge"))
+            vertex = learn.train_model(VERTEX_LABELS, sets["vertex"], config.epochs, config.seed)
+            edge = learn.train_model(EDGE_LABELS, sets["edge"], config.epochs, config.seed)
+            examples = learn.training_blocks(test, variant_config, ("vertex", "edge"))
+            result = report.folds[fold]
+            assert result.vertex_accuracy[variant] == _oracle_accuracy(vertex, examples["vertex"])
+            assert result.edge_accuracy[variant] == _oracle_accuracy(edge, examples["edge"])
+    # each variant suite scores through its own table, built from its own models
+    suites = list({id(s): s for s in scored_suites}.values())
+    assert len(suites) == config.folds * len(FEATURE_VARIANTS)
+    assert len({id(s.inference_table()) for s in suites}) == len(suites)
+    for suite in suites:
+        vertex_weights = suite.inference_table()._weights["vertex"]
+        assert all(w is suite.vertex.weights[label] for w, label in zip(vertex_weights, suite.vertex.labels))
+
+
+def test_classifier_accuracy_breaks_ties_as_predict_does(fig1_problem):
+    # a suite with no weights scores every label 0, so each argmax is a tie
+    # that goes to the model's first label, as LinearModel.predict breaks it
+    models = {part: learn.LinearModel(labels, {label: {} for label in labels}) for part, labels in learn.PARTS}
+    suite = learn.ClassifierSuite(**models)
+    derived = annotate.derive_udg_gold(fig1_problem)
+    examples = learn.training_blocks([fig1_problem], suite.config, ("vertex", "edge"))
+    expected = [
+        sum(model.predict(learn.expand(blocks)) == gold for blocks, gold in examples[name]) / len(examples[name])
+        for name, model in (("vertex", suite.vertex), ("edge", suite.edge))
+    ]
+    assert 0 < expected[0] < 1
+    tables = infer.build_score_tables(fig1_problem, suite)
+    assert list(evalharness._classifier_accuracy(suite, [tables], [derived])) == expected
 
 
 @pytest.mark.parametrize("beam", [0, -3, 2.0, True])

@@ -326,6 +326,16 @@ def _expanded(fv):
     return dict(fv) if isinstance(fv, dict) else learn.expand(fv)
 
 
+def _oracle_scores(model, fv):
+    return [oracle_dot(fv, model.weights[label]) for label in model.labels]
+
+
+def _oracle_predict(model, fv):
+    # the first label whose oracle score is the highest
+    scores = _oracle_scores(model, fv)
+    return model.labels[scores.index(max(scores))]
+
+
 @pytest.fixture(scope="module")
 def training_blocks_120():
     return learn.training_blocks(synth.gen_synthetic_corpus(0, 120))
@@ -340,9 +350,9 @@ def test_block_examples_train_as_their_expanded_dicts(training_blocks_120, train
     for epochs, seed in ((10, 0), (3, 3)):
         model = train_model(labels, blocks, epochs, seed)
         assert _model_bits(model) == _model_bits(train_model(labels, dicts, epochs, seed))
-    for (b, _), (fv, _) in zip(blocks, dicts):
-        assert _score_bits(model.block_scores(b)) == _score_bits(model.scores(fv))
-        assert model.predict(b) == model.predict(fv)
+    for fv, _ in dicts:
+        assert _score_bits(model.scores(fv)) == _score_bits(_oracle_scores(model, fv))
+        assert model.predict(fv) == _oracle_predict(model, fv)
 
 
 _block_names = st.sampled_from(("bias", "a", "b", "c"))
@@ -375,10 +385,9 @@ def test_random_block_examples_train_as_their_expanded_dicts(labeled, epochs, se
         model = train_model(labels, examples, epochs, seed)
     assert calls["_ordered_score" if whole else "_exact_score"] == 0
     assert _model_bits(model) == _model_bits(train_model(labels, dicts, epochs, seed))
-    for (fv, _), (expanded, _) in zip(examples, dicts):
-        scores = model.scores(fv) if isinstance(fv, dict) else model.block_scores(fv)
-        assert _score_bits(scores) == _score_bits(model.scores(expanded))
-        assert model.predict(fv) == model.predict(expanded)
+    for expanded, _ in dicts:
+        assert _score_bits(model.scores(expanded)) == _score_bits(_oracle_scores(model, expanded))
+        assert model.predict(expanded) == _oracle_predict(model, expanded)
 
 
 def test_a_name_spelled_with_two_prefixes_is_one_feature():
@@ -599,15 +608,20 @@ def test_scores_equal_per_label_score(fv1, fv2, table):
     weights = {"A": table, "B": {k: -v for k, v in table.items()}, "C": {}}
     model = LinearModel(("A", "B", "C"), weights)
     assert model.scores(fv1) == tuple(model.score(fv1, label) for label in model.labels)
-    # continuing the sums of one block through a disjoint second one is the
-    # dot product of the joined vector, float for float
+    # the dot product of a vector joined from two disjoint blocks is the
+    # first block's sums continued through the second's terms, float for
+    # float, as the inference table adds a pair's blocks
     second = {f"2|{k}": v for k, v in fv2.items()}
     joined = {**fv1, **second}
     model2 = LinearModel(
         ("A", "B", "C"),
         {label: {**tab, **{f"2|{k}": w for k, w in tab.items()}} for label, tab in weights.items()},
     )
-    assert model2.scores(second, model2.scores(fv1)) == model2.scores(joined)
+    continued = tuple(
+        oracle_dot(second, model2.weights[label], start)
+        for label, start in zip(model2.labels, model2.scores(fv1))
+    )
+    assert model2.scores(joined) == continued
     assert model.predict(fv1) == _old_predict(model, fv1)
 
 
@@ -616,43 +630,30 @@ _weights = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e308
 )
 # a model loaded from JSON may hold int weights; 1.0 * -2 is -2.0, not -2
 _mixed_weights = _weights | st.integers(-3, 3) | st.sampled_from([2**60, 2**53 + 1])
-_role_names = st.sampled_from(["a", "b", "c", "p|a", "p|b", "p|d", "q|a"])
+_weight_names = st.sampled_from(["a", "b", "c", "p|a", "p|b", "p|d", "q|a"])
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(1, 4).flatmap(
-        lambda k: st.tuples(
-            st.lists(
-                st.dictionaries(_role_names, _weights, max_size=6)
-                | st.dictionaries(_role_names, _mixed_weights, max_size=6),
-                min_size=k,
-                max_size=k,
-            ),
-            st.none() | st.lists(_weights, min_size=k, max_size=k).map(tuple),
-        )
+    st.lists(
+        st.dictionaries(_weight_names, _weights, max_size=6)
+        | st.dictionaries(_weight_names, _mixed_weights, max_size=6),
+        min_size=1,
+        max_size=4,
     ),
     st.dictionaries(_names, _values | _weights, max_size=6),
     st.sampled_from(["", "p|", "q|", "z|"]),
 )
-def test_scores_equal_per_label_dot_bit_for_bit(tables, fv, prefix):
-    # names absent under some labels, signed zeros, subnormal and huge weights,
-    # empty vectors (the int 0) and continuation from a start
-    weights, start = tables
+def test_scores_equal_per_label_dot_bit_for_bit(weights, fv, prefix):
+    # names absent under some labels, signed zeros, subnormal and huge
+    # weights, JSON int weights and empty vectors (the int 0)
     labels = tuple(f"L{k}" for k in range(len(weights)))
     model = LinearModel(labels, dict(zip(labels, weights)))
     prefixed = {prefix + name: value for name, value in fv.items()}
-    starts = (0,) * len(labels) if start is None else start
-    expected = [oracle_dot(prefixed, model.weights[label], s) for label, s in zip(labels, starts)]
-
-    def bits(scores):
-        return [(type(s), s.hex() if isinstance(s, float) else s) for s in scores]
-
-    for _ in range(2):  # the role table is built on first use, then reused
-        assert bits(model.scores(fv, start, prefix)) == bits(expected)
-        assert bits(model.scores(prefixed, start)) == bits(expected)
-    if start is None:
-        assert bits(model.score(prefixed, label) for label in labels) == bits(expected)
+    expected = _score_bits(_oracle_scores(model, prefixed))
+    assert _score_bits(model.scores(prefixed)) == expected
+    assert _score_bits(model.score(prefixed, label) for label in labels) == expected
+    assert model.predict(prefixed) == _oracle_predict(model, prefixed)
 
 
 @pytest.mark.parametrize(
@@ -667,12 +668,13 @@ def test_scores_of_json_int_weights_keep_the_product_types(fv):
         assert [(type(s), float(s).hex()) for s in got] == [(type(s), float(s).hex()) for s in expected]
 
 
-def test_scores_role_tables_are_no_part_of_the_value():
+def test_scores_caches_are_no_part_of_the_value():
     model = LinearModel(("A", "B"), {"A": {"i|x": 2.0}, "B": {"x": -1.0}})
     fresh = LinearModel(("A", "B"), {"A": {"i|x": 2.0}, "B": {"x": -1.0}})
-    assert model.scores({"x": 1.0}, prefix="i|") == (2.0, 0.0)
+    assert model.scores({"i|x": 1.0}) == (2.0, 0.0)
+    assert model._all_floats() and model._floats == [True] and fresh._floats == []
     assert model == fresh and repr(model) == repr(fresh)
-    assert "_roles" not in json.dumps(model.to_json_obj())
+    assert "_floats" not in json.dumps(model.to_json_obj())
 
 
 def test_predict_ties_go_to_first_label():

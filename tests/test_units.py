@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from udgsolver import units
+from udgsolver import learn, units
 from udgsolver.corpus import QUESTION, build_problem
 from udgsolver.units import QuantityUnit, extract_unit, lemma, units_share_tokens
 
@@ -125,3 +125,17 @@ def test_question_rate_detection():
     u = extract_unit(p, QUESTION)
     assert u.num_unit == ("bead",)
     assert u.den_unit == ("jar",)
+
+
+def test_only_decimal_digits_tag_a_number():
+    # "²" is a digit to str.isdigit but no number to \d or the quantity parser
+    assert units.pos_tag("²") != units.NUM and units.pos_tag("-²") != units.NUM
+    assert units.pos_tag("٣") == units.pos_tag("-.5") == units.NUM  # \d matches any decimal digit
+    p = build_problem("t", "The room is 12 meters ² wide. How wide is the room?")
+    assert [q.value for q in p.quantities] == [12]
+    tokens = [tok for tok, _, _ in p.tokens]
+    assert units.tag_tokens(p)[1][tokens.index("²")] != units.NUM
+    fv = learn.vertex_features(p, 0)
+    # only the one number, "12", gives number bigrams and a NUM tag
+    assert {name for name in fv if name.startswith("bn:")} == {"bn:is <n>", "bn:<n> meters"}
+    assert fv["p:NUM"] == 1.0
