@@ -12,12 +12,12 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, sub
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from . import exprtree
 from .exprtree import Expr, format_rational
+from .ordered import ordered_sum
 
 #: Vertex marker for the question in APIs that accept quantity-or-question.
 QUESTION = "question"
@@ -179,7 +179,12 @@ class Problem:
         if not (0 <= lo < hi <= len(self.tokens)):
             raise CorpusError(f"problem {self.id}: empty or out-of-bounds question span")
         if self.gold is not None and self.gold.tree is not None:
-            if exprtree.evaluate(self.gold.tree, self.values) != self.gold.answer:
+            try:
+                value = exprtree.evaluate(self.gold.tree, self.values)
+            except exprtree.EvaluationError as exc:
+                tree = exprtree.serialize(self.gold.tree, self.values)
+                raise CorpusError(f"problem {self.id}: gold tree {tree} divides by zero") from exc
+            if value != self.gold.answer:
                 raise CorpusError(f"problem {self.id}: gold tree does not evaluate to the answer")
 
     @property
@@ -297,7 +302,11 @@ def build_problem(
                 else:
                     resolved.add(r)
             rate_vertices = frozenset(resolved)
-        gold = GoldAnnotation(answer=Fraction(str(answer)), tree=tree, rate_vertices=rate_vertices)
+        try:
+            value = Fraction(str(answer))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CorpusError(f"problem {pid}: answer {answer!r} is not a rational number") from exc
+        gold = GoldAnnotation(answer=value, tree=tree, rate_vertices=rate_vertices)
     return Problem(
         id=pid,
         text=text,
@@ -366,8 +375,7 @@ def _lowest_average_overlap_half(
         return list(problems)
     scores = {}
     for i, p in enumerate(problems):
-        # one addition at a time, as in every Python version (3.12's sum() compensates)
-        total = reduce(add, (pairwise(p, q) for j, q in enumerate(problems) if j != i), 0)
+        total = ordered_sum((pairwise(p, q) for j, q in enumerate(problems) if j != i), 0)
         scores[p.id] = total / (len(problems) - 1)
     order = sorted(problems, key=lambda p: (scores[p.id], p.id))
     keep = {p.id for p in order[: max(1, int(len(problems) * fraction))]}
@@ -424,10 +432,7 @@ def record_to_problem(record: dict) -> Problem:
         raise CorpusError(f"problem {pid}: id, text and tree must be strings")
     if not isinstance(rates, (list, type(None))):
         raise CorpusError(f"problem {pid}: rates must be a list")
-    answer = record.get("answer")
-    if answer is not None:
-        answer = Fraction(str(answer))
-    return build_problem(pid, text, answer=answer, tree_text=tree_text, rates=rates)
+    return build_problem(pid, text, answer=record.get("answer"), tree_text=tree_text, rates=rates)
 
 
 def load_problems(path) -> list[Problem]:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 from typing import Iterable, Sequence
 
 from . import annotate, corpus, infer, learn
 from .corpus import Problem
 from .infer import JointCandidates, ScalingParams, ScoreTables, build_score_tables, values_match
 from .learn import EDGE_LABELS, NOT_RATE, RATE, VERTEX_LABELS, ClassifierSuite, FeatureConfig
+from .ordered import ordered_sum
 from .udg import EdgeType, vertex_pairs
 
 SOLVE_VARIANTS = ("full", "no_vertex", "no_edge", "base")
@@ -264,8 +263,7 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
         )
 
     def mean(values) -> float:
-        # one addition at a time, as in every Python version (3.12's sum() compensates)
-        return reduce(add, values, 0) / len(fold_results)
+        return ordered_sum(values, 0) / len(fold_results)
 
     aggregate = {
         "solve_accuracy": {

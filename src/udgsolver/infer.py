@@ -29,6 +29,10 @@ the visit stops at the first tree whose best unconstrained graph cannot
 reach the incumbent total, so answers equal the exhaustive scan of
 ``top_k``.
 
+Every sum of scores (a labeling's vertex and edge sums, a subset's relevance
+sum, a candidate's LCA sum) adds its terms one at a time, in order, through
+``ordered.ordered_sum``, so it is the same float on every Python version.
+
 All scoring runs off immutable ScoreTables, so tests can drive inference
 from hand-set mock tables. A ``JointCandidates`` is not: it memoizes its last
 ranking, each popped tree, its labelings and their edge picks on itself, so
@@ -42,14 +46,15 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
-from operator import add, getitem
+from functools import lru_cache, partial
+from operator import getitem
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import exprtree, learn, udg
 from .corpus import Problem
 from .exprtree import Expr
 from .learn import IRRELEVANT, RATE, ClassifierSuite
+from .ordered import ordered_sum
 from .udg import EdgeType, UnitDependencyGraph
 
 LAMBDA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -107,12 +112,13 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     once, and the suite's ``learn.InferenceTable`` looks each vertex's names
     up once for all six roles it is scored in (vertex, edge first and
     second, relevance, LCA first and second), turning them into per-vertex
-    columns of terms. Every score is then one C-level ``reduce`` per label
-    over a column, from its start: the int 0, the bias's sums, or the sums
-    of the pair's first vertex; flags continue from the vertex sums. Each
-    label's terms are added one at a time in the vector's order, so every
-    score is the float ``LinearModel.score`` gives for the query's assembled
-    vector. Each dict is one ``zip`` of the table's keys for n and the scores.
+    columns of terms. Every score is then one ordered sum per label
+    (``ordered.ordered_sums``) over a column, from its start: the int 0, the
+    bias's sums, or the sums of the pair's first vertex; flags continue from
+    the vertex sums. Each label's terms are added one at a time in the
+    vector's order, so every score is the float ``LinearModel.score`` gives
+    for the query's assembled vector. Each dict is one ``zip`` of the
+    table's keys for n and the scores.
 
     LCA scores are shifted per pair so the pair's best operation scores zero
     and every other operation is negative (the margin analogue of a log
@@ -241,7 +247,7 @@ def _labeling_entry(
     scores one at a time from 0.0."""
     get = row.__getitem__
     return _LabelingEntry(
-        labeling, vertex_sum, reduce(add, map(get, best), 0.0), best, reduce(add, map(get, first), 0.0), first
+        labeling, vertex_sum, ordered_sum(map(get, best), 0.0), best, ordered_sum(map(get, first), 0.0), first
     )
 
 
@@ -289,8 +295,7 @@ def _unconstrained_rows(tables: ScoreTables) -> tuple[_Picks, tuple[_LabelingEnt
     return picks, tuple(
         _labeling_entry(
             labeling,
-            # one addition at a time, as in every Python version (3.12's sum() compensates)
-            reduce(add, map(rate.__getitem__, rates), 0),
+            ordered_sum(map(rate.__getitem__, rates), 0),
             picks.row,
             tuple(map(best.__getitem__, ids)),
             first,
@@ -449,13 +454,13 @@ class JointCandidates:
         ]
         irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)]
         # per subset: its rel_sum, and its pairs' LCA rows
-        rel_sums = [reduce(add, [irrelevant[q] for q in qs], 0.0) for qs in unused]
+        rel_sums = [ordered_sum([irrelevant[q] for q in qs], 0.0) for qs in unused]
         rows = [[lca_rows[k] for k in ks] for ks in pairs]
         # per candidate, in search order; two lists, not a pair per candidate
         # (n=6 places about 1.3 M candidates)
         self._rel_sums = [rel_sums[s] for s in subset_ids]
         self._lca_sums = [
-            reduce(add, map(getitem, rows[s], plan.pair_ops), 0.0)
+            ordered_sum(map(getitem, rows[s], plan.pair_ops), 0.0)
             for s, (_, plan) in zip(subset_ids, self._order)
         ]
         self._picks, self._unconstrained = _unconstrained_rows(tables)

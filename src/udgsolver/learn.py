@@ -25,15 +25,15 @@ multiplied out, since ``1.0 * w`` is ``w`` bit for bit for every float
 ``w`` (signed zeros included); weights that are not all floats (a JSON
 model may hold the int -2) multiply every value, as do int and bool
 values, so each term keeps the type the product gives (``_columns``).
-Each label's score then adds its terms one at a time in feature order,
-from the block's start, in one C-level ``reduce`` per label (``_sums``):
-the same float operations in the same order as the dot product, so scores
-are the same floats on every supported Python version (``sum()``
-compensates rounding from 3.12 on, so it is not used). Both the solve and
-the eval's classifier accuracies score through that table. Trained models
-and suites are immutable apart from the table, which is built on first
-use and holds nothing a rebuild would not reproduce, so they are safe for
-concurrent scoring.
+The extractor's values are floats, so every term is a float. Each label's
+score then adds its terms one at a time in feature order, from the block's
+start, in one ``ordered.ordered_sums`` per block (a block with no rows adds
+nothing): the same float operations in the same order as the dot product,
+so scores are the same floats on every supported Python version. Both the
+solve and the eval's classifier accuracies score through that table.
+Trained models and suites are immutable apart from the table, which is
+built on first use and holds nothing a rebuild would not reproduce, so
+they are safe for concurrent scoring.
 
 Training compiles each distinct block once per classifier: its feature
 names get int ids, and the weights live in dense per-label lists. The
@@ -58,6 +58,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import annotate, exprtree, units
 from .corpus import QUESTION, Problem
+from .ordered import ordered_sum, ordered_sums
 from .udg import EdgeType, vertex_pairs
 
 RATE, NOT_RATE = "Rate", "NotRate"
@@ -334,12 +335,6 @@ def _columns(
     return list(zip(*rows)) or [()] * width
 
 
-def _sums(columns: Iterable[Sequence[float]], starts: Iterable[float]) -> tuple[float, ...]:
-    """Each column's terms added one at a time, in order, to its start: the
-    float operations of a per-label dot product that continues ``starts``."""
-    return tuple(map(reduce, repeat(add), columns, starts))
-
-
 @dataclass(frozen=True)
 class LinearModel:
     """Per-label sparse weight table; a label's score is a dot product.
@@ -521,7 +516,7 @@ def _ordered_score(
     of the one before, as ``LinearModel.scores`` adds them."""
     total = 0
     for ids, values in row:
-        total = reduce(add, map(mul, values, map(weights.__getitem__, ids)), total)
+        total = ordered_sum(map(mul, values, map(weights.__getitem__, ids)), total)
     return total
 
 
@@ -757,16 +752,16 @@ class InferenceTable:
         second vertex's terms and its flags."""
         first = VERTEX_ROLES.index((part, layout.first))
         second = VERTEX_ROLES.index((part, layout.second))
-        bias = _sums(self._block_columns(part, "", (layout.bias,)), repeat(0))
+        bias = ordered_sums(self._block_columns(part, "", (layout.bias,)), repeat(0))
         firsts: dict[int, tuple[float, ...]] = {}
         out = []
         for i, j in pairs:
             start = firsts.get(i)
             if start is None:
-                start = firsts[i] = _sums(columns[i][first], bias)
-            scores = _sums(columns[j][second], start)
+                start = firsts[i] = ordered_sums(columns[i][first], bias)
+            scores = ordered_sums(columns[j][second], start)
             flags = self._block_columns(part, "", feats._pair_flag_names(layout, i, j))
-            out.append(_sums(flags, scores))
+            out.append(ordered_sums(flags, scores))
         return out
 
     def scores(self, feats: ProblemFeatures) -> tuple[list[tuple[float, ...]], ...]:
@@ -782,12 +777,12 @@ class InferenceTable:
         columns = list(map(self._vertex_columns, feats.vectors))
         vertex_role = VERTEX_ROLES.index(("vertex", ""))
         relevance_role = VERTEX_ROLES.index(("relevance", RELEVANCE_PREFIX))
-        vertex = [_sums(c[vertex_role], repeat(0)) for c in columns]
+        vertex = [ordered_sums(c[vertex_role], repeat(0)) for c in columns]
         edge = self._pair_scores(feats, columns, "edge", EDGE_LAYOUT, vertex_pairs(n))
         relevance = [
-            _sums(
+            ordered_sums(
                 self._block_columns("relevance", RELEVANCE_PREFIX, feats._relevance_flag_names(q)),
-                _sums(columns[q][relevance_role], repeat(0)),
+                ordered_sums(columns[q][relevance_role], repeat(0)),
             )
             for q in range(n)
         ]

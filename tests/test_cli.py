@@ -325,12 +325,20 @@ _GOOD = {"id": "a", "text": "Sam had 3 pears and ate 1 pear. How many pears are 
     (json.dumps(_GOOD | {"rates": [1.5]}), "problem a: rate 1.5 is not a quantity index"),
     (json.dumps(_GOOD | {"rates": [True]}), "problem a: rate True is not a quantity index"),
     (json.dumps(_GOOD | {"rates": [2]}), "problem a: rate index 2 out of range"),
+    (json.dumps(_GOOD | {"answer": "1/0"}), "problem a: answer '1/0' is not a rational number"),
+    (json.dumps(_GOOD | {"answer": "0/0"}), "problem a: answer '0/0' is not a rational number"),
+    (json.dumps(_GOOD | {"answer": "-3/0"}), "problem a: answer '-3/0' is not a rational number"),
+    (json.dumps({"id": "z", "text": "Joan had 44 cookies and 0 boxes. How many cookies per box?",
+                 "tree": "(/ 44 0)", "answer": "1"}), "problem z: gold tree (/ 44 0) divides by zero"),
 ])
 def test_malformed_record_shape_is_data_error(tmp_path, capsys, line, message):
+    # every command that reads a corpus exits 2 with the line; an exception
+    # escaping main (a traceback) fails the test
     src = tmp_path / "bad.jsonl"
     src.write_text(json.dumps(_GOOD) + "\n" + line + "\n")
-    assert cli.main(["normalize", "--in", str(src), "--out", str(tmp_path / "o")]) == 2
-    assert f"{src}, line 2: {message}" in capsys.readouterr().err
+    for command in ("normalize", "folds", "annotate", "train", "eval"):
+        assert cli.main([command, "--in", str(src), "--out", str(tmp_path / "o")]) == 2
+        assert f"{src}, line 2: {message}" in capsys.readouterr().err
 
 
 def test_eval_command_small(tmp_path, capsys):

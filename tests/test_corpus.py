@@ -360,6 +360,30 @@ def test_gold_tree_must_match_answer():
         build_problem("x", "I have 3 cats and 4 dogs.", answer=99, tree_text="(+ 3 4)")
 
 
+_ZERO_DIVISION_RECORDS = [
+    ({"id": "a", "text": "Sam had 3 pears. How many pears?", "answer": answer},
+     f"problem a: answer {answer!r} is not a rational number")
+    for answer in ("1/0", "0/0", "-3/0")
+] + [
+    ({"id": "z", "text": "Joan had 44 cookies and 0 boxes. How many cookies per box?",
+      "tree": "(/ 44 0)", "answer": "1"},
+     "problem z: gold tree (/ 44 0) divides by zero"),
+]
+
+
+@pytest.mark.parametrize("record, message", _ZERO_DIVISION_RECORDS)
+def test_records_that_divide_by_zero_are_corpus_errors(tmp_path, record, message):
+    # a zero denominator in the answer or in the gold tree is bad input, not
+    # a ZeroDivisionError or EvaluationError
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        build_problem(record["id"], record["text"], answer=record["answer"], tree_text=record.get("tree"))
+    path = tmp_path / "bad.jsonl"
+    good = {"id": "ok", "text": "Sam had 3 pears. How many pears?", "answer": "3"}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}, line 2: {message}")):
+        load_problems(path)
+
+
 def test_record_optional_fields_may_be_null():
     record = {"id": "a", "text": "Sam had 3 pears and ate 1 pear. How many?", "answer": "2"}
     problem = corpus.record_to_problem(record | {"tree": None, "rates": None})

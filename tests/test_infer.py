@@ -1188,11 +1188,14 @@ def test_solve_path_output_pinned():
         tables = infer.build_score_tables(p, suite)
         for part in ("vertex", "edge", "relevance", "lca"):
             for key, v in getattr(tables, part).items():
+                assert type(v) is float  # no float subclass leaks out of the ordered sums
                 digest.update(repr((part, key, type(v).__name__, float(v).hex())).encode())
         cands = JointCandidates(tables, p.values)
         for params in SOLVE_PATH_GRID:
             for r in (cands.solve(params), *cands.top_k(params, 5)):
                 sums = (r.score, r.rel_sum, r.lca_sum, r.vertex_sum, r.edge_sum)
+                # a graph with no rate vertex adds no vertex score to the int 0
+                assert list(map(type, sums)) == [float] * 3 + [float if r.graph.rates else int, float]
                 fields = (serialize(r.tree), json.dumps(r.graph.to_json_obj()), str(r.value))
                 digest.update(repr(fields + tuple(float(x).hex() for x in sums)).encode())
             graph = predict_udg_from_tables(tables, params)
