@@ -210,7 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusError, annotate.AnnotationError, infer.InferenceError, OSError, ValueError) as exc:
+    except (CorpusError, annotate.AnnotationError, infer.InferenceError, OSError, OverflowError, ValueError) as exc:
+        # OverflowError: a model whose score sums pass the largest float
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

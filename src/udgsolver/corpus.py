@@ -12,12 +12,12 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from functools import reduce
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from . import exprtree
 from .exprtree import Expr, format_rational
-from .ordered import ordered_sum
 
 #: Vertex marker for the question in APIs that accept quantity-or-question.
 QUESTION = "question"
@@ -327,12 +327,15 @@ def _ngram_set(problem: Problem) -> set[str]:
     return grams
 
 
-def ngram_overlap(p1: Problem, p2: Problem) -> float:
-    """|S1 ∩ S2| / min(|S1|, |S2|) over combined unigram+bigram sets."""
-    s1, s2 = _ngram_set(p1), _ngram_set(p2)
+def _set_overlap(s1: set[str], s2: set[str]) -> float:
     if not s1 or not s2:
         raise CorpusError("cannot compute overlap of a problem with no tokens")
     return len(s1 & s2) / min(len(s1), len(s2))
+
+
+def ngram_overlap(p1: Problem, p2: Problem) -> float:
+    """|S1 ∩ S2| / min(|S1|, |S2|) over combined unigram+bigram sets."""
+    return _set_overlap(_ngram_set(p1), _ngram_set(p2))
 
 
 def prune_near_duplicates(
@@ -341,13 +344,19 @@ def prune_near_duplicates(
     overlap: Callable[[Problem, Problem], float] = ngram_overlap,
 ) -> list[Problem]:
     """Greedy keep-first dedup: a problem survives iff its overlap with every
-    already-kept problem is <= threshold. Output preserves input order."""
+    already-kept problem is <= threshold. Output preserves input order.
+    With the default ``overlap``, each problem's n-gram set is built once."""
     if not 0 < threshold <= 1:
         raise CorpusError(f"threshold must be in (0, 1], got {threshold}")
+    keys: Sequence = problems
+    if overlap is ngram_overlap:
+        keys, overlap = list(map(_ngram_set, problems)), _set_overlap
     kept: list[Problem] = []
-    for p in problems:
-        if all(overlap(p, k) <= threshold for k in kept):
+    kept_keys: list = []
+    for p, key in zip(problems, keys):
+        if all(overlap(key, k) <= threshold for k in kept_keys):
             kept.append(p)
+            kept_keys.append(key)
     return kept
 
 
@@ -368,14 +377,19 @@ def make_folds(problems: Sequence[Problem], k: int, seed: int, dev_fraction: flo
 
 def _lowest_average_overlap_half(
     problems: Sequence[Problem],
-    pairwise: Callable[[Problem, Problem], float],
+    keys: Sequence,
+    pairwise: Callable[..., float],
     fraction: float,
 ) -> list[Problem]:
+    """The ``fraction`` of ``problems`` whose ``pairwise`` scores with the
+    others, read off each problem's key in ``keys``, average lowest."""
     if len(problems) < 2:
         return list(problems)
     scores = {}
-    for i, p in enumerate(problems):
-        total = ordered_sum((pairwise(p, q) for j, q in enumerate(problems) if j != i), 0)
+    for i, (p, key) in enumerate(zip(problems, keys)):
+        # one addition at a time, so the average does not depend on the
+        # Python version (sum() compensates from 3.12)
+        total = reduce(add, (pairwise(key, other) for j, other in enumerate(keys) if j != i), 0)
         scores[p.id] = total / (len(problems) - 1)
     order = sorted(problems, key=lambda p: (scores[p.id], p.id))
     keep = {p.id for p in order[: max(1, int(len(problems) * fraction))]}
@@ -384,21 +398,21 @@ def _lowest_average_overlap_half(
 
 def lexical_subset(problems: Sequence[Problem], fraction: float = 0.5) -> list[Problem]:
     """The lowest-average-n-gram-overlap slice of the dataset."""
-    return _lowest_average_overlap_half(problems, ngram_overlap, fraction)
+    return _lowest_average_overlap_half(problems, list(map(_ngram_set, problems)), _set_overlap, fraction)
 
 
 def template_subset(problems: Sequence[Problem], fraction: float = 0.5) -> list[Problem]:
     """The slice with the least reuse of gold-tree operation skeletons."""
-    sigs = {}
+    sigs = []
     for p in problems:
         if p.gold is None or p.gold.tree is None:
             raise CorpusError(f"problem {p.id}: template subset needs gold trees")
-        sigs[p.id] = exprtree.tree_signature(exprtree.canonicalize(p.gold.tree))
+        sigs.append(exprtree.tree_signature(exprtree.canonicalize(p.gold.tree)))
 
-    def same_template(a: Problem, b: Problem) -> float:
-        return 1.0 if sigs[a.id] == sigs[b.id] else 0.0
+    def same_template(a, b) -> float:
+        return 1.0 if a == b else 0.0
 
-    return _lowest_average_overlap_half(problems, same_template, fraction)
+    return _lowest_average_overlap_half(problems, sigs, same_template, fraction)
 
 
 # ---------------------------------------------------------------------------

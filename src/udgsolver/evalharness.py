@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
-from . import annotate, corpus, infer, learn
+from . import annotate, corpus, exprtree, infer, learn
 from .corpus import Problem
 from .infer import JointCandidates, ScalingParams, ScoreTables, build_score_tables, values_match
 from .learn import EDGE_LABELS, NOT_RATE, RATE, VERTEX_LABELS, ClassifierSuite, FeatureConfig
-from .ordered import ordered_sum
 from .udg import EdgeType, vertex_pairs
 
 SOLVE_VARIANTS = ("full", "no_vertex", "no_edge", "base")
@@ -193,6 +194,12 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
     for p in problems:
         if p.gold is None or p.gold.tree is None:
             raise corpus.CorpusError(f"problem {p.id}: evaluation needs gold answers and trees")
+        # every problem is tested in some fold: refuse one no search can
+        # solve before any training
+        if p.n > exprtree.MAX_ENUM_LEAVES:
+            raise corpus.CorpusError(
+                f"problem {p.id}: refusing to solve over {p.n} quantities (max {exprtree.MAX_ENUM_LEAVES})"
+            )
     by_id = {p.id: p for p in problems}
     split = corpus.make_folds(problems, config.folds, config.seed, config.dev_fraction)
     feature_config = config.feature_config()
@@ -263,7 +270,9 @@ def run_eval(problems: Sequence[Problem], config: RunConfig = RunConfig()) -> Ev
         )
 
     def mean(values) -> float:
-        return ordered_sum(values, 0) / len(fold_results)
+        # one addition at a time, in fold order, so the report's floats do
+        # not depend on the Python version (sum() compensates from 3.12)
+        return reduce(add, values, 0) / len(fold_results)
 
     aggregate = {
         "solve_accuracy": {

@@ -11,7 +11,7 @@ permitted label. ``udg`` says which labels a pair may carry (with or without
 a tree). A problem's edge scores are read once into one row, and a pair's
 options are positions in it: a pick (``_Picks``) is a ``max`` over them,
 which keeps the first of equal labels, and ``_labeling_entry`` sums a
-labeling's picks in ``vertex_pairs`` order from 0.0, for both searches. The
+labeling's picks, for both searches. The
 labelings bound by no tree are one table per n (``_labelings``), a tree's
 consistent ones are listed once per tree (``_consistent``), and
 ``_best_graph`` takes the standalone prediction from the former. Sums, ties
@@ -29,9 +29,13 @@ the visit stops at the first tree whose best unconstrained graph cannot
 reach the incumbent total, so answers equal the exhaustive scan of
 ``top_k``.
 
-Every sum of scores (a labeling's vertex and edge sums, a subset's relevance
-sum, a candidate's LCA sum) adds its terms one at a time, in order, through
-``ordered.ordered_sum``, so it is the same float on every Python version.
+Every score is an int numerator over its classifier's denominator
+(``ScoreTables``). Every term sum (a labeling's vertex and edge sums, a
+subset's relevance sum, a candidate's LCA sum) adds one classifier's
+numerators exactly and becomes a float once, by one int division, which
+rounds correctly, so it is the same in any order and on every Python
+version; a sum past the largest float raises OverflowError. Totals combine the four term sums as
+``lambda_rel*rel + lca + lambda_vertex*vertex + lambda_edge*edge``.
 
 All scoring runs off immutable ScoreTables, so tests can drive inference
 from hand-set mock tables. A ``JointCandidates`` is not: it memoizes its last
@@ -54,7 +58,6 @@ from . import exprtree, learn, udg
 from .corpus import Problem
 from .exprtree import Expr
 from .learn import IRRELEVANT, RATE, ClassifierSuite
-from .ordered import ordered_sum
 from .udg import EdgeType, UnitDependencyGraph
 
 LAMBDA_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -84,25 +87,39 @@ class ScalingParams:
 
 @dataclass(frozen=True)
 class ScoreTables:
-    """Raw classifier scores for one problem, keyed by query."""
+    """Raw classifier scores for one problem, keyed by query.
+
+    Each part's scores are int numerators over that part's denominator
+    (``denominators``, in ``learn.PARTS`` order: vertex, edge, relevance,
+    LCA), and the accessors give numerators. Tables given no denominators,
+    such as hand-set ones, hold each score's value: an int, or another
+    number taken as its exact ratio (``learn.as_numerators``)."""
 
     n_quantities: int
-    vertex: Mapping[tuple[int, str], float]
-    edge: Mapping[tuple[int, int, EdgeType], float]
-    relevance: Mapping[tuple[int, str], float]
-    lca: Mapping[tuple[int, int, str], float]
+    vertex: Mapping[tuple[int, str], int]
+    edge: Mapping[tuple[int, int, EdgeType], int]
+    relevance: Mapping[tuple[int, str], int]
+    lca: Mapping[tuple[int, int, str], int]
+    denominators: tuple[int, int, int, int] | None = None
 
-    def vertex_score(self, v: int, label: str) -> float:
-        return self.vertex.get((v, label), 0.0)
+    def __post_init__(self):
+        if self.denominators is None:
+            exact = [learn.as_numerators([getattr(self, part)], 1) for part, _ in learn.PARTS]
+            for (part, _), ((table,), _) in zip(learn.PARTS, exact):
+                object.__setattr__(self, part, table)
+            object.__setattr__(self, "denominators", tuple(denominator for _, denominator in exact))
 
-    def edge_score(self, i: int, j: int, label: EdgeType) -> float:
-        return self.edge.get((i, j, label), 0.0)
+    def vertex_score(self, v: int, label: str) -> int:
+        return self.vertex.get((v, label), 0)
 
-    def relevance_score(self, q: int, label: str) -> float:
-        return self.relevance.get((q, label), 0.0)
+    def edge_score(self, i: int, j: int, label: EdgeType) -> int:
+        return self.edge.get((i, j, label), 0)
 
-    def lca_score(self, i: int, j: int, op: str) -> float:
-        return self.lca.get((i, j, op), 0.0)
+    def relevance_score(self, q: int, label: str) -> int:
+        return self.relevance.get((q, label), 0)
+
+    def lca_score(self, i: int, j: int, op: str) -> int:
+        return self.lca.get((i, j, op), 0)
 
 
 def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
@@ -111,14 +128,10 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     ``learn.problem_features`` computes each vertex's features and unit
     once, and the suite's ``learn.InferenceTable`` looks each vertex's names
     up once for all six roles it is scored in (vertex, edge first and
-    second, relevance, LCA first and second), turning them into per-vertex
-    columns of terms. Every score is then one ordered sum per label
-    (``ordered.ordered_sums``) over a column, from its start: the int 0, the
-    bias's sums, or the sums of the pair's first vertex; flags continue from
-    the vertex sums. Each label's terms are added one at a time in the
-    vector's order, so every score is the float ``LinearModel.score`` gives
-    for the query's assembled vector. Each dict is one ``zip`` of the
-    table's keys for n and the scores.
+    second, relevance, LCA first and second) and sums them per label. Every
+    score is the int numerator ``LinearModel.scores`` gives for the query's
+    assembled vector, over its model's denominator. Each dict is one ``zip``
+    of the table's keys for n and the scores.
 
     LCA scores are shifted per pair so the pair's best operation scores zero
     and every other operation is negative (the margin analogue of a log
@@ -140,37 +153,31 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     relevance = dict(zip(relevance_keys, flat(relevance_scores)))
     shifted = ([s - top for s in scores] for scores, top in zip(lca_scores, map(max, lca_scores)))
     lca = dict(zip(lca_keys, flat(shifted)))
-    return ScoreTables(n, vertex, edge, relevance, lca)
+    return ScoreTables(n, vertex, edge, relevance, lca, table.denominators)
 
 
 # ---------------------------------------------------------------------------
 # term sums
 
 def tree_term_sums(tree: Expr, tables: ScoreTables) -> tuple[float, float]:
-    """(irrelevance sum over unused quantities, LCA sum over used pairs)."""
+    """(irrelevance sum over unused quantities, LCA sum over used pairs),
+    each exact and rounded once."""
     used = exprtree.used_indices(tree)
-    rel_sum = 0.0
-    for q in range(tables.n_quantities):
-        if q not in used:
-            rel_sum += tables.relevance_score(q, IRRELEVANT)
-    lca_sum = 0.0
-    ordered = sorted(used)
-    for a, i in enumerate(ordered):
-        for j in ordered[a + 1 :]:
-            lca_sum += tables.lca_score(i, j, exprtree.op_lca(tree, i, j))
-    return rel_sum, lca_sum
+    _, _, rel_denominator, lca_denominator = tables.denominators
+    unused = (tables.relevance_score(q, IRRELEVANT) for q in range(tables.n_quantities) if q not in used)
+    pairs = itertools.combinations(sorted(used), 2)
+    lca = (tables.lca_score(i, j, exprtree.op_lca(tree, i, j)) for i, j in pairs)
+    return sum(unused) / rel_denominator, sum(lca) / lca_denominator
 
 
 def graph_term_sums(graph: UnitDependencyGraph, tables: ScoreTables) -> tuple[float, float]:
-    """(vertex sum over rate-labeled vertices, edge sum over all pairs)."""
-    vertex_sum = 0.0
-    for v in range(graph.n_quantities + 1):
-        if graph.is_rate(v):
-            vertex_sum += tables.vertex_score(v, RATE)
-    edge_sum = 0.0
-    for (i, j), label in zip(udg.vertex_pairs(graph.n_quantities), graph.edges):
-        edge_sum += tables.edge_score(i, j, label)
-    return vertex_sum, edge_sum
+    """(vertex sum over rate-labeled vertices, edge sum over all pairs),
+    each exact and rounded once."""
+    vertex_denominator, edge_denominator, _, _ = tables.denominators
+    rates = (tables.vertex_score(v, RATE) for v in range(graph.n_quantities + 1) if graph.is_rate(v))
+    pairs = zip(udg.vertex_pairs(graph.n_quantities), graph.edges)
+    edges = (tables.edge_score(i, j, label) for (i, j), label in pairs)
+    return sum(rates) / vertex_denominator, sum(edges) / edge_denominator
 
 
 def score_tree(tree: Expr, tables: ScoreTables, params: ScalingParams) -> float:
@@ -227,12 +234,13 @@ class _LabelingEntry:
 
 
 class _Picks(dict):
-    """A problem's edge ``row``, and the best row position of each pair's
-    options (row positions), picked on first use: ``best`` is a ``max`` over
-    the options, which keeps the earlier of equal labels."""
+    """A problem's edge ``row`` of numerators over ``denominator``, and the
+    best row position of each pair's options (row positions), picked on
+    first use: ``best`` is a ``max`` over the options, which keeps the
+    earlier of equal labels."""
 
-    def __init__(self, row: list[float]):
-        self.row, self.best = row, partial(max, key=row.__getitem__)
+    def __init__(self, row: list[int], denominator: int):
+        self.row, self.denominator, self.best = row, denominator, partial(max, key=row.__getitem__)
 
     def __missing__(self, options: tuple[int, ...]) -> int:
         best = self[options] = self.best(options)
@@ -240,14 +248,13 @@ class _Picks(dict):
 
 
 def _labeling_entry(
-    labeling: tuple[bool, ...], vertex_sum: float, row: list[float], best: tuple[int, ...], first: tuple[int, ...]
+    labeling: tuple[bool, ...], vertex_sum: float, picks: _Picks, best: tuple[int, ...], first: tuple[int, ...]
 ) -> _LabelingEntry:
     """Score a labeling from each pair's best and first option position in
-    the edge ``row``, in ``vertex_pairs`` order: each edge sum adds its pick
-    scores one at a time from 0.0."""
-    get = row.__getitem__
+    the edge row of ``picks``, in ``vertex_pairs`` order."""
+    get, denominator = picks.row.__getitem__, picks.denominator
     return _LabelingEntry(
-        labeling, vertex_sum, ordered_sum(map(get, best), 0.0), best, ordered_sum(map(get, first), 0.0), first
+        labeling, vertex_sum, sum(map(get, best)) / denominator, best, sum(map(get, first)) / denominator, first
     )
 
 
@@ -289,14 +296,15 @@ def _unconstrained_rows(tables: ScoreTables) -> tuple[_Picks, tuple[_LabelingEnt
             f"refusing to label graphs over {n} quantities (max {exprtree.MAX_ENUM_LEAVES})"
         )
     edge_keys, rows, distinct, _ = _labelings(n)
-    picks = _Picks([tables.edge.get(key, 0.0) for key in edge_keys])
+    vertex_denominator, edge_denominator, _, _ = tables.denominators
+    picks = _Picks([tables.edge.get(key, 0) for key in edge_keys], edge_denominator)
     best = list(map(picks.best, distinct))
     rate = [tables.vertex_score(v, RATE) for v in range(n + 1)]
     return picks, tuple(
         _labeling_entry(
             labeling,
-            ordered_sum(map(rate.__getitem__, rates), 0),
-            picks.row,
+            sum(map(rate.__getitem__, rates)) / vertex_denominator,
+            picks,
             tuple(map(best.__getitem__, ids)),
             first,
         )
@@ -413,7 +421,7 @@ class JointCandidates:
 
     No scale is fixed here. Construction scores every placed plan
     (``exprtree.search_order``) with the term sums of ``tree_term_sums``,
-    added in the same order, but evaluates and builds no tree.
+    but evaluates and builds no tree.
     The unconstrained labeling rows are scored once too, and ``best_graph``
     takes the standalone graph prediction from them. A ``beam`` other than
     None or an int >= 1 raises ValueError.
@@ -430,8 +438,9 @@ class JointCandidates:
 
     ``solve`` bounds each tree by its tree score plus the best graph over
     all structurally valid (unconstrained) labelings. A consistent
-    labeling's per-pair options are a subset of its valid ones and float
-    rounding is monotone, so no total of the tree exceeds the bound; the
+    labeling's per-pair options are a subset of its valid ones, its edge
+    sum is exact before its one rounding, and float rounding is monotone,
+    so no total of the tree exceeds the bound; the
     bound never rises along the visit order, so the search stops at the
     first tree bounded strictly below the incumbent. That test reads the
     next heap key's score, before the tree is built: it bounds every valid
@@ -453,14 +462,15 @@ class JointCandidates:
             for i, j in itertools.combinations(range(n), 2)
         ]
         irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)]
+        _, _, rel_denominator, lca_denominator = tables.denominators
         # per subset: its rel_sum, and its pairs' LCA rows
-        rel_sums = [ordered_sum([irrelevant[q] for q in qs], 0.0) for qs in unused]
+        rel_sums = [sum(map(irrelevant.__getitem__, qs)) / rel_denominator for qs in unused]
         rows = [[lca_rows[k] for k in ks] for ks in pairs]
         # per candidate, in search order; two lists, not a pair per candidate
         # (n=6 places about 1.3 M candidates)
         self._rel_sums = [rel_sums[s] for s in subset_ids]
         self._lca_sums = [
-            ordered_sum(map(getitem, rows[s], plan.pair_ops), 0.0)
+            sum(map(getitem, rows[s], plan.pair_ops)) / lca_denominator
             for s, (_, plan) in zip(subset_ids, self._order)
         ]
         self._picks, self._unconstrained = _unconstrained_rows(tables)
@@ -542,7 +552,7 @@ class JointCandidates:
             rows, picks = self._unconstrained, self._picks
             entry.consistent = tuple(
                 _labeling_entry(
-                    rows[k].labeling, rows[k].vertex_sum, picks.row, tuple(map(picks.__getitem__, options)), first
+                    rows[k].labeling, rows[k].vertex_sum, picks, tuple(map(picks.__getitem__, options)), first
                 )
                 for k, options, first in _consistent(entry.tree, self.tables.n_quantities)
             )

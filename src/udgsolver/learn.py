@@ -14,35 +14,30 @@ they stand for, in block order; training reads the blocks themselves, and
 the per-query functions expand the same assembly over just the vertices
 they name.
 
-A label's score is the dot product of the model's weights with the
-expanded vector: each value times its weight, added one at a time in
-feature order from the int 0 (``LinearModel.scores``, the definition). A
-suite's ``InferenceTable`` gives the same floats for a whole feature pass:
-it maps each feature name to its weights under every label of all six
-roles a vertex vector is read in, so each vertex's names are looked up
-once per solve. Only the features whose value is not the float 1.0 are
-multiplied out, since ``1.0 * w`` is ``w`` bit for bit for every float
-``w`` (signed zeros included); weights that are not all floats (a JSON
-model may hold the int -2) multiply every value, as do int and bool
-values, so each term keeps the type the product gives (``_columns``).
-The extractor's values are floats, so every term is a float. Each label's
-score then adds its terms one at a time in feature order, from the block's
-start, in one ``ordered.ordered_sums`` per block (a block with no rows adds
-nothing): the same float operations in the same order as the dot product,
-so scores are the same floats on every supported Python version. Both the
-solve and the eval's classifier accuracies score through that table.
-Trained models and suites are immutable apart from the table, which is
-built on first use and holds nothing a rebuild would not reproduce, so
-they are safe for concurrent scoring.
+Every model is exact: its weights are int numerators over one int
+denominator (``LinearModel``), and a label's score is the int dot product of
+the numerators with the expanded vector, whose values are whole numbers
+(``LinearModel.scores``, the definition). Integer sums do not depend on the
+order of their additions, so a score is the same int in any order and on
+every Python version; a caller that needs a float divides once by the
+denominator. A suite's ``InferenceTable`` gives the same ints for a whole
+feature pass: it maps each feature name to its numerators under every label
+of all six roles a vertex vector is read in, so each vertex's names are
+looked up, and its rows summed, once per solve. Both the solve and the
+eval's classifier accuracies score through that table. Trained models and
+suites are immutable apart from the table, which is built on first use and
+holds nothing a rebuild would not reproduce, so they are safe for
+concurrent scoring.
 
 Training compiles each distinct block once per classifier: its feature
 names get int ids, and the weights live in dense per-label lists. The
-extractor's values are whole-number counts, flags and biases, so while
-training every weight, score and margin is an integer; when a bound on the
-set proves all of them stay below 2**53, float arithmetic on them is exact,
-and scores are summed with ``sum()``, whose compensation from Python 3.12
-on then adds nothing. Any other set is scored one term at a time, as
-``LinearModel.scores`` adds.
+extractor's values are whole-number counts, flags and biases, so every
+weight, score and margin is an int while training, and each averaged
+weight is an int numerator over the step count.
+
+Suites are saved as model format 2, JSON with each part's numerators and
+denominator, so a file holds every weight exactly; format 1, with float
+weights, still loads.
 """
 
 from __future__ import annotations
@@ -51,14 +46,13 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, combinations, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from . import annotate, exprtree, units
 from .corpus import QUESTION, Problem
-from .ordered import ordered_sum, ordered_sums
 from .udg import EdgeType, vertex_pairs
 
 RATE, NOT_RATE = "Rate", "NotRate"
@@ -319,58 +313,75 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _columns(
-    rows: list[Sequence[float]], values: Iterable[float], floats: bool, width: int
-) -> list[tuple[float, ...]]:
-    """Weight rows, one per feature in feature order and ``width`` weights
-    wide, turned into ``width`` columns of terms. A row is multiplied by its
-    feature's value unless the value is the float 1.0 and ``floats`` says
-    every weight is a float: ``1.0 * w`` is ``w`` bit for bit for every
-    float ``w`` (signed zeros included), so each term has the type the
-    product would give. No rows give ``width`` empty columns. Replaces the
-    multiplied entries of ``rows``."""
-    for k, value in enumerate(values):
-        if value != 1.0 or type(value) is not float or not floats:
-            rows[k] = tuple([value * w for w in rows[k]])
-    return list(zip(*rows)) or [()] * width
+def _whole(value) -> int:
+    """A feature value as an int: ValueError unless it is an int (a bool
+    included) or a float holding a whole number (the extractor's counts,
+    flags and biases are)."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"feature value {value!r} is not a whole number")
+
+
+def _all_ints(tables: Iterable[Mapping]) -> bool:
+    """Whether every value of ``tables`` is an int (not a bool)."""
+    return set(map(type, chain.from_iterable(table.values() for table in tables))) <= {int}
+
+
+def as_numerators(tables: Sequence[Mapping], denominator: int) -> tuple[Sequence[Mapping], int]:
+    """The values of ``tables``, which stand over ``denominator``, as int
+    numerators over one denominator, and that denominator. Tables of ints
+    come back as they are; otherwise every value is taken as its exact ratio
+    (every finite float is one), and ``denominator`` is multiplied by the
+    least common multiple of their denominators."""
+    if _all_ints(tables):
+        return tables, denominator
+    ratios = [{key: v.as_integer_ratio() for key, v in table.items()} for table in tables]
+    scale = math.lcm(*(d for table in ratios for _, d in table.values()))
+    return [{key: n * (scale // d) for key, (n, d) in table.items()} for table in ratios], denominator * scale
+
+
+#: The format ``ClassifierSuite.save`` writes; ``load`` also reads format 1.
+MODEL_FORMAT = 2
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Per-label sparse weight table; a label's score is a dot product.
+    """Per-label sparse weights, exact: each weight is the int numerator
+    ``weights[label][name]`` over the model's one int ``denominator``, so a
+    label's score is an int dot product over that denominator, the same in
+    any order of addition.
 
-    ``_floats`` caches ``_all_floats`` and is no part of the model's value.
-    Inference over a whole feature pass reads the models through their
-    suite's ``InferenceTable`` instead of ``scores``."""
+    ``train_model`` gives the averaged perceptron's numerators and its step
+    count. Weights given as other numbers (a float, a Fraction) are taken as
+    their exact ratios (``as_numerators``). Inference over a whole feature
+    pass reads the models through their suite's ``InferenceTable`` instead
+    of ``scores``."""
 
     labels: tuple[str, ...]
-    weights: Mapping[str, Mapping[str, float]]  # label -> feature -> weight
+    weights: Mapping[str, Mapping[str, int]]  # label -> feature -> numerator
     epochs: int = 10
     seed: int = 0
-    _floats: list[bool] = field(default_factory=list, init=False, repr=False, compare=False)
+    denominator: int = 1
 
-    def _all_floats(self) -> bool:
-        """Whether every weight is a float: recorded by ``train_model``
-        (whose weights always are) and ``from_json_obj`` (which checks each
-        weight's type), else computed on first use."""
-        if not self._floats:
-            values = chain.from_iterable(self.weights[label].values() for label in self.labels)
-            self._floats.append(set(map(type, values)) <= {float})
-        return self._floats[0]
+    def __post_init__(self):
+        if type(self.denominator) is not int or self.denominator < 1:
+            raise ValueError(f"denominator must be an int >= 1, got {self.denominator!r}")
+        tables, denominator = as_numerators(list(self.weights.values()), self.denominator)
+        object.__setattr__(self, "weights", dict(zip(self.weights, tables)))
+        object.__setattr__(self, "denominator", denominator)
 
-    def score(self, fv: Mapping[str, float], label: str) -> float:
+    def score(self, fv: Mapping[str, float], label: str) -> int:
         if label not in self.labels:
             raise KeyError(f"unknown label {label!r}")
         return self.scores(fv)[self.labels.index(label)]
 
-    def scores(self, fv: Mapping[str, float]) -> tuple[float, ...]:
-        """Every label's score of ``fv``, in ``labels`` order: each value
-        times the label's weight (0.0 where it has none), added one at a time
-        in ``fv`` order from the int 0, so an empty vector scores 0."""
-        return tuple(
-            reduce(add, map(mul, fv.values(), map(self.weights[label].get, fv, repeat(0.0))), 0)
-            for label in self.labels
-        )
+    def scores(self, fv: Mapping[str, float]) -> tuple[int, ...]:
+        """Every label's score of ``fv``, in ``labels`` order, as its int
+        numerator over ``denominator``: each value times the label's
+        numerator (0 where it has none), summed, so an empty vector scores
+        0. A value that is not a whole number raises ValueError."""
+        values = list(map(_whole, fv.values()))
+        return tuple(sum(map(mul, values, map(self.weights[label].get, fv, repeat(0)))) for label in self.labels)
 
     def predict(self, fv: Mapping[str, float]) -> str:
         """The best-scoring label of ``fv``; ties go to the earliest in
@@ -379,56 +390,60 @@ class LinearModel:
         return self.labels[max(range(len(scores)), key=scores.__getitem__)]
 
     def to_json_obj(self) -> dict:
-        flat = {}
-        for label in self.labels:
-            for name, w in sorted(self.weights[label].items()):
-                if w != 0.0:
-                    flat[f"{label}\x1f{name}"] = w
+        """The model as a part of a format-2 file: its nonzero numerators
+        under each label, and its denominator."""
         return {
             "labels": list(self.labels),
             "epochs": self.epochs,
             "seed": self.seed,
-            "weights": flat,
+            "denominator": self.denominator,
+            "weights": {label: {name: a for name, a in self.weights[label].items() if a} for label in self.labels},
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "LinearModel":
-        """Inverse of ``to_json_obj``. Raises ValueError unless the labels
-        are distinct strings, ``epochs`` is an int >= 1, ``seed`` is an int,
-        and every weight is a finite number keyed by one of the labels."""
+    def from_json_obj(cls, obj: dict, version: int = MODEL_FORMAT) -> "LinearModel":
+        """Inverse of ``to_json_obj``, or a part of a format-1 file, whose
+        weights are finite numbers keyed "label\\x1fname", each taken as its
+        exact ratio. Raises ValueError unless the labels are distinct
+        strings, ``epochs`` is an int >= 1 and ``seed`` an int, and, in
+        format 2, the denominator is an int >= 1 and every weight an int
+        under one of the labels."""
         labels = obj["labels"]
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise ValueError(f"labels must be a list of strings, got {labels!r}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in {labels!r}")
         check_epochs(obj["epochs"])
-        if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
+        if type(obj["seed"]) is not int:
             raise ValueError(f"seed must be an int, got {obj['seed']!r}")
         weights: dict[str, dict[str, float]] = {label: {} for label in labels}
-        floats = True
-        for key, w in obj["weights"].items():
-            label, sep, name = key.partition("\x1f")
-            if not sep or label not in weights:
-                raise ValueError(f"weight key {key!r} names no label in {labels!r}")
-            # a finite float passes the first test; anything else gets the full check
-            if not (type(w) is float and -math.inf < w < math.inf):
+        denominator = 1
+        if version == 1:
+            for key, w in obj["weights"].items():
+                label, sep, name = key.partition("\x1f")
+                if not sep or label not in weights:
+                    raise ValueError(f"weight key {key!r} names no label in {labels!r}")
                 if not _finite_number(w):
                     raise ValueError(f"weight {key!r} must be a finite number, got {w!r}")
-                floats = False
-            weights[label][name] = w
-        model = cls(labels=tuple(labels), weights=weights, epochs=obj["epochs"], seed=obj["seed"])
-        model._floats.append(floats)
-        return model
+                weights[label][name] = w
+        else:
+            denominator = obj["denominator"]
+            if type(denominator) is not int or denominator < 1:
+                raise ValueError(f"denominator must be an int >= 1, got {denominator!r}")
+            for label, table in obj["weights"].items():
+                if label not in weights:
+                    raise ValueError(f"weights key {label!r} names no label in {labels!r}")
+                if not _all_ints([table]):
+                    name, a = next((name, a) for name, a in table.items() if type(a) is not int)
+                    raise ValueError(f"weight {label!r} {name!r} must be an int, got {a!r}")
+                weights[label] = table
+        return cls(tuple(labels), weights, obj["epochs"], obj["seed"], denominator)
 
 
 def check_epochs(epochs) -> None:
     """Raise ValueError unless ``epochs`` is an int >= 1."""
     if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1:
         raise ValueError(f"epochs must be an int >= 1, got {epochs!r}")
-
-
-#: ``train_model`` scores with ``sum()`` only below this bound (see there).
-_EXACT_BOUND = 2**52
 
 
 def _blocks(fv: Mapping[str, float] | BlockVector) -> BlockVector:
@@ -439,11 +454,11 @@ def _blocks(fv: Mapping[str, float] | BlockVector) -> BlockVector:
 
 def _compile(
     examples: Sequence[tuple[Mapping[str, float] | BlockVector, str]],
-) -> tuple[list[str], dict[str, dict[str, int]], list[tuple[tuple, tuple, tuple]]]:
-    """The expanded feature names in first-seen order, each prefix's table
-    from a block's names to their ids, and each example's split row: the ids
-    of its 1.0-valued features, then the ids and the values of the others,
-    each in feature order.
+) -> tuple[list[str], list[tuple[tuple, tuple, tuple]]]:
+    """The expanded feature names in first-seen order, and each example's
+    split row: the ids of its features of value 1, then the ids and the int
+    values of the others, each in feature order. A value that is not a
+    whole number raises ValueError.
 
     Each distinct block object is split once, and each (prefix, name) gets
     its id, and its prefixed name is built, once; an example's row joins its
@@ -470,54 +485,21 @@ def _compile(
                         ones.append(i)
                     else:
                         rest_ids.append(i)
-                        rest_values.append(v)
+                        rest_values.append(_whole(v))
                 part = split[key] = (tuple(ones), tuple(rest_ids), tuple(rest_values))
             parts.append(part)
         if len(parts) == 1:
             rows.append(parts[0])
         else:  # column by column, from an empty split, so that () gives one too
             rows.append(tuple(map(tuple, map(chain.from_iterable, zip(((), (), ()), *parts)))))
-    return list(ids), tables, rows
+    return list(ids), rows
 
 
-def _exact_in_floats(rows: Sequence[tuple[tuple, tuple, tuple]], steps: int) -> bool:
-    """Whether training over these split rows for ``steps`` steps computes
-    every weight, score, margin and averaging term exactly: every value is a
-    float holding a whole number and (steps+1)**2 * max(V, 1) * max(L, 1) <
-    2**52, where V is the largest |value| and L the largest sum of |values|
-    of one row (see ``train_model``)."""
-    most = widest = 1
-    try:
-        for ones, _, values in rows:
-            if not all(map(float.is_integer, values)):  # also false for inf and nan
-                return False
-            most = max(most, max(map(abs, values), default=0))
-            widest = max(widest, len(ones) + sum(map(abs, values)))
-    except TypeError:  # a value that is not a float
-        return False
-    # with every |value| below 2**52 a row's sum is finite, and exact unless
-    # it reaches 2**53, where the bound fails anyway
-    return most < _EXACT_BOUND and (steps + 1) ** 2 * int(most) * int(widest) < _EXACT_BOUND
-
-
-def _exact_score(row: tuple[tuple, tuple, tuple], weights: Sequence[float]) -> float:
-    """One label's score of a split row, summed with ``sum()``: only for
-    rows and weights that ``_exact_in_floats`` proves add without rounding."""
+def _score(row: tuple[tuple, tuple, tuple], weights: Sequence[int]) -> int:
+    """One label's score of a split row."""
     ones, ids, values = row
     get = weights.__getitem__
-    return sum(map(get, ones), sum(map(mul, values, map(get, ids)), 0.0))
-
-
-def _ordered_score(
-    row: Iterable[tuple[Sequence[int], Iterable[float]]], weights: Sequence[float]
-) -> float:
-    """One label's score of a row of (ids, values) blocks in feature order,
-    added one term at a time from the int 0, each block continuing the sum
-    of the one before, as ``LinearModel.scores`` adds them."""
-    total = 0
-    for ids, values in row:
-        total = ordered_sum(map(mul, values, map(weights.__getitem__, ids)), total)
-    return total
+    return sum(map(get, ones), sum(map(mul, values, map(get, ids))))
 
 
 def train_model(
@@ -529,42 +511,33 @@ def train_model(
     """Margin-1 mistake-driven online training with weight averaging.
 
     Deterministic given the seed; raises on fewer than one epoch, duplicate
-    labels, or an example whose label is outside the label set.
+    labels, an example whose label is outside the label set, or a feature
+    value that is not a whole number.
+
+    Every value is a whole number, so every weight, score and margin is an
+    int, and so is every averaged weight's numerator: with T = epochs *
+    len(examples) steps, a weight w last changed at step ``last`` after
+    accumulating ``acc`` averages to (acc + (T - last) * w) / T, and the
+    model keeps that numerator over T, undivided.
 
     Each example keeps its last score per label, and a label is rescored
     only if its weights changed at or after the step that last scored the
     example (an update lands in the step whose scoring found the mistake).
     This is exact: a score depends only on the example and that label's
-    weights, so a kept score is the same float a rescoring would give.
+    weights.
 
     Training stops after the first epoch with no margin mistake, and the
     averaging then counts every remaining epoch's steps as if they had run.
     This is exact: the mistake test reads only the current weights and the
     example, and an epoch without an update checked every example against
     one fixed set of weights, so every later epoch, in any shuffle order,
-    would update nothing either. The averaged weights are the same floats,
-    in the same order, as those of all ``epochs`` epochs.
+    would update nothing either.
 
     An example is a mapping or a block vector (a tuple of blocks, see
     ``expand``); either trains exactly as its expanded vector would. Each
-    distinct block is compiled once (``_compile``), feature names get int ids in the
-    first-seen order of the expanded names, and the weights live in dense
-    per-label lists indexed by id. Scores are added in one of two
-    ways, chosen once per call. Write S = epochs * len(examples) for the
-    steps, V for the largest |value| and L for the largest sum of |values|
-    of one example. When every value is a float holding a whole number (the
-    feature extractor's counts, flags and biases are) and (S+1)**2 * max(V, 1) *
-    max(L, 1) < 2**52, every weight is a whole number of magnitude at most
-    S*V, every product, partial score and margin is one of magnitude at
-    most 2*S*V*L, and every averaging term is one of magnitude at most
-    S**2*V: all are integers below 2**53, so every float operation on them
-    is exact and the order of a score's additions cannot change it. Those
-    scores are summed with ``sum()``; with no rounding, the compensation
-    that ``sum()`` adds from Python 3.12 on stays 0.0, so they are the same
-    floats on every version. Any other set is scored one term at a time in
-    feature order, exactly as ``LinearModel.scores`` adds. Either way the
-    updates and the averaging are the same float operations as ever, so the
-    weights are the same floats.
+    distinct block is compiled once (``_compile``), feature names get int
+    ids in the first-seen order of the expanded names, and the weights live
+    in dense per-label lists indexed by id.
     """
     check_epochs(epochs)
     if len(set(labels)) != len(labels):
@@ -576,36 +549,24 @@ def train_model(
             raise ValueError(f"unknown label {label!r}")
     position = {label: k for k, label in enumerate(labels)}
     golds = [position[label] for _, label in examples]
-    names, tables, rows = _compile(examples)
+    names, rows = _compile(examples)
     total = epochs * len(examples)  # every epoch's steps, run or not
-    if _exact_in_floats(rows, total):
-        score = _exact_score
-    else:
-        score = _ordered_score
-        rows = [
-            tuple((tuple(map(tables[prefix].__getitem__, block)), block.values())
-                  for prefix, block in _blocks(fv))
-            for fv, _ in examples
-        ]
-    w = [[0.0] * len(names) for _ in labels]
-    acc = [[0.0] * len(names) for _ in labels]
+    w = [[0] * len(names) for _ in labels]
+    acc = [[0] * len(names) for _ in labels]
     last = [[0] * len(names) for _ in labels]
-    touched = [[] for _ in labels]  # each label's ids in first-update order
     step = 0
     changed = [-1] * len(labels)  # the step of each label's last update
     scored = [-1] * len(examples)  # the step that last scored each example
-    cached = [[0.0] * len(labels) for _ in examples]  # each example's scores, by label
+    cached = [[0] * len(labels) for _ in examples]  # each example's scores, by label
 
-    def apply(k: int, fv: Mapping[str, float] | BlockVector, sign: float) -> None:
+    def apply(k: int, row: tuple[tuple, tuple, tuple], sign: int) -> None:
         changed[k] = step
-        table, atab, ltab, first = w[k], acc[k], last[k], touched[k]
-        for prefix, block in _blocks(fv):
-            for i, v in zip(map(tables[prefix].__getitem__, block), block.values()):
-                if not ltab[i]:
-                    first.append(i)
-                atab[i] += (step - ltab[i]) * table[i]
-                ltab[i] = step
-                table[i] += sign * v
+        table, atab, ltab = w[k], acc[k], last[k]
+        ones, ids, values = row
+        for i, v in chain(zip(ones, repeat(1)), zip(ids, values)):
+            atab[i] += (step - ltab[i]) * table[i]
+            ltab[i] = step
+            table[i] += sign * v
 
     rng = random.Random(seed)
     order = list(range(len(examples)))
@@ -617,7 +578,7 @@ def train_model(
             scores, since, row = cached[idx], scored[idx], rows[idx]
             for k, when in enumerate(changed):
                 if when >= since:
-                    scores[k] = score(row, w[k])
+                    scores[k] = _score(row, w[k])
             scored[idx] = step
             gold = golds[idx]
             gold_score = scores[gold]
@@ -627,23 +588,18 @@ def train_model(
                     continue
                 if rival_score is None or s > rival_score:
                     rival, rival_score = k, s
-            if rival is not None and gold_score - rival_score < 1.0:
+            if rival is not None and gold_score - rival_score < 1:
                 mistakes += 1
-                fv = examples[idx][0]
-                apply(gold, fv, +1.0)
-                apply(rival, fv, -1.0)
+                apply(gold, row, +1)
+                apply(rival, row, -1)
         if not mistakes:  # a fixed point: the remaining epochs would update nothing
             break
-    del rows, cached, tables  # the examples' state, before the averaged tables are built
-    averaged = {}
-    for k, label in enumerate(labels):
-        table, atab, ltab = w[k], acc[k], last[k]
-        averaged[label] = {
-            names[i]: (atab[i] + (total - ltab[i]) * table[i]) / total for i in touched[k]
-        }
-    model = LinearModel(labels=tuple(labels), weights=averaged, epochs=epochs, seed=seed)
-    model._floats.append(True)  # each average is a float divided by an int
-    return model
+    del rows, cached  # the examples' state, before the averaged tables are built
+    weights = {}
+    for label, table, atab, ltab in zip(labels, w, acc, last):
+        numerators = map(add, atab, map(mul, map(total.__sub__, ltab), table))
+        weights[label] = {name: a for name, a in zip(names, numerators) if a}
+    return LinearModel(labels=tuple(labels), weights=weights, epochs=epochs, seed=seed, denominator=total)
 
 
 # ---------------------------------------------------------------------------
@@ -665,31 +621,33 @@ VERTEX_ROLES = (
 class InferenceTable:
     """A suite's weights laid out to score one feature pass at a time.
 
-    ``_rows`` maps each feature name to its weights under every label of
+    ``_rows`` maps each feature name to its numerators under every label of
     every role in ``VERTEX_ROLES``, concatenated in that order (2 + 6 + 6 +
-    2 + 6 + 6 = 28 floats for a trained suite), with 0.0 where a role lacks
-    the name, built straight from each model's weights. ``scores`` looks
-    each vertex's names up once, multiplies the rows that need it
-    (``_columns``, with ``_floats`` telling whether every weight of the
-    suite is a float) and reads every role's terms off the vertex's
-    columns; bias and flag blocks are read as columns cached per block. The
+    2 + 6 + 6 = 28 ints for a trained suite), with 0 where a role lacks the
+    name, built straight from each model's weights. ``scores`` looks each
+    vertex's names up once and sums each vertex's rows, each times its
+    value, into one int per column; a query's score is then the sums of its
+    blocks added: its vertices' sums in their roles, and its bias and flag
+    blocks' sums, cached per block. Integer sums are exact, so that is the
+    score ``LinearModel.scores`` gives for the query's expanded vector. The
     table holds the models' weight dicts but never the suite, so it keeps no
     suite alive.
 
     ``keys(n)`` gives the score tables' keys over n quantities, with the
-    edge labels as ``EdgeType``s, each built once."""
+    edge labels as ``EdgeType``s, each built once; ``denominators`` holds
+    each model's denominator, in ``PARTS`` order."""
 
     def __init__(self, suite: ClassifierSuite):
         models = {part: getattr(suite, part) for part, _ in PARTS}
         edge_types = tuple(map(EdgeType, suite.edge.labels))
         self._labels = (suite.vertex.labels, edge_types, suite.relevance.labels, suite.lca.labels)
+        self.denominators = tuple(models[part].denominator for part, _ in PARTS)
         self._keys: dict[int, tuple[tuple, ...]] = {}
         self._weights = {part: [m.weights[label] for label in m.labels] for part, m in models.items()}
-        self._floats = all(m._all_floats() for m in models.values())
         names = {part: list(dict.fromkeys(chain.from_iterable(t))) for part, t in self._weights.items()}
-        self._zero = (0.0,) * sum(len(self._weights[part]) for part, _ in VERTEX_ROLES)
+        self._zero = (0,) * sum(len(self._weights[part]) for part, _ in VERTEX_ROLES)
         self._slices: list[slice] = []  # each role's part of a row
-        self._rows: dict[str, list[float]] = {}  # lists, filled here and never changed after
+        self._rows: dict[str, list[int]] = {}  # lists, filled here and never changed after
         for part, prefix in VERTEX_ROLES:
             tabs, kept = self._weights[part], names[part]
             stripped = kept
@@ -699,15 +657,15 @@ class InferenceTable:
             start = self._slices[-1].stop if self._slices else 0
             role = slice(start, start + len(tabs))
             self._slices.append(role)
-            for name, role_row in zip(stripped, zip(*(map(w.get, kept, repeat(0.0)) for w in tabs))):
+            for name, role_row in zip(stripped, zip(*(map(w.get, kept, repeat(0)) for w in tabs))):
                 row = self._rows.get(name)
                 if row is None:
                     row = self._rows[name] = list(self._zero)
                 row[role] = role_row
-        self._blocks: dict[tuple[str, str, tuple[str, ...]], list[tuple[float, ...]]] = {}
+        self._blocks: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
 
     def keys(self, n: int) -> tuple[tuple, ...]:
-        """The keys of ``scores``' floats over n quantities, in order: (vertex,
+        """The keys of ``scores``' ints over n quantities, in order: (vertex,
         label), (i, j, ``EdgeType``), (quantity, label), (i, j, operation);
         kept for n up to ``exprtree.MAX_ENUM_LEAVES`` (no wider n is cached)."""
         keys = self._keys.get(n)
@@ -719,74 +677,68 @@ class InferenceTable:
                 self._keys[n] = keys
         return keys
 
-    def _vertex_columns(self, fv: Mapping[str, float]) -> list[list[tuple[float, ...]]]:
-        """Each role's columns of terms for one vertex vector."""
+    def _vertex_sums(self, fv: Mapping[str, float]) -> list[list[int]]:
+        """Each role's per-label sums for one vertex vector."""
         rows = list(map(self._rows.get, fv, repeat(self._zero)))
-        columns = _columns(rows, fv.values(), self._floats, len(self._zero))
-        return [columns[role] for role in self._slices]
+        for k, value in enumerate(fv.values()):
+            if value != 1.0:  # the extractor's values are floats
+                value = _whole(value)
+                rows[k] = [value * a for a in rows[k]]
+        sums = list(map(sum, zip(*rows))) or self._zero
+        return [sums[role] for role in self._slices]
 
-    def _block_columns(self, part: str, prefix: str, names: tuple[str, ...]) -> list[tuple[float, ...]]:
-        """The columns of the ``_flag_block`` of ``names`` under ``prefix``
-        in ``part``'s model, cached per block: bias and flag blocks come
-        from a fixed set of names."""
+    def _block_sums(self, part: str, prefix: str, names: tuple[str, ...]) -> list[int]:
+        """The per-label sums of the ``_flag_block`` of ``names`` under
+        ``prefix`` in ``part``'s model, cached per block: bias and flag
+        blocks come from a fixed set of names."""
         key = (part, prefix, names)
-        columns = self._blocks.get(key)
-        if columns is None:
-            tabs = self._weights[part]
-            rows = [tuple(w.get(prefix + name, 0.0) for w in tabs) for name in names]
-            columns = _columns(rows, _flag_block(names).values(), self._floats, len(tabs))
-            self._blocks[key] = columns
-        return columns
+        sums = self._blocks.get(key)
+        if sums is None:
+            sums = self._blocks[key] = [sum(w.get(prefix + name, 0) for name in names) for w in self._weights[part]]
+        return sums
 
     def _pair_scores(
         self,
         feats: ProblemFeatures,
-        columns: Sequence[list[list[tuple[float, ...]]]],
+        sums: Sequence[list[list[int]]],
         part: str,
         layout: PairLayout,
         pairs: Iterable[tuple[int, int]],
-    ) -> list[tuple[float, ...]]:
+    ) -> list[list[int]]:
         """``part``'s model's scores of ``expand(feats.pair_blocks(layout,
-        i, j))`` for each pair: each vertex's first-role terms are added once
-        to the bias's sums, and a pair continues those sums through the
-        second vertex's terms and its flags."""
+        i, j))`` for each pair: the bias's sums, the first vertex's, the
+        second's and the flags', added."""
         first = VERTEX_ROLES.index((part, layout.first))
         second = VERTEX_ROLES.index((part, layout.second))
-        bias = ordered_sums(self._block_columns(part, "", (layout.bias,)), repeat(0))
-        firsts: dict[int, tuple[float, ...]] = {}
-        out = []
-        for i, j in pairs:
-            start = firsts.get(i)
-            if start is None:
-                start = firsts[i] = ordered_sums(columns[i][first], bias)
-            scores = ordered_sums(columns[j][second], start)
-            flags = self._block_columns(part, "", feats._pair_flag_names(layout, i, j))
-            out.append(ordered_sums(flags, scores))
-        return out
+        bias = self._block_sums(part, "", (layout.bias,))
+        return [
+            list(map(sum, zip(bias, sums[i][first], sums[j][second], self._block_sums(
+                part, "", feats._pair_flag_names(layout, i, j)
+            ))))
+            for i, j in pairs
+        ]
 
-    def scores(self, feats: ProblemFeatures) -> tuple[list[tuple[float, ...]], ...]:
+    def scores(self, feats: ProblemFeatures) -> tuple[list[list[int]], ...]:
         """Every query's scores, in each model's ``labels`` order, off one
         feature pass over n quantities and the question: the vertex model's
         for each vertex, the edge model's for each pair of
         ``vertex_pairs(n)``, the relevance model's for each quantity and the
         LCA model's for each pair of ``combinations(range(n), 2)``. Each is
-        the float ``LinearModel.scores`` gives for the query's expanded
-        vector: every label's terms are the same products, added one at a
-        time in the same order from the int 0."""
+        the int ``LinearModel.scores`` gives for the query's expanded
+        vector."""
         n = len(feats.vectors) - 1
-        columns = list(map(self._vertex_columns, feats.vectors))
+        sums = list(map(self._vertex_sums, feats.vectors))
         vertex_role = VERTEX_ROLES.index(("vertex", ""))
         relevance_role = VERTEX_ROLES.index(("relevance", RELEVANCE_PREFIX))
-        vertex = [ordered_sums(c[vertex_role], repeat(0)) for c in columns]
-        edge = self._pair_scores(feats, columns, "edge", EDGE_LAYOUT, vertex_pairs(n))
+        vertex = [s[vertex_role] for s in sums]
+        edge = self._pair_scores(feats, sums, "edge", EDGE_LAYOUT, vertex_pairs(n))
         relevance = [
-            ordered_sums(
-                self._block_columns("relevance", RELEVANCE_PREFIX, feats._relevance_flag_names(q)),
-                ordered_sums(columns[q][relevance_role], repeat(0)),
-            )
+            list(map(add, sums[q][relevance_role], self._block_sums(
+                "relevance", RELEVANCE_PREFIX, feats._relevance_flag_names(q)
+            )))
             for q in range(n)
         ]
-        lca = self._pair_scores(feats, columns, "lca", LCA_LAYOUT, combinations(range(n), 2))
+        lca = self._pair_scores(feats, sums, "lca", LCA_LAYOUT, combinations(range(n), 2))
         return vertex, edge, relevance, lca
 
 
@@ -816,8 +768,12 @@ class ClassifierSuite:
         return self._inference[0]
 
     def save(self, path) -> None:
+        """Write the suite as a format-2 file: a JSON object with its
+        ``format``, its feature ``config``, and each model under its part's
+        name (``LinearModel.to_json_obj``), keys sorted."""
         obj = {name: getattr(self, name).to_json_obj() for name, _ in PARTS}
         obj["config"] = asdict(self.config)
+        obj["format"] = MODEL_FORMAT
         # the bytes of json.dump(obj, fh, sort_keys=True), which always runs
         # the pure-Python encoder; here the C one encodes each part, so the
         # whole file is never one string in memory
@@ -829,8 +785,9 @@ class ClassifierSuite:
 
     @classmethod
     def load(cls, path) -> "ClassifierSuite":
-        """Read a suite written by ``save``. A malformed file raises
-        ValueError naming the file and the missing or bad key."""
+        """Read a suite written by ``save``, or a format-1 file (one with no
+        ``format``). A malformed file raises ValueError naming the file and
+        the missing or bad key."""
         with open(path, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
@@ -838,6 +795,9 @@ class ClassifierSuite:
                 raise ValueError(f"model {path}: not JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValueError(f"model {path}: expected a JSON object")
+        version = obj.get("format", 1)
+        if type(version) is not int or version not in (1, MODEL_FORMAT):
+            raise ValueError(f"model {path}: bad 'format': unknown model format {version!r}")
 
         def part(key, build):
             if key not in obj:
@@ -848,7 +808,7 @@ class ClassifierSuite:
                 raise ValueError(f"model {path}: bad {key!r}: {exc!r}") from exc
 
         def model(key, labels):
-            loaded = part(key, LinearModel.from_json_obj)
+            loaded = part(key, lambda model_obj: LinearModel.from_json_obj(model_obj, version))
             if set(loaded.labels) != set(labels):
                 raise ValueError(
                     f"model {path}: bad {key!r}: labels must be {list(labels)}, "

@@ -1,7 +1,8 @@
 """Shared fixtures: the bouquet walkthrough problem, mock score tables, a
 random raw-tree generator, an independent unit-propagation oracle used to
-cross-check tree-determined edge labels, the per-label dot product that
-the fused classifier scorer must equal, and the non-ASCII letters that
+cross-check tree-determined edge labels, the exact per-label dot product
+that the fused classifier scorer must equal, a format-1 rewrite of a saved
+model, and the non-ASCII letters that
 case-insensitive matching equates to ASCII ones."""
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import re
 import string
 import sys
 from fractions import Fraction
-from functools import reduce
 from itertools import repeat
-from operator import add, mul
+from operator import mul
 
 import pytest
 
@@ -25,11 +25,27 @@ from udgsolver.udg import EdgeType
 
 
 def oracle_dot(fv, weights, start=0):
-    """``start`` plus each value * weight, added one at a time in ``fv``
-    order, over one label's weights: the float operations of every score.
-    ``sum()`` compensates rounding from Python 3.12 on, so it would give
-    other floats there than on 3.10 and 3.11."""
-    return reduce(add, map(mul, fv.values(), map(weights.get, fv, repeat(0.0))), start)
+    """``start`` plus each value * weight over one label's weights, as the
+    exact ``Fraction`` every score stands for: each value and weight is
+    taken as its exact ratio (every finite float is one)."""
+    return sum(map(mul, map(Fraction, fv.values()), map(Fraction, map(weights.get, fv, repeat(0)))), Fraction(start))
+
+
+def format_1(obj: dict) -> dict:
+    """A format-2 model object rewritten as format 1, the format before
+    exact weights: no "format" key, and each part's weights flat, keyed
+    "label\x1fname", each the float nearest its numerator over the
+    denominator."""
+    old = {"config": obj["config"]}
+    for part in ("vertex", "edge", "relevance", "lca"):
+        model = obj[part]
+        weights = {
+            f"{label}\x1f{name}": a / model["denominator"]
+            for label, table in model["weights"].items()
+            for name, a in table.items()
+        }
+        old[part] = {"labels": model["labels"], "epochs": model["epochs"], "seed": model["seed"], "weights": weights}
+    return old
 
 
 def case_equated_letters() -> dict[str, str]:

@@ -150,34 +150,63 @@ def test_criterion_5_canonicalization_properties():
                    f"total LCA ops; {failures} failures")
 
 
+#: The (tree, graph) tuples criterion 6 scores over its 50 problems: every
+#: consistent graph of every enumerated tree.
+CRITERION_6_TUPLES = 20_177_894
+
+
+def _edge_combo(k: int, choices) -> tuple:
+    """The ``k``-th combination of ``itertools.product(*choices)``."""
+    edges = []
+    for options in reversed(choices):
+        k, r = divmod(k, len(options))
+        edges.append(options[r])
+    return tuple(reversed(edges))
+
+
 @pytest.mark.slow
 def test_criterion_6_beam_equals_exhaustive():
     problems = synth.gen_synthetic_corpus(seed=11, size=50)
     suite = learn.train_suite(problems, learn.FeatureConfig(), epochs=3, seed=0)
     params = ScalingParams(lambda_rel=1.0, lambda_vertex=1.0, lambda_edge=0.5)
-    mismatches = 0
+    mismatches = tuples = 0
     assert all(p.n <= 3 for p in problems)
     for p in problems:
         tables = infer.build_score_tables(p, suite)
+        vertex_denominator, edge_denominator, _, _ = tables.denominators
+        pairs = udg.vertex_pairs(p.n)
         result = JointCandidates(tables, p.values, beam=None).solve(params)
         best = best_key = best_total = None
         for tree in exprtree.enumerate_trees(p.values):
             rel_sum, lca_sum = infer.tree_term_sums(tree, tables)
             nodes, serial = exprtree.node_count(tree), exprtree.serialize(tree)
             base = params.lambda_rel * rel_sum + lca_sum
-            for graph in enumerate_consistent_udgs(tree, p.n):
-                vsum, esum = infer.graph_term_sums(graph, tables)
-                total = base + params.lambda_vertex * vsum + params.lambda_edge * esum
-                if best_total is not None and total < best_total:
-                    continue
-                key = (-total, nodes, serial, graph.sort_key)
-                if best is None or key < best_key:
-                    best, best_key, best_total = (tree, graph), key, total
+            # the graphs consistent with the tree are each labeling's product
+            # of per-pair options (enumerate_consistent_udgs); each graph's
+            # exact edge sum extends its prefix's by one pair at a time, and
+            # is rounded once (an int division is correctly rounded). A graph
+            # is built only for a total that reaches the incumbent
+            for labeling, choices in udg.consistent_edge_choices(tree, p.n):
+                rates = sum(tables.vertex_score(v, learn.RATE) for v, rate in enumerate(labeling) if rate)
+                head = base + params.lambda_vertex * (rates / vertex_denominator)
+                sums = [0]
+                for (i, j), options in zip(pairs, choices):
+                    scores = [tables.edge_score(i, j, e) for e in options]
+                    sums = [s + x for s in sums for x in scores]
+                tuples += len(sums)
+                for k, edge_sum in enumerate(sums):
+                    total = head + params.lambda_edge * (edge_sum / edge_denominator)
+                    if best_total is not None and total < best_total:
+                        continue
+                    graph = UnitDependencyGraph.from_labeling(labeling, _edge_combo(k, choices))
+                    key = (-total, nodes, serial, graph.sort_key)
+                    if best is None or key < best_key:
+                        best, best_key, best_total = (tree, graph), key, total
         if result.tree != best[0] or result.graph != best[1]:
             mismatches += 1
-    ok = mismatches == 0
+    ok = mismatches == 0 and tuples == CRITERION_6_TUPLES
     _report(6, ok, f"untruncated joint inference == exhaustive tuple argmax on "
-                   f"{len(problems)} problems (<=3 quantities); {mismatches} mismatches")
+                   f"{len(problems)} problems (<=3 quantities), {tuples} tuples; {mismatches} mismatches")
 
 
 @pytest.mark.slow

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import udgsolver
 from udgsolver import cli, corpus, learn, synth
 
-from conftest import FIG1_TEXT, MELANIE_TEXT, case_equated_letters
+from conftest import FIG1_TEXT, MELANIE_TEXT, case_equated_letters, format_1
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +164,15 @@ def test_solve_bad_config_value_is_data_error(tmp_path, model_file, capsys, key,
 @pytest.mark.parametrize(
     "part, edit, message",
     [
-        ("edge", lambda m: m["weights"].update({"SameUnit\x1fpair_bias": "1.5"}), "must be a finite number"),
-        ("vertex", lambda m: m["weights"].update({"Maybe\x1fbias": 1.0}), "names no label"),
+        ("edge", lambda m: m["weights"]["SameUnit"].update(pair_bias=1.5), "'pair_bias' must be an int, got 1.5"),
+        ("edge", lambda m: m["weights"]["SameUnit"].update(pair_bias=True), "'pair_bias' must be an int, got True"),
+        ("edge", lambda m: m["weights"]["SameUnit"].update(pair_bias="1"), "'pair_bias' must be an int, got '1'"),
+        ("vertex", lambda m: m["weights"].update(Maybe={"bias": 1}), "names no label"),
+        ("vertex", lambda m: m.update(denominator=0), "denominator must be an int >= 1, got 0"),
+        ("vertex", lambda m: m.update(denominator=-3), "denominator must be an int >= 1, got -3"),
+        ("relevance", lambda m: m.update(denominator=2.5), "denominator must be an int >= 1, got 2.5"),
+        ("relevance", lambda m: m.update(denominator=True), "denominator must be an int >= 1, got True"),
+        ("lca", lambda m: m.pop("denominator"), "KeyError('denominator')"),
         ("lca", lambda m: m.update(labels=m["labels"] + ["+"]), "duplicate labels"),
         ("relevance", lambda m: m.update(seed="0"), "seed must be an int"),
         ("edge", lambda m: m.update(labels=m["labels"][:-1], weights={}), "labels must be"),
@@ -182,11 +190,23 @@ def test_solve_bad_model_weights_is_data_error(tmp_path, model_file, capsys, par
     assert message in captured.err
 
 
+@pytest.mark.parametrize("version", [3, 0, "2", 2.0, True, None])
+def test_solve_unknown_model_format_is_data_error(tmp_path, model_file, capsys, version):
+    obj = json.loads(model_file.read_text())
+    obj["format"] = version
+    path = tmp_path / "bad_format.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["solve", "--model", str(path), "--text", FIG1_TEXT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad_format.json: bad 'format': unknown model format" in captured.err
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400", "true", "1" + "0" * 400, '"1.5"'])
 def test_solve_non_finite_or_non_number_weight_is_data_error(tmp_path, model_file, capsys, literal):
-    # written as raw JSON text: 1e400 parses to inf, and the 401-digit
-    # integer overflows a float
-    obj = json.loads(model_file.read_text())
+    # a format-1 file, written as raw JSON text: 1e400 parses to inf, and
+    # the 401-digit integer overflows a float
+    obj = format_1(json.loads(model_file.read_text()))
     obj["lca"]["weights"]["+\x1flca_bias"] = "@weight@"
     path = tmp_path / "bad_weight.json"
     path.write_text(json.dumps(obj).replace('"@weight@"', literal))
@@ -195,6 +215,19 @@ def test_solve_non_finite_or_non_number_weight_is_data_error(tmp_path, model_fil
     assert captured.out == ""
     assert "bad_weight.json" in captured.err and "bad 'lca'" in captured.err
     assert "must be a finite number" in captured.err
+
+
+def test_solve_score_sum_past_the_largest_float_is_data_error(tmp_path, model_file, capsys):
+    # each pair's edge score is finite, but a graph's edge sum is not
+    obj = format_1(json.loads(model_file.read_text()))
+    for label in obj["edge"]["labels"]:
+        obj["edge"]["weights"][f"{label}\x1fpair_bias"] = 1.5e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["solve", "--model", str(path), "--text", FIG1_TEXT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large" in captured.err
 
 
 def test_solve_negative_trace_is_data_error(model_file, capsys):
@@ -270,6 +303,50 @@ def test_solve_too_many_quantities_exits_2(model_file):
         assert done.returncode == 2
         assert done.stdout == ""
         assert f"{n} leaves (max 6)" in done.stderr
+
+
+def test_eval_refuses_wide_problems_before_training(tmp_path, capsys):
+    # every problem is tested in some fold, so one more quantities than a
+    # tree may cover is refused at once, not after a suite is trained
+    wide = {
+        "id": "wide", "answer": "28", "tree": "(+ (+ (+ (+ (+ (+ 1 2) 3) 4) 5) 6) 7)",
+        "text": "A farm has 1 cow, 2 pigs, 3 hens, 4 ducks, 5 goats, 6 sheep and 7 cats. "
+                "How many animals does the farm have?",
+    }
+    data = tmp_path / "wide.jsonl"
+    corpus.save_problems(synth.gen_synthetic_corpus(seed=2, size=60), data)
+    with open(data, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(wide) + "\n")
+    start = time.perf_counter()
+    assert cli.main(["eval", "--in", str(data)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "problem wide: refusing to solve over 7 quantities (max 6)" in captured.err
+
+
+def test_format_1_model_and_its_format_2_rewrite_solve_alike(tmp_path, model_file, capsys):
+    # the file float training wrote before weights were exact, and the
+    # same suite saved again in format 2, give the same answers
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(format_1(json.loads(model_file.read_text()))))
+    learn.ClassifierSuite.load(old).save(new)
+    assert json.loads(new.read_text())["format"] == 2
+    texts = [
+        FIG1_TEXT,
+        "A shop sold 12 pens on Monday and 7 pens on Tuesday. Each pen costs 3 dollars and 2 pens broke. "
+        "How many dollars did the shop earn?",
+        "A baker made 24 muffins and 18 cookies. She sold 9 muffins and 6 cookies, and each muffin costs "
+        "2 dollars. How many dollars did she earn from the muffins?",
+        "Sam had twenty-one apples and a dozen pears. He ate 3 1/2 apples. How many fruits are left?",
+    ]
+    for text in texts:
+        answers = []
+        for path in (model_file, old, new):
+            assert cli.main(["solve", "--model", str(path), "--text", text]) == 0
+            result = json.loads(capsys.readouterr().out)
+            answers.append((result["value"], result["tree"], result["udg"]))
+        assert answers[0] == answers[1] == answers[2]
 
 
 def test_solve_reads_number_words_spelled_with_case_equated_letters(model_file):

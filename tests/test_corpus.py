@@ -284,6 +284,32 @@ def test_prune_posthoc_invariant(synthetic_corpus):
             assert ngram_overlap(p, q) <= 0.8
 
 
+_texts = st.lists(
+    st.lists(st.sampled_from(["the", "cat", "sat", "on", "mat", "a", "dog", "."]), min_size=1, max_size=6).map(" ".join),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts, st.sampled_from([1.0, 0.8, 0.5, 1e-9]) | st.floats(1e-9, 1.0))
+def test_prune_equals_the_plain_loop(texts, threshold):
+    # duplicate texts are common here, and a text of "." alone has no n-grams
+    problems = [_problem(f"p{k}", text) for k, text in enumerate(texts)]
+    kept = []
+    try:
+        for p in problems:
+            if all(ngram_overlap(p, k) <= threshold for k in kept):
+                kept.append(p)
+    except CorpusError:
+        with pytest.raises(CorpusError, match="no tokens"):
+            prune_near_duplicates(problems, threshold)
+        return
+    expected = [p.id for p in kept]
+    assert [p.id for p in prune_near_duplicates(problems, threshold)] == expected
+    custom = prune_near_duplicates(problems, threshold, overlap=lambda p, q: ngram_overlap(p, q))
+    assert [p.id for p in custom] == expected
+
+
 def test_prune_threshold_validation():
     with pytest.raises(CorpusError):
         prune_near_duplicates([], 0.0)
@@ -410,7 +436,7 @@ def test_average_overlap_adds_one_term_at_a_time():
     def pairwise(p, q):
         return table.get(p.id, {}).get(q.id, 0.1 if p.id == "b" else 0.5)
 
-    kept = corpus._lowest_average_overlap_half(problems, pairwise, 0.25)
+    kept = corpus._lowest_average_overlap_half(problems, problems, pairwise, 0.25)
     assert [p.id for p in kept] == ["a"]
 
 

@@ -1,11 +1,9 @@
 import collections
-import functools
 import gc
 import hashlib
 import itertools
 import json
 import math
-import operator
 import random
 import weakref
 from fractions import Fraction
@@ -28,7 +26,7 @@ from udgsolver.infer import (
 )
 from udgsolver.udg import EdgeType, UnitDependencyGraph, is_consistent, vertex_pairs
 
-from conftest import make_fig1_tables, oracle_dot
+from conftest import format_1, make_fig1_tables, oracle_dot
 
 
 def _tables(n, vertex=None, edge=None, relevance=None, lca=None):
@@ -504,8 +502,9 @@ def _oracle_relevance(problem, q, config):
 
 def _oracle_tables(problem, suite):
     """Every query's vector rebuilt from vertex_features and units, scored one
-    label at a time with the per-label dot product; also checks the public
-    per-query feature functions against the rebuilt vectors."""
+    label at a time with the exact per-label dot product over each model's
+    numerators; also checks the public per-query feature functions against
+    the rebuilt vectors."""
     n, config = problem.n, suite.config
     vid = lambda v: QUESTION if v == n else v
     vertex, edge, relevance, lca = {}, {}, {}, {}
@@ -531,18 +530,22 @@ def _oracle_tables(problem, suite):
             top = max(raw.values())
             for op, s in raw.items():
                 lca[(i, j, op)] = s - top
-    return ScoreTables(n, vertex, edge, relevance, lca)
+    exact = [
+        {key: Fraction(s, getattr(suite, part).denominator) for key, s in table.items()}
+        for table, (part, _) in zip((vertex, edge, relevance, lca), learn.PARTS)
+    ]
+    return ScoreTables(n, *exact)
 
 
 def _bits(tables):
-    return [
-        [(k, type(v), float(v).hex()) for k, v in getattr(tables, part).items()]
-        for part in ("vertex", "edge", "relevance", "lca")
-    ]
+    # every score, each checked to be an int numerator, as its exact value
+    parts = [(getattr(tables, part), d) for (part, _), d in zip(learn.PARTS, tables.denominators)]
+    assert all(type(v) is int for part, _ in parts for v in part.values())
+    return [[(k, Fraction(v, d)) for k, v in part.items()] for part, d in parts]
 
 
 def _thinned(model, rng):
-    # drop about a third of the weights and zero (or negate-zero) another third
+    # drop about a third of the weights and zero (as 0.0 or -0.0) another third
     weights = {}
     for label, table in model.weights.items():
         kept = {}
@@ -552,17 +555,16 @@ def _thinned(model, rng):
                 continue
             kept[name] = rng.choice([0.0, -0.0]) if pick < 0.66 else w
         weights[label] = kept
-    return learn.LinearModel(model.labels, weights, model.epochs, model.seed)
+    return learn.LinearModel(model.labels, weights, model.epochs, model.seed, model.denominator)
 
 
-def _with_json_ints(suite, path):
-    # the suite as a JSON model may hold it: the vertex feature "bias" is
-    # weighed by the edge model alone, and one edge label holds the ints -2
-    # (the pair bias) and 2**53 + 1 (the first vertex's bias, its first
-    # feature). Added as ints they would give 2**53 - 1; times 1.0 each, as
-    # the oracle adds them, -2.0 + 2.0**53
+def _format_1_with_ints(suite, path):
+    # the suite as a format-1 file may hold it: float weights, and in one
+    # edge label the ints -2 (the pair bias) and 2**53 + 1 (the first
+    # vertex's bias, its first feature), which no float holds; the vertex
+    # feature "bias" is weighed by the edge model alone
     suite.save(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj = format_1(json.loads(path.read_text(encoding="utf-8")))
     for part, prefix in learn.VERTEX_ROLES:
         if part != "edge":
             for label in obj[part]["labels"]:
@@ -571,7 +573,7 @@ def _with_json_ints(suite, path):
     obj["edge"]["weights"][f"{label}\x1fpair_bias"] = -2
     obj["edge"]["weights"][f"{label}\x1fi|bias"] = 2**53 + 1
     path.write_text(json.dumps(obj), encoding="utf-8")
-    return learn.ClassifierSuite.load(path)
+    return learn.ClassifierSuite.load(path), obj
 
 
 @pytest.fixture(scope="module")
@@ -592,7 +594,7 @@ def feature_variant_suites(synthetic_corpus, tmp_path_factory):
             config=base.config,
         )
     )
-    suites.append(_with_json_ints(base, tmp_path_factory.mktemp("ints") / "model.json"))
+    suites.append(_format_1_with_ints(base, tmp_path_factory.mktemp("ints") / "model.json")[0])
     return suites
 
 
@@ -603,11 +605,14 @@ def test_score_tables_bit_identical_to_per_query_oracle(feature_variant_suites):
             assert _bits(infer.build_score_tables(p, suite)) == _bits(_oracle_tables(p, suite))
 
 
-def test_json_int_suite_scores_keep_the_product_types(feature_variant_suites):
-    suite = feature_variant_suites[-1]
-    weights = suite.edge.weights[suite.edge.labels[0]]
-    assert (weights["pair_bias"], weights["i|bias"]) == (-2, 2**53 + 1)
-    assert {type(weights["pair_bias"]), type(weights["i|bias"])} == {int}
+def test_format_1_suite_scores_its_weights_exactly(trained_suite, tmp_path):
+    # each score over its denominator is the exact dot product of the
+    # file's weights, the float ones and the ints alike
+    suite, obj = _format_1_with_ints(trained_suite, tmp_path / "model.json")
+    edge = suite.edge
+    weights = edge.weights[edge.labels[0]]
+    assert Fraction(weights["pair_bias"], edge.denominator) == -2
+    assert Fraction(weights["i|bias"], edge.denominator) == 2**53 + 1
     bias = {prefix + "bias" for _, prefix in learn.VERTEX_ROLES}
     weighing = {
         part
@@ -618,8 +623,16 @@ def test_json_int_suite_scores_keep_the_product_types(feature_variant_suites):
     assert weighing == {"edge"}
     p = synth.gen_synthetic_corpus(seed=3, size=50)[0]
     tables = infer.build_score_tables(p, suite)
-    assert {kind for part in _bits(tables) for _, kind, _ in part} == {float}
     assert _bits(tables) == _bits(_oracle_tables(p, suite))
+    file_weights = {label: {} for label in edge.labels}
+    for key, w in obj["edge"]["weights"].items():
+        label, _, name = key.partition("\x1f")
+        file_weights[label][name] = w
+    for i, j in vertex_pairs(p.n):
+        fv = learn.edge_features(p, i, QUESTION if j == p.n else j, suite.config)
+        for label in EdgeType:
+            exact = oracle_dot(fv, file_weights[label.value])
+            assert Fraction(tables.edge_score(i, j, label), edge.denominator) == exact
 
 
 def test_inference_table_is_no_part_of_the_suite(trained_suite, synthetic_corpus, tmp_path):
@@ -956,11 +969,14 @@ def test_solve_materializes_only_visited_trees(monkeypatch, trained_suite, synth
 
 def _scan(tables, labeling, choices):
     # the scan before picks were memoized and the search compiled: every
-    # labeling rescored each pair's options and built both edge tuples
-    vertex_sum = functools.reduce(
-        operator.add, (tables.vertex_score(v, "Rate") for v, flag in enumerate(labeling) if flag), 0
+    # labeling rescored each pair's options and built both edge tuples. Each
+    # sum is exact, as Fractions, and rounded once
+    vertex_denominator, edge_denominator, _, _ = tables.denominators
+    vertex_sum = sum(
+        (Fraction(tables.vertex_score(v, "Rate"), vertex_denominator) for v, flag in enumerate(labeling) if flag),
+        Fraction(0),
     )
-    e_max = e_lex = 0.0
+    e_max = e_lex = Fraction(0)
     edges_max = []
     for (i, j), options in zip(vertex_pairs(len(labeling) - 1), choices):
         best = options[0]
@@ -970,10 +986,10 @@ def _scan(tables, labeling, choices):
             if s > best_score:
                 best, best_score = label, s
         edges_max.append(best)
-        e_max += best_score
-        e_lex += first_score
+        e_max += Fraction(best_score, edge_denominator)
+        e_lex += Fraction(first_score, edge_denominator)
     edges_lex = tuple(options[0] for options in choices)
-    return labeling, vertex_sum, e_max, tuple(edges_max), e_lex, edges_lex
+    return labeling, float(vertex_sum), float(e_max), tuple(edges_max), float(e_lex), edges_lex
 
 
 def _scanned_entry(tables, labeling, choices):
@@ -1164,10 +1180,9 @@ def test_joint_search_candidates_differ_before_edges():
 
 # --- solve path, pinned ------------------------------------------------------------
 
-# sha256 of every score-table float, solve and top-5 tuple and standalone graph
-# below, recorded before scoring skipped the multiply by a 1.0 value and the
-# graph stage memoized each pair's pick per option set
-SOLVE_PATH_SHA256 = "a1c6fb8bc64d5f9097254b44f0ff19a53661fc43eb2ed0e01968fbcb2ae15075"
+# sha256 of every score-table numerator and denominator, solve and top-5
+# tuple and standalone graph below, recorded when scores became exact
+SOLVE_PATH_SHA256 = "5a4e0fd9326d39bf298f91dfd131e6956596ee05a2082e998be045fc234264ad"
 
 SOLVE_PATH_GRID = (ScalingParams(), ScalingParams(0.5, 2.0, 0.0), ScalingParams(2.0, 0.25, 4.0))
 
@@ -1186,16 +1201,16 @@ def test_solve_path_output_pinned():
     digest = hashlib.sha256()
     for p in problems:
         tables = infer.build_score_tables(p, suite)
+        digest.update(repr(tables.denominators).encode())
         for part in ("vertex", "edge", "relevance", "lca"):
             for key, v in getattr(tables, part).items():
-                assert type(v) is float  # no float subclass leaks out of the ordered sums
-                digest.update(repr((part, key, type(v).__name__, float(v).hex())).encode())
+                assert type(v) is int
+                digest.update(repr((part, key, v)).encode())
         cands = JointCandidates(tables, p.values)
         for params in SOLVE_PATH_GRID:
             for r in (cands.solve(params), *cands.top_k(params, 5)):
                 sums = (r.score, r.rel_sum, r.lca_sum, r.vertex_sum, r.edge_sum)
-                # a graph with no rate vertex adds no vertex score to the int 0
-                assert list(map(type, sums)) == [float] * 3 + [float if r.graph.rates else int, float]
+                assert list(map(type, sums)) == [float] * 5
                 fields = (serialize(r.tree), json.dumps(r.graph.to_json_obj()), str(r.value))
                 digest.update(repr(fields + tuple(float(x).hex() for x in sums)).encode())
             graph = predict_udg_from_tables(tables, params)

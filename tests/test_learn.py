@@ -1,13 +1,15 @@
 import hashlib
 import json
-import math
 import random
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 from unittest import mock
 
 import pytest
+from operator import add
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ from udgsolver.learn import (
     vertex_features,
 )
 
-from conftest import oracle_dot
+from conftest import format_1, oracle_dot
 
 
 # --- feature extraction -------------------------------------------------------
@@ -112,7 +114,10 @@ def test_train_deterministic():
 
 def _train_model_all_epochs(labels, examples, epochs=10, seed=0):
     # train_model as it was before the fixed-point stop and the per-example
-    # score cache: every epoch runs, and every step scores every label
+    # score cache, in exact arithmetic: every epoch runs, every step scores
+    # every label, and each weight's average is a Fraction. The values are
+    # whole numbers, so every weight and score is an int
+    examples = [({name: _exact_int(v) for name, v in fv.items()}, label) for fv, label in examples]
     w = {label: {} for label in labels}
     acc = {label: {} for label in labels}
     last = {label: {} for label in labels}
@@ -121,9 +126,9 @@ def _train_model_all_epochs(labels, examples, epochs=10, seed=0):
     def apply(label, fv, sign):
         table, atab, ltab = w[label], acc[label], last[label]
         for name, v in fv.items():
-            atab[name] = atab.get(name, 0.0) + (step - ltab.get(name, 0)) * table.get(name, 0.0)
+            atab[name] = atab.get(name, 0) + (step - ltab.get(name, 0)) * table.get(name, 0)
             ltab[name] = step
-            table[name] = table.get(name, 0.0) + sign * v
+            table[name] = table.get(name, 0) + sign * v
 
     rng = random.Random(seed)
     order = list(range(len(examples)))
@@ -132,37 +137,54 @@ def _train_model_all_epochs(labels, examples, epochs=10, seed=0):
         for idx in order:
             fv, gold = examples[idx]
             step += 1
-            gold_score = oracle_dot(fv, w[gold])
+            gold_score = _int_dot(fv, w[gold])
             rival, rival_score = None, None
             for label in labels:
                 if label == gold:
                     continue
-                s = oracle_dot(fv, w[label])
+                s = _int_dot(fv, w[label])
                 if rival_score is None or s > rival_score:
                     rival, rival_score = label, s
-            if rival is not None and gold_score - rival_score < 1.0:
-                apply(gold, fv, +1.0)
-                apply(rival, fv, -1.0)
+            if rival is not None and gold_score - rival_score < 1:
+                apply(gold, fv, +1)
+                apply(rival, fv, -1)
     total = max(step, 1)
     averaged = {}
     for label in labels:
         table, atab, ltab = w[label], acc[label], last[label]
         averaged[label] = {
-            name: (atab.get(name, 0.0) + (total - ltab.get(name, 0)) * weight) / total
+            name: Fraction(atab.get(name, 0) + (total - ltab.get(name, 0)) * weight, total)
             for name, weight in table.items()
         }
     return LinearModel(labels=tuple(labels), weights=averaged, epochs=epochs, seed=seed)
 
 
-def _model_bits(model):
-    # labels, epochs, seed, weight names in insertion order and every weight's exact bits
+def _exact_int(value):
+    assert Fraction(value).denominator == 1
+    return int(value)
+
+
+def _int_dot(fv, weights):
+    return sum(v * weights.get(name, 0) for name, v in fv.items())
+
+
+def _model_value(model):
+    # labels, epochs, seed and every nonzero weight as its exact ratio
     return (
         model.labels,
         model.epochs,
         model.seed,
-        [(label, [(name, w.hex()) for name, w in model.weights[label].items()])
-         for label in model.labels],
+        {label: {name: Fraction(a, model.denominator) for name, a in model.weights[label].items() if a}
+         for label in model.labels},
     )
+
+
+def _trained_value(labels, examples, epochs, seed):
+    # train_model's model, checked to hold int numerators over its step count
+    model = train_model(labels, examples, epochs, seed)
+    assert model.denominator == epochs * len(examples)
+    assert all(type(a) is int for table in model.weights.values() for a in table.values())
+    return _model_value(model)
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +206,7 @@ def test_fixed_point_stop_equals_all_epochs(training_sets_120, kind):
     for epochs in (1, 3, 10):
         for seed in (0, 3):
             expected = _train_model_all_epochs(labels, examples, epochs, seed)
-            assert _model_bits(train_model(labels, examples, epochs, seed)) == _model_bits(expected)
+            assert _trained_value(labels, examples, epochs, seed) == _model_value(expected)
 
 
 @contextmanager
@@ -195,8 +217,7 @@ def _counting_rescorings():
     def counted(name, kernel):
         return lambda *args: calls.update((name,)) or kernel(*args)
 
-    kernels = ("_exact_score", "_ordered_score")
-    with mock.patch.multiple(learn, **{name: counted(name, getattr(learn, name)) for name in kernels}):
+    with mock.patch.object(learn, "_score", counted("_score", learn._score)):
         yield calls
 
 
@@ -211,9 +232,8 @@ def test_non_separable_set_runs_every_epoch(rescorings):
     examples = [({"a": 1.0, "b": 2.0}, "L1"), ({"a": 1.0, "b": 2.0}, "L2")] * 3
     model = train_model(("L1", "L2"), examples, epochs=7, seed=1)
     assert sum(rescorings.values()) == 2 * len(examples) * 7  # gold and rival, every step
-    assert rescorings["_ordered_score"] == 0  # whole values within the bound
     expected = _train_model_all_epochs(("L1", "L2"), examples, epochs=7, seed=1)
-    assert _model_bits(model) == _model_bits(expected)
+    assert _model_value(model) == _model_value(expected)
 
 
 def test_separable_set_stops_after_first_clean_epoch(rescorings):
@@ -225,11 +245,14 @@ def test_separable_set_stops_after_first_clean_epoch(rescorings):
     model = train_model(("L1", "L2"), _toy_examples(), epochs=10, seed=0)
     assert sum(rescorings.values()) == 2 * len(_toy_examples()) + 2 * 2
     expected = _train_model_all_epochs(("L1", "L2"), _toy_examples(), epochs=10, seed=0)
-    assert _model_bits(model) == _model_bits(expected)
+    assert _model_value(model) == _model_value(expected)
 
 
+# whole numbers, as floats (the extractor's) and as ints
 _sparse_vectors = st.dictionaries(
-    st.sampled_from(("bias", "a", "b", "c")), st.sampled_from((1.0, 2.0, 0.5)), max_size=4
+    st.sampled_from(("bias", "a", "b", "c", "d")),
+    st.sampled_from((-1.0, 0.0, 1.0, 2.0, 3.0)) | st.integers(-3, 3),
+    max_size=5,
 )
 
 
@@ -250,76 +273,53 @@ def test_score_cache_equals_all_epochs_on_random_sets(labeled, epochs, seed):
     # first-label tie-break is drawn often
     labels, examples = labeled
     expected = _train_model_all_epochs(labels, examples, epochs, seed)
-    assert _model_bits(train_model(labels, examples, epochs, seed)) == _model_bits(expected)
+    assert _trained_value(labels, examples, epochs, seed) == _model_value(expected)
 
 
-_whole_vectors = st.dictionaries(
-    st.sampled_from(("bias", "a", "b", "c", "d")),
-    st.sampled_from((-1.0, 0.0, 1.0, 2.0, 3.0)),
-    max_size=5,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(2, 6).flatmap(
-        lambda n: st.tuples(
-            st.just(tuple(f"L{k}" for k in range(n))),
-            st.lists(st.tuples(_whole_vectors, st.sampled_from([f"L{k}" for k in range(n)])),
-                     min_size=1, max_size=12),
-        )
-    ),
-    st.integers(1, 5),
-    st.integers(0, 3),
-)
-def test_whole_valued_sets_take_sum_kernel_and_equal_all_epochs(labeled, epochs, seed):
-    labels, examples = labeled
-    expected = _train_model_all_epochs(labels, examples, epochs, seed)
-    with _counting_rescorings() as calls:
-        model = train_model(labels, examples, epochs, seed)
-    assert calls["_ordered_score"] == 0
-    assert _model_bits(model) == _model_bits(expected)
-
-
-def test_values_past_the_bound_take_ordered_kernel():
-    # 2**45 passes the whole-number test but not the bound. The second
-    # example's "c" score term is added before the two terms near 2**90 that
-    # cancel: in feature order it is rounded away, summed after them it is
-    # not, and with 4 epochs that flips a margin test
-    big = 2.0**45
-    examples = [({"b": big}, "L2"), ({"c": 1.0, "d": -big, "b": big}, "L1")]
-    with _counting_rescorings() as calls:
-        model = train_model(("L1", "L2"), examples, epochs=4, seed=0)
-    assert calls["_exact_score"] == 0 and calls["_ordered_score"] > 0
+def test_large_values_train_exactly():
+    # scores near 2**90 that cancel: a float sum in feature order would round
+    # the "c" term away and, with 4 epochs, flip a margin test
+    big = 2**45
+    examples = [({"b": float(big)}, "L2"), ({"c": 1.0, "d": -big, "b": big}, "L1")]
     expected = _train_model_all_epochs(("L1", "L2"), examples, epochs=4, seed=0)
-    assert _model_bits(model) == _model_bits(expected)
+    assert _trained_value(("L1", "L2"), examples, 4, 0) == _model_value(expected)
 
 
-def test_exact_score_equals_the_exact_sum():
-    # within the bound every term and partial sum is a whole number below
-    # 2**53, so sum() gives fsum's exactly rounded result on every version
+@pytest.mark.parametrize("value", [0.5, -1.5, 1e-300, float("inf"), float("nan"), "1", None])
+def test_train_rejects_values_that_are_not_whole_numbers(value):
+    examples = [({"a": 1.0, "b": value}, "L1"), ({"a": 1.0}, "L2")]
+    with pytest.raises(ValueError, match="is not a whole number"):
+        train_model(("L1", "L2"), examples)
+    with pytest.raises(ValueError, match="is not a whole number"):
+        train_model(("L1", "L2"), [((("p|", examples[0][0]),), "L1")])
+
+
+def test_score_kernel_equals_the_exact_sum():
+    # past 2**53 too, where a float sum would round
     rng = random.Random(7)
     for _ in range(200):
-        weights = [float(rng.randint(-2**40, 2**40)) for _ in range(30)]
+        weights = [rng.randint(-2**70, 2**70) for _ in range(30)]
         ones = tuple(rng.sample(range(30), rng.randint(0, 12)))
         ids = tuple(rng.sample(range(30), rng.randint(0, 6)))
-        values = tuple(float(rng.randint(-3, 3)) for _ in ids)
-        terms = [weights[i] for i in ones] + [v * weights[i] for v, i in zip(values, ids)]
-        assert learn._exact_score((ones, ids, values), weights) == math.fsum(terms)
+        values = tuple(rng.randint(-3, 3) for _ in ids)
+        exact = sum(Fraction(weights[i]) for i in ones) + sum(Fraction(v * weights[i]) for v, i in zip(values, ids))
+        assert learn._score((ones, ids, values), weights) == exact
 
 
 @pytest.mark.parametrize("kind", sorted(_CLASSIFIER_LABELS))
-def test_extracted_training_sets_take_sum_kernel(training_sets_120, kind):
+def test_extracted_training_sets_train_to_int_numerators(training_sets_120, kind):
     # the feature extractor emits whole-number counts, flags and biases
-    with _counting_rescorings() as calls:
-        train_model(_CLASSIFIER_LABELS[kind], training_sets_120[kind])
-    assert calls["_exact_score"] > 0 and calls["_ordered_score"] == 0
+    examples = training_sets_120[kind]
+    assert {type(v) for fv, _ in examples for v in fv.values()} == {float}
+    _trained_value(_CLASSIFIER_LABELS[kind], examples, 10, 0)
 
 
 # --- block-vector examples ------------------------------------------------------
 
 def _score_bits(scores):
-    return [(type(s), s.hex() if isinstance(s, float) else s) for s in scores]
+    # the exact scores, each checked to be an int
+    assert all(type(s) in (int, Fraction) for s in scores)
+    return [Fraction(s) for s in scores]
 
 
 def _expanded(fv):
@@ -349,8 +349,9 @@ def test_block_examples_train_as_their_expanded_dicts(training_blocks_120, train
     ]
     for epochs, seed in ((10, 0), (3, 3)):
         model = train_model(labels, blocks, epochs, seed)
-        assert _model_bits(model) == _model_bits(train_model(labels, dicts, epochs, seed))
+        assert _model_value(model) == _trained_value(labels, dicts, epochs, seed)
     for fv, _ in dicts:
+        assert all(type(s) is int for s in model.scores(fv))
         assert _score_bits(model.scores(fv)) == _score_bits(_oracle_scores(model, fv))
         assert model.predict(fv) == _oracle_predict(model, fv)
 
@@ -380,11 +381,13 @@ def _block_sets(draw):
 def test_random_block_examples_train_as_their_expanded_dicts(labeled, epochs, seed):
     labels, examples = labeled
     dicts = [(_expanded(fv), label) for fv, label in examples]
-    whole = all(float(v).is_integer() for fv, _ in dicts for v in fv.values())
-    with _counting_rescorings() as calls:
-        model = train_model(labels, examples, epochs, seed)
-    assert calls["_ordered_score" if whole else "_exact_score"] == 0
-    assert _model_bits(model) == _model_bits(train_model(labels, dicts, epochs, seed))
+    if not all(float(v).is_integer() for fv, _ in dicts for v in fv.values()):
+        for given in (examples, dicts):
+            with pytest.raises(ValueError, match="is not a whole number"):
+                train_model(labels, given, epochs, seed)
+        return
+    model = train_model(labels, examples, epochs, seed)
+    assert _model_value(model) == _trained_value(labels, dicts, epochs, seed)
     for expanded, _ in dicts:
         assert _score_bits(model.scores(expanded)) == _score_bits(_oracle_scores(model, expanded))
         assert model.predict(expanded) == _oracle_predict(model, expanded)
@@ -399,7 +402,7 @@ def test_a_name_spelled_with_two_prefixes_is_one_feature():
     dicts = [(learn.expand(fv), label) for fv, label in examples]
     model = train_model(("L1", "L2"), examples, epochs=3, seed=0)
     assert set(model.weights["L1"]) == {"i|a", "b"}
-    assert _model_bits(model) == _model_bits(train_model(("L1", "L2"), dicts, epochs=3, seed=0))
+    assert _model_value(model) == _trained_value(("L1", "L2"), dicts, 3, 0)
 
 
 def test_train_suite_peak_memory_is_below_half_the_dict_sets():
@@ -435,7 +438,7 @@ def test_tied_rivals_go_to_first_label():
     model = train_model(labels, examples, epochs=4, seed=2)
     assert model.weights["A"]["x"] < 0 and model.weights["A"]["y"] < 0
     assert model.weights["B"] == {}
-    assert _model_bits(model) == _model_bits(_train_model_all_epochs(labels, examples, 4, 2))
+    assert _model_value(model) == _model_value(_train_model_all_epochs(labels, examples, 4, 2))
 
 
 @pytest.mark.parametrize("epochs", [0, -3, True, 2.0, "10"])
@@ -455,16 +458,21 @@ def test_train_rejects_duplicate_labels():
         train_model(("A", "B", "A"), [({"x": 1.0}, "B")])
 
 
-# sha256 of the saved train_suite(gen_synthetic_corpus(0, 200)) file, recorded
-# before training stopped at its first mistake-free epoch; it pins every
-# trained weight on each supported Python version
-SUITE_200_SHA256 = "1f51b3461eed39f230a8124c06e59cbeb456f71034c48190907765453a4a248f"
+# sha256 of the saved train_suite(gen_synthetic_corpus(0, 200)) file, in
+# model format 2; it pins every trained numerator and denominator
+SUITE_200_SHA256 = "7b18f161303cee103a327d81e62e4ae3942dea73052948fec9ed9af8dccb73e9"
+# sha256 of the same suite rewritten as format 1, each weight the float
+# nearest its exact ratio: the file float training wrote before weights were
+# exact, recorded before training stopped at its first mistake-free epoch
+SUITE_200_FORMAT_1_SHA256 = "1f51b3461eed39f230a8124c06e59cbeb456f71034c48190907765453a4a248f"
 
 
 def test_trained_suite_file_pinned(tmp_path):
     path = tmp_path / "suite.json"
     learn.train_suite(synth.gen_synthetic_corpus(0, 200)).save(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_200_SHA256
+    rewritten = json.dumps(format_1(json.loads(path.read_text())), sort_keys=True)
+    assert hashlib.sha256(rewritten.encode()).hexdigest() == SUITE_200_FORMAT_1_SHA256
 
 
 def test_train_unknown_label():
@@ -515,9 +523,7 @@ def test_score_linear(fv1, fv2):
     combined = dict(fv1)
     for k, v in fv2.items():
         combined[k] = combined.get(k, 0.0) + v
-    assert model.score(combined, "A") == pytest.approx(
-        model.score(fv1, "A") + model.score(fv2, "A")
-    )
+    assert model.score(combined, "A") == model.score(fv1, "A") + model.score(fv2, "A")
 
 
 # --- serialization -----------------------------------------------------------------
@@ -525,20 +531,40 @@ def test_score_linear(fv1, fv2):
 def test_model_json_round_trip():
     model = train_model(("L1", "L2"), _toy_examples(), epochs=4, seed=1)
     clone = LinearModel.from_json_obj(json.loads(json.dumps(model.to_json_obj())))
-    assert clone.labels == model.labels
-    for fv, _ in _toy_examples():
-        for label in model.labels:
-            assert clone.score(fv, label) == pytest.approx(model.score(fv, label))
+    assert clone == model and clone.denominator == 4 * len(_toy_examples())
 
 
 def test_suite_save_load(tmp_path, trained_suite, fig1_problem):
-    path = tmp_path / "suite.json"
+    path, again = tmp_path / "suite.json", tmp_path / "again.json"
     trained_suite.save(path)
     clone = learn.ClassifierSuite.load(path)
     fv = vertex_features(fig1_problem, 1, clone.config)
     for label in learn.VERTEX_LABELS:
-        assert clone.vertex.score(fv, label) == pytest.approx(trained_suite.vertex.score(fv, label))
-    assert clone.config == trained_suite.config
+        assert clone.vertex.score(fv, label) == trained_suite.vertex.score(fv, label)
+    assert clone == trained_suite
+    assert json.loads(path.read_text())["format"] == 2
+    clone.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_format_1_suite_loads_as_exact_ratios(tmp_path, trained_suite):
+    # each float weight is its exact ratio; saved again, the suite is format
+    # 2, and that file loads and saves to the same bytes
+    path, old, again = tmp_path / "suite.json", tmp_path / "old.json", tmp_path / "again.json"
+    trained_suite.save(path)
+    obj = format_1(json.loads(path.read_text()))
+    old.write_text(json.dumps(obj))
+    loaded = learn.ClassifierSuite.load(old)
+    for part, _ in learn.PARTS:
+        model = getattr(loaded, part)
+        expected = {label: {} for label in model.labels}
+        for key, w in obj[part]["weights"].items():
+            label, _, name = key.partition("\x1f")
+            expected[label][name] = Fraction(w)
+        assert _model_value(model)[3] == expected
+    loaded.save(path)
+    learn.ClassifierSuite.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_suite_label_sets(trained_suite):
@@ -581,10 +607,8 @@ def test_vertex_classifier_sanity_on_held_out(trained_suite):
 # --- all-labels scoring ----------------------------------------------------------
 
 _names = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
-# 1.0 skips the multiply; the int 1 and True must not (their products keep int types)
-_values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: x != 0.0) | st.sampled_from(
-    [1.0, 2.0, 3.0, 1, True]
-)
+# whole numbers only: the extractor's floats and ints
+_values = st.integers(-5, 5).map(float) | st.integers(-3, 3) | st.sampled_from([1.0, 2.0, 3.0, 1])
 
 
 def _old_predict(model, fv):
@@ -609,26 +633,23 @@ def test_scores_equal_per_label_score(fv1, fv2, table):
     model = LinearModel(("A", "B", "C"), weights)
     assert model.scores(fv1) == tuple(model.score(fv1, label) for label in model.labels)
     # the dot product of a vector joined from two disjoint blocks is the
-    # first block's sums continued through the second's terms, float for
-    # float, as the inference table adds a pair's blocks
+    # sum of the blocks' dot products, as the inference table adds a pair's
+    # blocks
     second = {f"2|{k}": v for k, v in fv2.items()}
     joined = {**fv1, **second}
     model2 = LinearModel(
         ("A", "B", "C"),
         {label: {**tab, **{f"2|{k}": w for k, w in tab.items()}} for label, tab in weights.items()},
     )
-    continued = tuple(
-        oracle_dot(second, model2.weights[label], start)
-        for label, start in zip(model2.labels, model2.scores(fv1))
-    )
-    assert model2.scores(joined) == continued
+    assert model2.denominator == model.denominator
+    assert model2.scores(joined) == tuple(map(add, model2.scores(fv1), model2.scores(second)))
     assert model.predict(fv1) == _old_predict(model, fv1)
 
 
 _weights = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e308, -1e308]) | st.floats(
     -1e3, 1e3, allow_nan=False
 )
-# a model loaded from JSON may hold int weights; 1.0 * -2 is -2.0, not -2
+# a format-1 model may hold int weights, past 2**53 too
 _mixed_weights = _weights | st.integers(-3, 3) | st.sampled_from([2**60, 2**53 + 1])
 _weight_names = st.sampled_from(["a", "b", "c", "p|a", "p|b", "p|d", "q|a"])
 
@@ -641,40 +662,60 @@ _weight_names = st.sampled_from(["a", "b", "c", "p|a", "p|b", "p|d", "q|a"])
         min_size=1,
         max_size=4,
     ),
-    st.dictionaries(_names, _values | _weights, max_size=6),
+    st.dictionaries(_names, _values, max_size=6),
     st.sampled_from(["", "p|", "q|", "z|"]),
 )
-def test_scores_equal_per_label_dot_bit_for_bit(weights, fv, prefix):
+def test_scores_equal_the_exact_dot_product(weights, fv, prefix):
     # names absent under some labels, signed zeros, subnormal and huge
-    # weights, JSON int weights and empty vectors (the int 0)
+    # weights, int weights and empty vectors (the int 0): each score over
+    # the denominator is the exact dot product of the weights as given, and
+    # its float is that Fraction rounded once
     labels = tuple(f"L{k}" for k in range(len(weights)))
     model = LinearModel(labels, dict(zip(labels, weights)))
     prefixed = {prefix + name: value for name, value in fv.items()}
-    expected = _score_bits(_oracle_scores(model, prefixed))
-    assert _score_bits(model.scores(prefixed)) == expected
-    assert _score_bits(model.score(prefixed, label) for label in labels) == expected
-    assert model.predict(prefixed) == _oracle_predict(model, prefixed)
+    expected = [oracle_dot(prefixed, table) for table in weights]
+    scores = model.scores(prefixed)
+    assert all(type(s) is int for s in scores)
+    assert [Fraction(s, model.denominator) for s in scores] == expected
+    assert [s / model.denominator for s in scores if abs(s) < 2**1000 * model.denominator] == [
+        float(e) for e in expected if abs(e) < 2**1000
+    ]
+    assert [model.score(prefixed, label) for label in labels] == list(scores)
+    assert model.predict(prefixed) == labels[expected.index(max(expected))]
 
 
 @pytest.mark.parametrize(
     "fv",
-    [{}, {"y": 1.0}, {"y": 1}, {"y": True}, {"y": 3.0}, {"x": 1.0, "y": 1.0}, {"y": 1.0, "x": 2.0}],
+    [{}, {"y": 1.0}, {"y": 1}, {"y": 3.0}, {"x": 1.0, "y": 1.0}, {"y": 1.0, "x": 2.0}],
 )
-def test_scores_of_json_int_weights_keep_the_product_types(fv):
-    model = LinearModel.from_json_obj(_model_obj())  # "B" weighs "y" with the int -2
-    expected = [oracle_dot(fv, model.weights[label]) for label in model.labels]
-    for _ in range(2):
-        got = model.scores(fv)
-        assert [(type(s), float(s).hex()) for s in got] == [(type(s), float(s).hex()) for s in expected]
+def test_format_1_weights_score_as_exact_ratios(fv):
+    model = LinearModel.from_json_obj(_model_obj(), 1)  # "A" weighs "x" 1.5, "B" weighs "y" with the int -2
+    assert model.weights == {"A": {"x": 3}, "B": {"y": -4}} and model.denominator == 2
+    expected = [oracle_dot(fv, {"x": 1.5}), oracle_dot(fv, {"y": -2})]
+    assert [Fraction(s, 2) for s in model.scores(fv)] == expected
 
 
-def test_scores_caches_are_no_part_of_the_value():
-    model = LinearModel(("A", "B"), {"A": {"i|x": 2.0}, "B": {"x": -1.0}})
-    fresh = LinearModel(("A", "B"), {"A": {"i|x": 2.0}, "B": {"x": -1.0}})
-    assert model.scores({"i|x": 1.0}) == (2.0, 0.0)
-    assert model._all_floats() and model._floats == [True] and fresh._floats == []
-    assert model == fresh and repr(model) == repr(fresh)
-    assert "_floats" not in json.dumps(model.to_json_obj())
+@pytest.mark.parametrize("value", [0.5, "1", float("inf")])
+def test_scores_reject_values_that_are_not_whole_numbers(value):
+    model = LinearModel(("A", "B"), {"A": {"x": 2}, "B": {}})
+    with pytest.raises(ValueError, match="is not a whole number"):
+        model.scores({"x": 1.0, "y": value})
+
+
+def test_weights_are_taken_as_exact_ratios():
+    ints = LinearModel(("A", "B"), {"A": {"i|x": 2}, "B": {"x": -1}})
+    assert LinearModel(("A", "B"), {"A": {"i|x": 2.0}, "B": {"x": -1.0}}) == ints
+    assert ints.denominator == 1 and repr(ints) == repr(LinearModel(("A", "B"), {"A": {"i|x": 2}, "B": {"x": -1}}))
+    quarters = LinearModel(("A",), {"A": {"x": 0.75, "y": -2}}, denominator=3)
+    assert quarters.weights == {"A": {"x": 3, "y": -8}} and quarters.denominator == 12
+    thirds = LinearModel(("A",), {"A": {"x": Fraction(1, 3), "y": 0.5}})
+    assert thirds.weights == {"A": {"x": 2, "y": 3}} and thirds.denominator == 6
+
+
+@pytest.mark.parametrize("denominator", [0, -4, 1.0, True, "2"])
+def test_model_rejects_a_denominator_below_one(denominator):
+    with pytest.raises(ValueError, match="denominator must be an int >= 1"):
+        LinearModel(("A",), {"A": {"x": 1}}, denominator=denominator)
 
 
 def test_predict_ties_go_to_first_label():
@@ -684,10 +725,11 @@ def test_predict_ties_go_to_first_label():
     assert model.predict({}) == _old_predict(model, {}) == "A"
 
 
-def test_score_sums_one_term_at_a_time():
-    # sum() compensates rounding from Python 3.12 on; the dot product must not
+def test_score_is_exact_where_floats_would_cancel():
+    # a float sum gives 0.0 in feature order and 2.0 compensated (sum() from
+    # Python 3.12 on); the exact score is 2
     model = LinearModel(("A",), {"A": {"a": 1.0, "b": 1e100, "c": 1.0, "d": -1e100}})
-    assert model.score({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, "A") == 0.0
+    assert model.score({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, "A") == 2
 
 
 # --- model validation ------------------------------------------------------------
@@ -718,7 +760,39 @@ def _model_obj():
 )
 def test_model_from_json_rejects_bad_values(edit, message):
     obj = _model_obj()
-    assert LinearModel.from_json_obj(obj).weights == {"A": {"x": 1.5}, "B": {"y": -2}}
+    assert LinearModel.from_json_obj(obj, 1).weights == {"A": {"x": 3}, "B": {"y": -4}}
+    edit(obj)
+    with pytest.raises(ValueError, match=message):
+        LinearModel.from_json_obj(obj, 1)
+
+
+def _model_obj_2():
+    return {"labels": ["A", "B"], "epochs": 10, "seed": 0, "denominator": 4, "weights": {"A": {"x": 6}, "B": {"y": -2}}}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: o["weights"]["A"].update(z=1.5), "'A' 'z' must be an int, got 1.5"),
+        (lambda o: o["weights"]["A"].update(z=1.0), "'A' 'z' must be an int, got 1.0"),
+        (lambda o: o["weights"]["B"].update(z=True), "'B' 'z' must be an int, got True"),
+        (lambda o: o["weights"]["B"].update(z="3"), "must be an int"),
+        (lambda o: o["weights"].update(C={"z": 1}), "names no label"),
+        (lambda o: o.update(denominator=0), "denominator must be an int >= 1"),
+        (lambda o: o.update(denominator=-4), "denominator must be an int >= 1"),
+        (lambda o: o.update(denominator=4.0), "denominator must be an int >= 1"),
+        (lambda o: o.update(denominator=True), "denominator must be an int >= 1"),
+        (lambda o: o.update(denominator="4"), "denominator must be an int >= 1"),
+        (lambda o: o.update(labels=["A", "B", "A"]), "duplicate labels"),
+        (lambda o: o.update(epochs=0), "epochs must be an int >= 1"),
+        (lambda o: o.update(seed=1.0), "seed must be an int"),
+    ],
+)
+def test_format_2_model_rejects_bad_values(edit, message):
+    obj = _model_obj_2()
+    model = LinearModel.from_json_obj(obj)
+    assert model.weights == {"A": {"x": 6}, "B": {"y": -2}} and model.denominator == 4
+    assert LinearModel.from_json_obj(json.loads(json.dumps(model.to_json_obj()))) == model
     edit(obj)
     with pytest.raises(ValueError, match=message):
         LinearModel.from_json_obj(obj)
@@ -729,9 +803,7 @@ def test_suite_load_rejects_wrong_label_set(tmp_path, trained_suite):
     trained_suite.save(path)
     obj = json.loads(path.read_text())
     obj["edge"]["labels"] = obj["edge"]["labels"][1:]
-    obj["edge"]["weights"] = {
-        k: w for k, w in obj["edge"]["weights"].items() if k.split("\x1f")[0] in obj["edge"]["labels"]
-    }
+    del obj["edge"]["weights"][trained_suite.edge.labels[0]]
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="bad 'edge'.*labels must be"):
         learn.ClassifierSuite.load(path)
