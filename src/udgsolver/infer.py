@@ -91,9 +91,11 @@ class ScoreTables:
 
     Each part's scores are int numerators over that part's denominator
     (``denominators``, in ``learn.PARTS`` order: vertex, edge, relevance,
-    LCA), and the accessors give numerators. Tables given no denominators,
-    such as hand-set ones, hold each score's value: an int, or another
-    number taken as its exact ratio (``learn.as_numerators``)."""
+    LCA), and the accessors give numerators. Denominators other than a
+    tuple of four ints >= 1 raise ValueError; the scores are not checked
+    one by one. Tables given no denominators, such as hand-set ones, hold
+    each score's value: an int, or another number taken as its exact ratio
+    (``learn.as_numerators``)."""
 
     n_quantities: int
     vertex: Mapping[tuple[int, str], int]
@@ -103,11 +105,18 @@ class ScoreTables:
     denominators: tuple[int, int, int, int] | None = None
 
     def __post_init__(self):
-        if self.denominators is None:
+        denominators = self.denominators
+        if denominators is None:
             exact = [learn.as_numerators([getattr(self, part)], 1) for part, _ in learn.PARTS]
             for (part, _), ((table,), _) in zip(learn.PARTS, exact):
                 object.__setattr__(self, part, table)
             object.__setattr__(self, "denominators", tuple(denominator for _, denominator in exact))
+        elif (
+            type(denominators) is not tuple
+            or len(denominators) != len(learn.PARTS)
+            or not all(type(d) is int and d >= 1 for d in denominators)
+        ):
+            raise ValueError(f"denominators must be a tuple of {len(learn.PARTS)} ints >= 1, got {denominators!r}")
 
     def vertex_score(self, v: int, label: str) -> int:
         return self.vertex.get((v, label), 0)
@@ -128,7 +137,8 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     ``learn.problem_features`` computes each vertex's features and unit
     once, and the suite's ``learn.InferenceTable`` looks each vertex's names
     up once for all six roles it is scored in (vertex, edge first and
-    second, relevance, LCA first and second) and sums them per label. Every
+    second, relevance, LCA first and second) and sums their packed
+    numerators, every role and label at once, in one exact int sum. Every
     score is the int numerator ``LinearModel.scores`` gives for the query's
     assembled vector, over its model's denominator. Each dict is one ``zip``
     of the table's keys for n and the scores.

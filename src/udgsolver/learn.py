@@ -21,13 +21,14 @@ the numerators with the expanded vector, whose values are whole numbers
 order of their additions, so a score is the same int in any order and on
 every Python version; a caller that needs a float divides once by the
 denominator. A suite's ``InferenceTable`` gives the same ints for a whole
-feature pass: it maps each feature name to its numerators under every label
-of all six roles a vertex vector is read in, so each vertex's names are
-looked up, and its rows summed, once per solve. Both the solve and the
-eval's classifier accuracies score through that table. Trained models and
-suites are immutable apart from the table, which is built on first use and
-holds nothing a rebuild would not reproduce, so they are safe for
-concurrent scoring.
+feature pass: it packs each feature name's numerators under every label of
+all six roles a vertex vector is read in into one int, a field per (role,
+label), so each vertex's names are looked up once per solve and its sums in
+every role are one int ``sum()``, read back field by field. Both the solve
+and the eval's classifier accuracies score through that table. Trained
+models and suites are immutable apart from the table, which is built on
+first use and holds nothing a rebuild would not reproduce, so they are safe
+for concurrent scoring.
 
 Training compiles each distinct block once per classifier: its feature
 names get int ids, and the weights live in dense per-label lists. The
@@ -47,8 +48,9 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, repeat
-from operator import add, itemgetter, mul
+from itertools import chain, combinations, compress, repeat
+from operator import add, itemgetter, lshift, mul, ne, sub
+from struct import Struct
 from typing import Iterable, Mapping, Sequence
 
 from . import annotate, exprtree, units
@@ -618,19 +620,51 @@ VERTEX_ROLES = (
 )
 
 
+#: A vertex vector's mass, the sum of its values' magnitudes, must stay
+#: below 2**MASS_BITS for ``InferenceTable`` to score it; an extracted
+#: vector's mass is 1 + its name count.
+MASS_BITS = 40
+#: The width of a numerator's balanced digits (limbs) in a packed row.
+LIMB_BITS = 24
+_HALF_LIMB = 1 << LIMB_BITS - 1
+#: The width of one packed field. A digit times a mass below 2**MASS_BITS
+#: lies in [-2**(FIELD_BITS - 1), 2**(FIELD_BITS - 1)), so one field's sum
+#: never reaches into the next; with 24-bit limbs a field is one signed
+#: 8-byte word.
+FIELD_BITS = LIMB_BITS + MASS_BITS
+
+
+def _limbs(a: int) -> list[int]:
+    """``a`` as balanced base-2**``LIMB_BITS`` digits, least significant
+    first, each in [-2**(LIMB_BITS - 1), 2**(LIMB_BITS - 1)); none for 0."""
+    digits = []
+    while a:
+        digit = (a + _HALF_LIMB & (1 << LIMB_BITS) - 1) - _HALF_LIMB
+        digits.append(digit)
+        a = (a - digit) >> LIMB_BITS
+    return digits
+
+
 class InferenceTable:
     """A suite's weights laid out to score one feature pass at a time.
 
-    ``_rows`` maps each feature name to its numerators under every label of
-    every role in ``VERTEX_ROLES``, concatenated in that order (2 + 6 + 6 +
-    2 + 6 + 6 = 28 ints for a trained suite), with 0 where a role lacks the
-    name, built straight from each model's weights. ``scores`` looks each
-    vertex's names up once and sums each vertex's rows, each times its
-    value, into one int per column; a query's score is then the sums of its
-    blocks added: its vertices' sums in their roles, and its bias and flag
-    blocks' sums, cached per block. Integer sums are exact, so that is the
-    score ``LinearModel.scores`` gives for the query's expanded vector. The
-    table holds the models' weight dicts but never the suite, so it keeps no
+    Each role in ``VERTEX_ROLES`` reads a vertex vector under every label of
+    its model, so a vertex has one field per (role, label): 2 + 6 + 6 + 2 +
+    6 + 6 = 28 fields for a trained suite, numbered in that order. ``_packed``
+    maps each feature name to one int holding its numerator of every field,
+    field k at bit k * ``FIELD_BITS`` (SIMD within a register: Lamport 1975,
+    "Multiple byte processing with full-word instructions"). Integer sums
+    are linear, so a vertex's field sums are the fields of one ``sum()`` of
+    its names' ints, each times its value (``_vertex_fields``). A numerator
+    is held as balanced base-2**``LIMB_BITS`` digits (limbs): ``_packed``
+    holds every name's lowest digits, and ``_wide`` the higher ones, packed
+    the same way, of the few names that have any. A digit times a mass
+    below 2**``MASS_BITS`` fits a field, so the fields decode exactly, and a
+    vertex whose mass reaches that raises ValueError. A query's score is
+    then its blocks' sums added: its vertices' fields in their roles, and
+    its bias and flag blocks' sums, cached per block. That is the int
+    ``LinearModel.scores`` gives for the query's expanded vector. The table
+    holds the models' weight dicts but never the suite, so it keeps no
     suite alive.
 
     ``keys(n)`` gives the score tables' keys over n quantities, with the
@@ -645,23 +679,43 @@ class InferenceTable:
         self._keys: dict[int, tuple[tuple, ...]] = {}
         self._weights = {part: [m.weights[label] for label in m.labels] for part, m in models.items()}
         names = {part: list(dict.fromkeys(chain.from_iterable(t))) for part, t in self._weights.items()}
-        self._zero = (0,) * sum(len(self._weights[part]) for part, _ in VERTEX_ROLES)
-        self._slices: list[slice] = []  # each role's part of a row
-        self._rows: dict[str, list[int]] = {}  # lists, filled here and never changed after
-        for part, prefix in VERTEX_ROLES:
+        self._slices: list[slice] = []  # each role's fields
+        for part, _ in VERTEX_ROLES:
+            start = self._slices[-1].stop if self._slices else 0
+            self._slices.append(slice(start, start + len(self._weights[part])))
+        self._fields = self._slices[-1].stop
+        self._bits = self._fields * FIELD_BITS  # one limb of every field
+        self._codecs: dict[int, tuple[int, Struct]] = {}  # by limb count
+        rows: dict[str, list[int]] = {}  # each name's numerators, field by field
+        for (part, prefix), role in zip(VERTEX_ROLES, self._slices):
             tabs, kept = self._weights[part], names[part]
             stripped = kept
             if prefix:
                 kept = [name for name in kept if name.startswith(prefix)]
                 stripped = map(itemgetter(slice(len(prefix), None)), kept)
-            start = self._slices[-1].stop if self._slices else 0
-            role = slice(start, start + len(tabs))
-            self._slices.append(role)
             for name, role_row in zip(stripped, zip(*(map(w.get, kept, repeat(0)) for w in tabs))):
-                row = self._rows.get(name)
+                row = rows.get(name)
                 if row is None:
-                    row = self._rows[name] = list(self._zero)
+                    row = rows[name] = [0] * self._fields
                 row[role] = role_row
+        # in a trained suite, each numerator is its one digit
+        one_digit = all(
+            -_HALF_LIMB <= min(w.values(), default=0) and max(w.values(), default=0) < _HALF_LIMB
+            for tabs in self._weights.values()
+            for w in tabs
+        )
+        self._packed: dict[str, int] = {}
+        self._wide: dict[str, int] = {}
+        while rows:  # each row freed as it is packed
+            name, row = rows.popitem()
+            if one_digit or -_HALF_LIMB <= min(row) and max(row) < _HALF_LIMB:
+                self._packed[name] = self._pack(row)
+            else:
+                limbs = list(map(_limbs, row))
+                width = max(map(len, limbs))
+                digits = [ds[k] if k < len(ds) else 0 for k in range(width) for ds in limbs]
+                self._packed[name] = self._pack(digits[: self._fields])
+                self._wide[name] = self._pack(digits[self._fields :])
         self._blocks: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
 
     def keys(self, n: int) -> tuple[tuple, ...]:
@@ -677,20 +731,61 @@ class InferenceTable:
                 self._keys[n] = keys
         return keys
 
-    def _vertex_sums(self, fv: Mapping[str, float]) -> list[list[int]]:
-        """Each role's per-label sums for one vertex vector."""
-        rows = list(map(self._rows.get, fv, repeat(self._zero)))
-        for k, value in enumerate(fv.values()):
-            if value != 1.0:  # the extractor's values are floats
-                value = _whole(value)
-                rows[k] = [value * a for a in rows[k]]
-        sums = list(map(sum, zip(*rows))) or self._zero
-        return [sums[role] for role in self._slices]
+    def _vertex_fields(self, fv: Mapping[str, float], vertex: int) -> Sequence[int]:
+        """Each field's sum for one vertex vector, vertex ``vertex`` of its
+        pass: its names' numerators, each times its value, added. Raises
+        ValueError for a value that is not a whole number, or for a mass
+        (the sum of the values' magnitudes) that reaches 2**``MASS_BITS``."""
+        values = list(fv.values())
+        packed = list(map(self._packed.get, fv, repeat(0)))
+        total, mass = sum(packed), len(values)
+        others = list(map(ne, values, repeat(1.0)))  # the extractor's counts past 1
+        if any(others):
+            counts = list(map(_whole, compress(values, others)))
+            total += sum(map(mul, map(sub, counts, repeat(1)), compress(packed, others)))
+            mass += sum(map(abs, counts)) - len(counts)
+        if mass >> MASS_BITS:
+            raise ValueError(f"vertex {vertex}: feature mass {mass} reaches 2**{MASS_BITS}")
+        if self._wide:
+            wide = self._wide
+            total += sum(_whole(fv[name]) * wide[name] for name in fv if name in wide) << self._bits
+        # every field sum lies in [-2**(FIELD_BITS-1), 2**(FIELD_BITS-1)), so
+        # the top nonzero field sets the bit length, and the limb count
+        limbs = total.bit_length() // self._bits + 1
+        offset, words = self._codecs.get(limbs) or self._codec(limbs)
+        # the offset add makes each field its sum plus half, with no borrow
+        # between fields; the XOR then flips each field's top bit, which
+        # gives the sum's two's complement, read as a signed 8-byte word
+        digits = words.unpack(((total + offset) ^ offset).to_bytes(words.size, "little"))
+        if limbs == 1:
+            return digits
+        fields = self._fields
+        sums = list(digits[:fields])
+        shifts = range(LIMB_BITS, limbs * LIMB_BITS, LIMB_BITS)
+        for k in range(fields):
+            high = digits[fields + k :: fields]
+            if any(high):
+                sums[k] += sum(map(lshift, high, shifts))
+        return sums
+
+    def _pack(self, digits: Sequence[int]) -> int:
+        """The sum of ``digits[k] << k * FIELD_BITS`` over whole limbs of
+        every field: the inverse of ``_vertex_fields``' decode."""
+        limbs = len(digits) // self._fields
+        offset, words = self._codecs.get(limbs) or self._codec(limbs)
+        return (int.from_bytes(words.pack(*digits), "little") ^ offset) - offset
+
+    def _codec(self, limbs: int) -> tuple[int, Struct]:
+        """The offset and the word layout of ``limbs`` limbs of every field."""
+        count = limbs * self._fields
+        half = bytes(FIELD_BITS // 8 - 1) + b"\x80"  # 2**(FIELD_BITS - 1), one field's half
+        codec = self._codecs[limbs] = (int.from_bytes(half * count, "little"), Struct(f"<{count}q"))
+        return codec
 
     def _block_sums(self, part: str, prefix: str, names: tuple[str, ...]) -> list[int]:
-        """The per-label sums of the ``_flag_block`` of ``names`` under
-        ``prefix`` in ``part``'s model, cached per block: bias and flag
-        blocks come from a fixed set of names."""
+        """The per-label sums of 1-valued ``names`` under ``prefix`` in
+        ``part``'s model, cached per names: a pair's bias and flag blocks, or
+        a quantity's relevance flags, come from a fixed set of names."""
         key = (part, prefix, names)
         sums = self._blocks.get(key)
         if sums is None:
@@ -700,45 +795,45 @@ class InferenceTable:
     def _pair_scores(
         self,
         feats: ProblemFeatures,
-        sums: Sequence[list[list[int]]],
+        fields: Sequence[Sequence[int]],
         part: str,
         layout: PairLayout,
         pairs: Iterable[tuple[int, int]],
     ) -> list[list[int]]:
         """``part``'s model's scores of ``expand(feats.pair_blocks(layout,
-        i, j))`` for each pair: the bias's sums, the first vertex's, the
-        second's and the flags', added."""
-        first = VERTEX_ROLES.index((part, layout.first))
-        second = VERTEX_ROLES.index((part, layout.second))
-        bias = self._block_sums(part, "", (layout.bias,))
+        i, j))`` for each pair: the first vertex's fields in its role, the
+        second's, and the sums of the bias and flag blocks, added."""
+        first = self._slices[VERTEX_ROLES.index((part, layout.first))]
+        second = self._slices[VERTEX_ROLES.index((part, layout.second))]
         return [
-            list(map(sum, zip(bias, sums[i][first], sums[j][second], self._block_sums(
-                part, "", feats._pair_flag_names(layout, i, j)
-            ))))
+            list(map(add, map(add, fields[i][first], fields[j][second]), self._block_sums(
+                part, "", (layout.bias, *feats._pair_flag_names(layout, i, j))
+            )))
             for i, j in pairs
         ]
 
-    def scores(self, feats: ProblemFeatures) -> tuple[list[list[int]], ...]:
+    def scores(self, feats: ProblemFeatures) -> tuple[list[Sequence[int]], ...]:
         """Every query's scores, in each model's ``labels`` order, off one
         feature pass over n quantities and the question: the vertex model's
         for each vertex, the edge model's for each pair of
         ``vertex_pairs(n)``, the relevance model's for each quantity and the
         LCA model's for each pair of ``combinations(range(n), 2)``. Each is
         the int ``LinearModel.scores`` gives for the query's expanded
-        vector."""
+        vector. Each vertex's fields are summed once, and only the roles a
+        query reads are taken from them."""
         n = len(feats.vectors) - 1
-        sums = list(map(self._vertex_sums, feats.vectors))
-        vertex_role = VERTEX_ROLES.index(("vertex", ""))
-        relevance_role = VERTEX_ROLES.index(("relevance", RELEVANCE_PREFIX))
-        vertex = [s[vertex_role] for s in sums]
-        edge = self._pair_scores(feats, sums, "edge", EDGE_LAYOUT, vertex_pairs(n))
+        fields = list(map(self._vertex_fields, feats.vectors, range(n + 1)))
+        vertex_role = self._slices[VERTEX_ROLES.index(("vertex", ""))]
+        relevance_role = self._slices[VERTEX_ROLES.index(("relevance", RELEVANCE_PREFIX))]
+        vertex = [f[vertex_role] for f in fields]
+        edge = self._pair_scores(feats, fields, "edge", EDGE_LAYOUT, vertex_pairs(n))
         relevance = [
-            list(map(add, sums[q][relevance_role], self._block_sums(
+            list(map(add, fields[q][relevance_role], self._block_sums(
                 "relevance", RELEVANCE_PREFIX, feats._relevance_flag_names(q)
             )))
             for q in range(n)
         ]
-        lca = self._pair_scores(feats, sums, "lca", LCA_LAYOUT, combinations(range(n), 2))
+        lca = self._pair_scores(feats, fields, "lca", LCA_LAYOUT, combinations(range(n), 2))
         return vertex, edge, relevance, lca
 
 

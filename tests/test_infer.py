@@ -33,6 +33,27 @@ def _tables(n, vertex=None, edge=None, relevance=None, lca=None):
     return ScoreTables(n, vertex or {}, edge or {}, relevance or {}, lca or {})
 
 
+def _lca_only(denominators):
+    # two quantities; the only score is the LCA "+" of the pair, 3
+    return ScoreTables(2, {}, {}, {}, {(0, 1, "+"): 3}, denominators)
+
+
+def test_lca_only_tables_solve_to_the_scored_operation():
+    result = JointCandidates(_lca_only((1, 1, 1, 1)), [Fraction(1), Fraction(2)]).solve(ScalingParams())
+    assert serialize(result.tree) == "(+ q0 q1)" and result.score == 3.0
+
+
+@pytest.mark.parametrize(
+    "denominators",
+    [(1, 1, 1, 0), (1, 1, 1, -3), 2.5, True, (1, 1, 1, 2.5), (1, 1, 1, True), (1, 1, 1), (1, 1, 1, 1, 1), [1, 1, 1, 1]],
+)
+def test_score_tables_reject_denominators_that_are_not_four_ints_of_at_least_one(denominators):
+    # before, a zero divided by zero in the search and a negative one
+    # silently flipped the LCA term
+    with pytest.raises(ValueError, match="denominators must be a tuple of 4 ints >= 1"):
+        _lca_only(denominators)
+
+
 # --- score_udg -------------------------------------------------------------------
 
 def test_score_udg_not_rate_contributes_nothing():

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -13,8 +14,9 @@ from operator import add
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udgsolver import learn, synth
+from udgsolver import learn, synth, units
 from udgsolver.corpus import QUESTION, build_problem
+from udgsolver.udg import vertex_pairs
 from udgsolver.learn import (
     EDGE_LABELS,
     FeatureConfig,
@@ -807,3 +809,127 @@ def test_suite_load_rejects_wrong_label_set(tmp_path, trained_suite):
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="bad 'edge'.*labels must be"):
         learn.ClassifierSuite.load(path)
+
+
+# --- the inference table's packed sums ------------------------------------------
+
+_VERTEX_NAMES = ("bias", "a", "b", "c")
+# the names each part's model may weigh: every role's prefixed vertex names,
+# its bias and flag names, and one name no query of the part reads
+_PART_NAMES = {
+    "vertex": _VERTEX_NAMES,
+    "edge": (
+        "pair_bias", "shared_unit", "no_shared_unit", "i_den_matches_j", "j_den_matches_i", "a",
+        *(prefix + name for prefix in ("i|", "j|") for name in _VERTEX_NAMES),
+    ),
+    "relevance": (
+        "rel|unit_matches_question", "rel|unit_mismatch_question", "rel|den_matches_question", "a",
+        *("rel|" + name for name in _VERTEX_NAMES),
+    ),
+    "lca": ("lca_bias", "a", *(prefix + name for prefix in ("lcai|", "lcaj|") for name in _VERTEX_NAMES)),
+}
+_UNITS = (
+    units.QuantityUnit(("apple",)),
+    units.QuantityUnit(("pear",)),
+    units.QuantityUnit(("apple",), ("apple",), ("box",)),
+    units.QuantityUnit(("box",)),
+)
+# zero, small, at and past a limb's bounds, past a word, and as wide as
+# JSON's default digit limit lets a file hold (up to 4,300 digits), with
+# sparse and dense high digits
+_numerators = (
+    st.integers(-3, 3)
+    | st.sampled_from([2**23 - 1, -(2**23), 2**23, -(2**23) - 1, 2**24 + 5, 2**63, -(2**64), 10**4299, -(10**4299)])
+    | st.builds(lambda a, k, b: (a << k) + b, st.integers(-(2**30), 2**30), st.integers(0, 300), st.integers(-(2**30), 2**30))
+    | st.builds(lambda a, k, b: a * 10**k + b, st.integers(-9, 9), st.integers(0, 4298), st.integers(-(2**40), 2**40))
+)
+_whole_values = st.integers(-5, 5) | st.integers(-5, 5).map(float)
+
+
+@st.composite
+def _suites(draw):
+    # some labels weigh nothing at all
+    models = {
+        part: LinearModel(
+            labels,
+            {label: draw(st.dictionaries(st.sampled_from(_PART_NAMES[part]), _numerators, max_size=5)) for label in labels},
+            denominator=draw(st.integers(1, 7)),
+        )
+        for part, labels in learn.PARTS
+    }
+    return learn.ClassifierSuite(**models)
+
+
+@st.composite
+def _passes(draw):
+    n = draw(st.integers(1, 4))
+    vectors = tuple(draw(st.dictionaries(st.sampled_from(_VERTEX_NAMES), _whole_values, max_size=4)) for _ in range(n + 1))
+    found = draw(st.none() | st.tuples(*[st.sampled_from(_UNITS)] * (n + 1)))
+    return learn.ProblemFeatures(vectors, found)
+
+
+def _assert_table_equals_the_models(suite, feats):
+    n = len(feats.vectors) - 1
+    vertex, edge, relevance, lca = suite.inference_table().scores(feats)
+    assert [tuple(s) for s in vertex] == [suite.vertex.scores(fv) for fv in feats.vectors]
+    assert [tuple(s) for s in edge] == [
+        suite.edge.scores(learn.expand(feats.pair_blocks(learn.EDGE_LAYOUT, i, j))) for i, j in vertex_pairs(n)
+    ]
+    assert [tuple(s) for s in relevance] == [
+        suite.relevance.scores(learn.expand(feats.relevance_blocks(q))) for q in range(n)
+    ]
+    assert [tuple(s) for s in lca] == [
+        suite.lca.scores(learn.expand(feats.pair_blocks(learn.LCA_LAYOUT, i, j)))
+        for i, j in combinations(range(n), 2)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_suites(), _passes())
+def test_inference_table_scores_equal_the_models(suite, feats):
+    # every query's scores off the packed rows, wide numerators, zero and
+    # missing names, empty vectors and 0 values included, are the models'
+    # ints for its expanded vector
+    _assert_table_equals_the_models(suite, feats)
+
+
+def _extreme_suite():
+    # "a" in every role, each label's numerator at a digit's bounds, past
+    # them, or wide, with its sign alternating
+    half = 2 ** (learn.LIMB_BITS - 1)
+    pool = [half - 1, -half, 2 * half - 1, -2 * half, half * 2**24 + 3, -(10**4299) + half, 0, 1]
+    models = {}
+    for k, (part, labels) in enumerate(learn.PARTS):
+        names = [name for name in _PART_NAMES[part] if name.endswith("a")]
+        models[part] = LinearModel(
+            labels,
+            {label: {name: pool[(k + m + x) % len(pool)] for x, name in enumerate(names)} for m, label in enumerate(labels)},
+        )
+    return learn.ClassifierSuite(**models)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        {"a": 2**40 - 1},
+        {"a": -(2**40 - 1)},
+        {"a": float(2**40 - 1)},
+        {"a": 2**39, "b": -(2**39 - 2), "c": 1.0},
+        {"a": 2**39 - 1, "bias": 2**39},
+    ],
+)
+def test_inference_table_is_exact_up_to_mass_two_to_the_forty(vector):
+    suite = _extreme_suite()
+    for n in (1, 2):
+        vectors = [{"a": 1.0}] * (n + 1)
+        for k in range(n + 1):
+            feats = learn.ProblemFeatures(tuple(vectors[:k] + [vector] + vectors[k + 1 :]), None)
+            _assert_table_equals_the_models(suite, feats)
+
+
+@pytest.mark.parametrize("vector", [{"a": 2**40}, {"a": -(2**40)}, {"a": 2**39, "b": -(2**39)}, {"b": 2.0**40}])
+def test_inference_table_refuses_mass_two_to_the_forty(vector):
+    suite = _extreme_suite()
+    feats = learn.ProblemFeatures(({"a": 1.0}, {"a": 1.0}, vector), None)
+    with pytest.raises(ValueError, match=r"vertex 2: feature mass 1099511627776 reaches 2\*\*40"):
+        suite.inference_table().scores(feats)
