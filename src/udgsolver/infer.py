@@ -138,7 +138,8 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     once, and the suite's ``learn.InferenceTable`` looks each vertex's names
     up once for all six roles it is scored in (vertex, edge first and
     second, relevance, LCA first and second) and sums their packed
-    numerators, every role and label at once, in one exact int sum. Every
+    numerators' low digits, every role and label at once, in one int sum,
+    adding the rest of any wider numerator apart, so each sum is exact. Every
     score is the int numerator ``LinearModel.scores`` gives for the query's
     assembled vector, over its model's denominator. Each dict is one ``zip``
     of the table's keys for n and the scores.

@@ -21,10 +21,12 @@ the numerators with the expanded vector, whose values are whole numbers
 order of their additions, so a score is the same int in any order and on
 every Python version; a caller that needs a float divides once by the
 denominator. A suite's ``InferenceTable`` gives the same ints for a whole
-feature pass: it packs each feature name's numerators under every label of
-all six roles a vertex vector is read in into one int, a field per (role,
-label), so each vertex's names are looked up once per solve and its sums in
-every role are one int ``sum()``, read back field by field. Both the solve
+feature pass: it packs the low digit of each feature name's numerators
+under every label of all six roles a vertex vector is read in into one int,
+a field per (role, label), so each vertex's names are looked up once per
+solve and its sums in every role are one int ``sum()``, read back field by
+field; the rest of the few numerators wider than a digit is added apart,
+for the vertices that carry their names. Both the solve
 and the eval's classifier accuracies score through that table. Trained
 models and suites are immutable apart from the table, which is built on
 first use and holds nothing a rebuild would not reproduce, so they are safe
@@ -49,7 +51,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
-from operator import add, itemgetter, lshift, mul, ne, sub
+from operator import add, itemgetter, mul, ne, sub
 from struct import Struct
 from typing import Iterable, Mapping, Sequence
 
@@ -624,25 +626,21 @@ VERTEX_ROLES = (
 #: below 2**MASS_BITS for ``InferenceTable`` to score it; an extracted
 #: vector's mass is 1 + its name count.
 MASS_BITS = 40
-#: The width of a numerator's balanced digits (limbs) in a packed row.
+#: The width of a numerator's low digit (limb), the part of it that a
+#: packed row holds.
 LIMB_BITS = 24
 _HALF_LIMB = 1 << LIMB_BITS - 1
-#: The width of one packed field. A digit times a mass below 2**MASS_BITS
-#: lies in [-2**(FIELD_BITS - 1), 2**(FIELD_BITS - 1)), so one field's sum
-#: never reaches into the next; with 24-bit limbs a field is one signed
-#: 8-byte word.
+#: The width of one packed field. A low digit times a mass below
+#: 2**MASS_BITS lies in [-2**(FIELD_BITS - 1), 2**(FIELD_BITS - 1)), so one
+#: field's sum never reaches into the next; with 24-bit digits a field is
+#: one signed 8-byte word.
 FIELD_BITS = LIMB_BITS + MASS_BITS
 
 
-def _limbs(a: int) -> list[int]:
-    """``a`` as balanced base-2**``LIMB_BITS`` digits, least significant
-    first, each in [-2**(LIMB_BITS - 1), 2**(LIMB_BITS - 1)); none for 0."""
-    digits = []
-    while a:
-        digit = (a + _HALF_LIMB & (1 << LIMB_BITS) - 1) - _HALF_LIMB
-        digits.append(digit)
-        a = (a - digit) >> LIMB_BITS
-    return digits
+def _low_digit(a: int) -> int:
+    """``a``'s balanced low base-2**``LIMB_BITS`` digit, in
+    [-2**(LIMB_BITS - 1), 2**(LIMB_BITS - 1)); ``a`` itself if it lies there."""
+    return (a + _HALF_LIMB & (1 << LIMB_BITS) - 1) - _HALF_LIMB
 
 
 class InferenceTable:
@@ -651,21 +649,21 @@ class InferenceTable:
     Each role in ``VERTEX_ROLES`` reads a vertex vector under every label of
     its model, so a vertex has one field per (role, label): 2 + 6 + 6 + 2 +
     6 + 6 = 28 fields for a trained suite, numbered in that order. ``_packed``
-    maps each feature name to one int holding its numerator of every field,
-    field k at bit k * ``FIELD_BITS`` (SIMD within a register: Lamport 1975,
-    "Multiple byte processing with full-word instructions"). Integer sums
-    are linear, so a vertex's field sums are the fields of one ``sum()`` of
-    its names' ints, each times its value (``_vertex_fields``). A numerator
-    is held as balanced base-2**``LIMB_BITS`` digits (limbs): ``_packed``
-    holds every name's lowest digits, and ``_wide`` the higher ones, packed
-    the same way, of the few names that have any. A digit times a mass
-    below 2**``MASS_BITS`` fits a field, so the fields decode exactly, and a
-    vertex whose mass reaches that raises ValueError. A query's score is
-    then its blocks' sums added: its vertices' fields in their roles, and
-    its bias and flag blocks' sums, cached per block. That is the int
-    ``LinearModel.scores`` gives for the query's expanded vector. The table
-    holds the models' weight dicts but never the suite, so it keeps no
-    suite alive.
+    maps each feature name to one int holding the low digit of its
+    numerator of every field, field k at bit k * ``FIELD_BITS`` (SIMD within
+    a register: Lamport 1975, "Multiple byte processing with full-word
+    instructions"). Integer sums are linear, so a vertex's field sums are
+    the fields of one ``sum()`` of its names' ints, each times its value
+    (``_vertex_fields``). A low digit times a mass below 2**``MASS_BITS``
+    fits a field, so the fields decode exactly, and a vertex whose mass
+    reaches that raises ValueError. ``_high`` keeps, for the few names
+    with a numerator past one digit, each such field and the rest of its
+    numerator, added to the decoded sums of the vertices that carry the
+    name. A query's score is then its blocks' sums added: its vertices'
+    fields in their roles, and its bias and flag blocks' sums, cached per
+    block. That is the int ``LinearModel.scores`` gives for the query's
+    expanded vector. The table holds the models' weight dicts but never the
+    suite, so it keeps no suite alive.
 
     ``keys(n)`` gives the score tables' keys over n quantities, with the
     edge labels as ``EdgeType``s, each built once; ``denominators`` holds
@@ -683,9 +681,11 @@ class InferenceTable:
         for part, _ in VERTEX_ROLES:
             start = self._slices[-1].stop if self._slices else 0
             self._slices.append(slice(start, start + len(self._weights[part])))
-        self._fields = self._slices[-1].stop
-        self._bits = self._fields * FIELD_BITS  # one limb of every field
-        self._codecs: dict[int, tuple[int, Struct]] = {}  # by limb count
+        fields = self._slices[-1].stop
+        # the offset holds a field's half, 2**(FIELD_BITS - 1), in every
+        # field; the words read each field as a signed 8-byte word
+        half = bytes(FIELD_BITS // 8 - 1) + b"\x80"
+        self._offset, self._words = int.from_bytes(half * fields, "little"), Struct(f"<{fields}q")
         rows: dict[str, list[int]] = {}  # each name's numerators, field by field
         for (part, prefix), role in zip(VERTEX_ROLES, self._slices):
             tabs, kept = self._weights[part], names[part]
@@ -696,26 +696,21 @@ class InferenceTable:
             for name, role_row in zip(stripped, zip(*(map(w.get, kept, repeat(0)) for w in tabs))):
                 row = rows.get(name)
                 if row is None:
-                    row = rows[name] = [0] * self._fields
+                    row = rows[name] = [0] * fields
                 row[role] = role_row
-        # in a trained suite, each numerator is its one digit
-        one_digit = all(
-            -_HALF_LIMB <= min(w.values(), default=0) and max(w.values(), default=0) < _HALF_LIMB
-            for tabs in self._weights.values()
-            for w in tabs
-        )
         self._packed: dict[str, int] = {}
-        self._wide: dict[str, int] = {}
+        self._high: dict[str, list[tuple[int, int]]] = {}
+        offset, words = self._offset, self._words
         while rows:  # each row freed as it is packed
             name, row = rows.popitem()
-            if one_digit or -_HALF_LIMB <= min(row) and max(row) < _HALF_LIMB:
-                self._packed[name] = self._pack(row)
-            else:
-                limbs = list(map(_limbs, row))
-                width = max(map(len, limbs))
-                digits = [ds[k] if k < len(ds) else 0 for k in range(width) for ds in limbs]
-                self._packed[name] = self._pack(digits[: self._fields])
-                self._wide[name] = self._pack(digits[self._fields :])
+            # a row with a numerator past one digit packs its low digits and
+            # keeps the rest of each such numerator apart
+            if not (-_HALF_LIMB <= min(row) and max(row) < _HALF_LIMB):
+                low = list(map(_low_digit, row))
+                self._high[name] = [(k, a - d) for k, (a, d) in enumerate(zip(row, low)) if a != d]
+                row = low
+            # the inverse of the decode in _vertex_fields
+            self._packed[name] = (int.from_bytes(words.pack(*row), "little") ^ offset) - offset
         self._blocks: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
 
     def keys(self, n: int) -> tuple[tuple, ...]:
@@ -746,41 +741,20 @@ class InferenceTable:
             mass += sum(map(abs, counts)) - len(counts)
         if mass >> MASS_BITS:
             raise ValueError(f"vertex {vertex}: feature mass {mass} reaches 2**{MASS_BITS}")
-        if self._wide:
-            wide = self._wide
-            total += sum(_whole(fv[name]) * wide[name] for name in fv if name in wide) << self._bits
         # every field sum lies in [-2**(FIELD_BITS-1), 2**(FIELD_BITS-1)), so
-        # the top nonzero field sets the bit length, and the limb count
-        limbs = total.bit_length() // self._bits + 1
-        offset, words = self._codecs.get(limbs) or self._codec(limbs)
         # the offset add makes each field its sum plus half, with no borrow
         # between fields; the XOR then flips each field's top bit, which
         # gives the sum's two's complement, read as a signed 8-byte word
-        digits = words.unpack(((total + offset) ^ offset).to_bytes(words.size, "little"))
-        if limbs == 1:
-            return digits
-        fields = self._fields
-        sums = list(digits[:fields])
-        shifts = range(LIMB_BITS, limbs * LIMB_BITS, LIMB_BITS)
-        for k in range(fields):
-            high = digits[fields + k :: fields]
-            if any(high):
-                sums[k] += sum(map(lshift, high, shifts))
+        offset, words = self._offset, self._words
+        sums = words.unpack(((total + offset) ^ offset).to_bytes(words.size, "little"))
+        wide = fv.keys() & self._high.keys() if self._high else ()
+        if wide:
+            sums = list(sums)
+            for name in wide:
+                value = _whole(fv[name])
+                for k, high in self._high[name]:
+                    sums[k] += value * high
         return sums
-
-    def _pack(self, digits: Sequence[int]) -> int:
-        """The sum of ``digits[k] << k * FIELD_BITS`` over whole limbs of
-        every field: the inverse of ``_vertex_fields``' decode."""
-        limbs = len(digits) // self._fields
-        offset, words = self._codecs.get(limbs) or self._codec(limbs)
-        return (int.from_bytes(words.pack(*digits), "little") ^ offset) - offset
-
-    def _codec(self, limbs: int) -> tuple[int, Struct]:
-        """The offset and the word layout of ``limbs`` limbs of every field."""
-        count = limbs * self._fields
-        half = bytes(FIELD_BITS // 8 - 1) + b"\x80"  # 2**(FIELD_BITS - 1), one field's half
-        codec = self._codecs[limbs] = (int.from_bytes(half * count, "little"), Struct(f"<{count}q"))
-        return codec
 
     def _block_sums(self, part: str, prefix: str, names: tuple[str, ...]) -> list[int]:
         """The per-label sums of 1-valued ``names`` under ``prefix`` in
