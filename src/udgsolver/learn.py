@@ -21,16 +21,15 @@ the numerators with the expanded vector, whose values are whole numbers
 order of their additions, so a score is the same int in any order and on
 every Python version; a caller that needs a float divides once by the
 denominator. A suite's ``InferenceTable`` gives the same ints for a whole
-feature pass: it packs the low digit of each feature name's numerators
-under every label of all six roles a vertex vector is read in into one int,
-a field per (role, label), so each vertex's names are looked up once per
-solve and its sums in every role are one int ``sum()``, read back field by
-field; the rest of the few numerators wider than a digit is added apart,
-for the vertices that carry their names. Both the solve
-and the eval's classifier accuracies score through that table. Trained
-models and suites are immutable apart from the table, which is built on
-first use and holds nothing a rebuild would not reproduce, so they are safe
-for concurrent scoring.
+feature pass: it packs the low digit of each feature name's numerators under
+every label of all six roles a vertex vector is read in into one int, a
+field per (role, label), so each vertex's names are looked up once per solve
+and its sums in every role are one int ``sum()``, read back field by field;
+the rest of the few numerators wider than a digit is added apart, for the
+vertices that carry their names. Both the solve and the eval's classifier
+accuracies score through that table. Trained models and suites are immutable
+apart from the table, which is built on first use and holds nothing a
+rebuild would not reproduce, so they are safe for concurrent scoring.
 
 Training compiles each distinct block once per classifier: its feature
 names get int ids, and the weights live in dense per-label lists. The
