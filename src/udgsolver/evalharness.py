@@ -162,12 +162,12 @@ def _classifier_accuracy(
     edge_hits: list[bool] = []
     for tables, gold in zip(scored, derived):
         vertex_hits += (
-            max(suite.vertex.labels, key=lambda label: tables.vertex[v, label])
+            max(suite.vertex.labels, key=lambda label: tables.vertex_score(v, label))
             == (RATE if is_rate else NOT_RATE)
             for v, is_rate in enumerate(gold.vertex_labels)
         )
         edge_hits += (
-            max(edge_labels, key=lambda label: tables.edge[i, j, label]) == label
+            max(edge_labels, key=lambda label: tables.edge_score(i, j, label)) == label
             for (i, j), label in zip(vertex_pairs(tables.n_quantities), gold.edges)
         )
     return sum(vertex_hits) / len(vertex_hits), sum(edge_hits) / len(edge_hits)

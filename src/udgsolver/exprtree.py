@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,7 @@ from typing import Iterator, Mapping, Sequence
 
 ADD, SUB, SUB_R, MUL, DIV, DIV_R = "+", "-", "-r", "*", "/", "/r"
 OPS = (ADD, SUB, SUB_R, MUL, DIV, DIV_R)
+_OP_INDEX = {op: i for i, op in enumerate(OPS)}
 
 #: Most quantities a problem may have: ``search_order`` covers every subset
 #: of them and refuses more, rather than cover only the smaller subsets.
@@ -390,12 +392,15 @@ class TreePlan:
 
     Relabeling by an increasing subset keeps mention order, so the placed
     tree's LCA operation of quantities ``subset[a] < subset[b]`` is the
-    structure's ``op_lca(structure, a, b)``; ``pair_ops`` holds those for
-    every position pair ``a < b`` in lexicographic order."""
+    structure's ``op_lca(structure, a, b)``. ``op_positions`` holds those
+    for every position pair ``a < b``, the p-th in lexicographic order, as
+    positions in a row of every pair's ``OPS`` scores: ``p * len(OPS)`` plus
+    the operation's index in ``OPS``. Positions are small ints, so plans of
+    one size share their objects."""
 
     structure: Expr
     template: str
-    pair_ops: tuple[str, ...]
+    op_positions: tuple[int, ...]
 
     def serial(self, subset: Sequence[int]) -> str:
         """``serialize`` of the tree placed on ``subset``."""
@@ -410,12 +415,15 @@ def size_plans(k: int) -> tuple[TreePlan, ...]:
     """Every canonical structure over k leaves as a ``TreePlan``, in
     ``canonical_structures`` order (cached by k only)."""
     structures = canonical_structures(k)
+    pairs = tuple(itertools.combinations(range(k), 2))
+    starts = range(0, len(pairs) * len(OPS), len(OPS))
 
-    def pair_ops(structure: Expr) -> tuple[str, ...]:
+    def op_positions(structure: Expr) -> tuple[int, ...]:
         paths = [root_path(structure, i) for i in range(k)]
-        return tuple(_lca_op(paths[a], paths[b]) for a, b in itertools.combinations(range(k), 2))
+        ops = (_lca_op(paths[a], paths[b]) for a, b in pairs)
+        return tuple(map(operator.add, starts, map(_OP_INDEX.__getitem__, ops)))
 
-    return tuple(TreePlan(s, _template(s), pair_ops(s)) for s in structures)
+    return tuple(TreePlan(s, _template(s), op_positions(s)) for s in structures)
 
 
 @lru_cache(maxsize=MAX_ENUM_LEAVES)

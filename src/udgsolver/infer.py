@@ -6,22 +6,29 @@ relevance of unused quantities plus LCA-operation scores over used pairs),
 and joint two-stage beam search over (graph, tree) tuples where the graph
 must be consistent with the tree.
 
+A problem's scores are positional (``ScoreTables``): one tuple of int
+numerators per classifier, query by query in a fixed order, each query's
+labels in a fixed order, so the searches read the rows as they are.
+
 Both graph searches pick a vertex labeling and give each pair its best
 permitted label. ``udg`` says which labels a pair may carry (with or without
-a tree). A problem's edge scores are read once into one row, and a pair's
-options are positions in it: a pick (``_Picks``) is a ``max`` over them,
-which keeps the first of equal labels, and ``_labeling_entry`` sums a
-labeling's picks, for both searches. The
-labelings bound by no tree are one table per n (``_labelings``), a tree's
-consistent ones are listed once per tree (``_consistent``), and
-``_best_graph`` takes the standalone prediction from the former. Sums, ties
-and graphs are those of a scan per labeling; a labeling's edge tuple is
-built only when a search returns it.
+a tree), and a pair's options are positions in the edge row: a pick
+(``_Picks``) is a ``max`` over them, which keeps the first of equal labels.
+The labelings bound by no tree are one table per n (``_labelings``), scored
+once per problem into parallel lists of vertex sums and best-edge sums
+(``_GraphRows``), from which ``predict_udg_from_tables`` takes the
+standalone prediction; a tree's consistent ones are listed once per tree
+(``_consistent``) and summed when a search first reaches the tree. Sums,
+ties and graphs are those of a scan per labeling; the sums of each pair's
+first label, which a zero edge scale reads, are summed on first use, and a
+labeling's edges only for a graph a search returns.
 
 The joint search is one ``JointCandidates`` per problem, holding no scale.
 Every candidate tree is scored up front off one table per n (``_candidates``:
-each candidate's subset, each subset's unused quantities and pairs), and
-each solve pops the trees best-first under its own ``lambda_rel``, ties by
+each candidate's subset, each subset's unused quantities and LCA row
+positions): a candidate's LCA sum reads its plan's ``op_positions`` in its
+subset's LCA scores, shared by every plan placed on the subset. Each solve
+pops the trees best-first under its own ``lambda_rel``, ties by
 ``exprtree.search_order``; only a popped tree is evaluated and built, and
 none is serialized. ``solve`` is branch and
 bound over the graph stage: trees are visited best tree score first, and
@@ -51,8 +58,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import getitem
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import exprtree, learn, udg
 from .corpus import Problem
@@ -85,50 +91,119 @@ class ScalingParams:
                 raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
 
+#: Each classifier's labels in a score row, in ``learn.PARTS`` order; the
+#: edge labels as ``EdgeType``s.
+_ROW_LABELS = (learn.VERTEX_LABELS, tuple(EdgeType), learn.RELEVANCE_LABELS, exprtree.OPS)
+#: A vertex's rate score and a quantity's irrelevance score within their rows.
+_RATE = learn.VERTEX_LABELS.index(RATE)
+_IRRELEVANT = learn.RELEVANCE_LABELS.index(IRRELEVANT)
+
+
+@lru_cache(maxsize=exprtree.MAX_ENUM_LEAVES + 2)
+def _positions(n: int) -> tuple[dict[tuple, int], ...]:
+    """Each classifier's query keys over n quantities, (vertex, label), (i,
+    j, ``EdgeType``), (quantity, label) and (i, j, operation), with their
+    positions in its ``ScoreTables`` row."""
+    queries = (
+        [(v,) for v in range(n + 1)],
+        udg.vertex_pairs(n),
+        [(q,) for q in range(n)],
+        list(itertools.combinations(range(n), 2)),
+    )
+    return tuple(
+        {(*query, label): k for k, (query, label) in enumerate(itertools.product(qs, labels))}
+        for qs, labels in zip(queries, _ROW_LABELS)
+    )
+
+
+def _rows_from_mappings(
+    n: int, tables: Sequence[Mapping], denominators: tuple[int, ...] | None
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Hand-set scores, one mapping per classifier keyed as ``_positions(n)``
+    (absent keys score 0), as ``ScoreTables`` rows of int numerators, and
+    their denominators. Each score stands over its classifier's denominator
+    (1 when ``denominators`` is None) and is taken as its exact ratio
+    (``learn.as_numerators``). A key that names no query over n quantities
+    raises ValueError."""
+    rows, exact = [], []
+    for (part, _), table, keys, denominator in zip(learn.PARTS, tables, _positions(n), denominators or (1,) * 4):
+        if not isinstance(table, Mapping):
+            raise ValueError(f"{part} scores must all be mappings or all tuples, got {type(table).__name__}")
+        (table,), denominator = learn.as_numerators([table], denominator)
+        row = [0] * len(keys)
+        for key, score in table.items():
+            position = keys.get(key)
+            if position is None:
+                raise ValueError(f"{part} score key {key!r} names no query over {n} quantities")
+            row[position] = score
+        rows.append(tuple(row))
+        exact.append(denominator)
+    return tuple(rows), tuple(exact)
+
+
 @dataclass(frozen=True)
 class ScoreTables:
-    """Raw classifier scores for one problem, keyed by query.
+    """Raw classifier scores for one problem, in one fixed layout.
 
-    Each part's scores are int numerators over that part's denominator
-    (``denominators``, in ``learn.PARTS`` order: vertex, edge, relevance,
-    LCA), and the accessors give numerators. Denominators other than a
-    tuple of four ints >= 1 raise ValueError; the scores are not checked
-    one by one. Tables given no denominators, such as hand-set ones, hold
-    each score's value: an int, or another number taken as its exact ratio
-    (``learn.as_numerators``)."""
+    Each classifier's scores are one tuple of int numerators over its
+    denominator (``denominators``, in ``learn.PARTS`` order: vertex, edge,
+    relevance, LCA), query by query, and within a query label by label:
+
+    - vertex: each vertex 0..n (n is the question) × ``learn.VERTEX_LABELS``;
+    - edge: each pair of ``udg.vertex_pairs(n)`` × ``EdgeType``;
+    - relevance: each quantity 0..n-1 × ``learn.RELEVANCE_LABELS``;
+    - LCA: each pair of ``combinations(range(n), 2)`` × ``exprtree.OPS``.
+
+    ``build_score_tables`` gives these rows, and tuples must have their
+    layout's lengths and come with their denominators. Hand-set tables, as
+    tests and library users write them, give a mapping per classifier from
+    (query, label) keys (``(v, label)``, ``(i, j, EdgeType)``, ``(q,
+    label)``, ``(i, j, op)``) to scores, and absent keys score 0; they are
+    converted once (``_rows_from_mappings``), each score taken as its exact
+    ratio over the denominator given (1 without one), and a key that names
+    no query raises ValueError. Denominators other than a tuple of four ints
+    >= 1 raise ValueError; the scores of tuples are not checked one by one.
+
+    The accessors give a query's numerator; a query outside the layout
+    raises KeyError."""
 
     n_quantities: int
-    vertex: Mapping[tuple[int, str], int]
-    edge: Mapping[tuple[int, int, EdgeType], int]
-    relevance: Mapping[tuple[int, str], int]
-    lca: Mapping[tuple[int, int, str], int]
+    vertex: tuple[int, ...]
+    edge: tuple[int, ...]
+    relevance: tuple[int, ...]
+    lca: tuple[int, ...]
     denominators: tuple[int, int, int, int] | None = None
 
     def __post_init__(self):
-        denominators = self.denominators
-        if denominators is None:
-            exact = [learn.as_numerators([getattr(self, part)], 1) for part, _ in learn.PARTS]
-            for (part, _), ((table,), _) in zip(learn.PARTS, exact):
-                object.__setattr__(self, part, table)
-            object.__setattr__(self, "denominators", tuple(denominator for _, denominator in exact))
-        elif (
+        n, denominators = self.n_quantities, self.denominators
+        if denominators is not None and (
             type(denominators) is not tuple
             or len(denominators) != len(learn.PARTS)
             or not all(type(d) is int and d >= 1 for d in denominators)
         ):
             raise ValueError(f"denominators must be a tuple of {len(learn.PARTS)} ints >= 1, got {denominators!r}")
+        parts = (self.vertex, self.edge, self.relevance, self.lca)
+        if not all(type(part) is tuple for part in parts):
+            rows, denominators = _rows_from_mappings(n, parts, denominators)
+            for (part, _), row in zip(learn.PARTS, rows):
+                object.__setattr__(self, part, row)
+            object.__setattr__(self, "denominators", denominators)
+        elif denominators is None:
+            raise ValueError("score rows need their denominators")
+        elif tuple(map(len, parts)) != tuple(map(len, _positions(n))):
+            raise ValueError(f"score rows of lengths {tuple(map(len, parts))} do not fit {n} quantities")
 
     def vertex_score(self, v: int, label: str) -> int:
-        return self.vertex.get((v, label), 0)
+        return self.vertex[_positions(self.n_quantities)[0][v, label]]
 
     def edge_score(self, i: int, j: int, label: EdgeType) -> int:
-        return self.edge.get((i, j, label), 0)
+        return self.edge[_positions(self.n_quantities)[1][i, j, label]]
 
     def relevance_score(self, q: int, label: str) -> int:
-        return self.relevance.get((q, label), 0)
+        return self.relevance[_positions(self.n_quantities)[2][q, label]]
 
     def lca_score(self, i: int, j: int, op: str) -> int:
-        return self.lca.get((i, j, op), 0)
+        return self.lca[_positions(self.n_quantities)[3][i, j, op]]
 
 
 def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
@@ -141,8 +216,8 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     numerators' low digits, every role and label at once, in one int sum,
     adding the rest of any wider numerator apart, so each sum is exact. Every
     score is the int numerator ``LinearModel.scores`` gives for the query's
-    assembled vector, over its model's denominator. Each dict is one ``zip``
-    of the table's keys for n and the scores.
+    assembled vector, over its model's denominator. The table gives them in
+    the ``ScoreTables`` layout, so each row is its queries' scores joined.
 
     LCA scores are shifted per pair so the pair's best operation scores zero
     and every other operation is negative (the margin analogue of a log
@@ -152,19 +227,13 @@ def build_score_tables(problem: Problem, suite: ClassifierSuite) -> ScoreTables:
     exact mirrors, so shifts would not change decisions), and edge scores are
     raw (every graph labels every pair, so per-pair shifts cancel).
     """
-    n = problem.n
     table = suite.inference_table()
-    vertex_scores, edge_scores, relevance_scores, lca_scores = table.scores(
-        learn.problem_features(problem, suite.config)
-    )
-    vertex_keys, edge_keys, relevance_keys, lca_keys = table.keys(n)
+    vertex, edge, relevance, lca = table.scores(learn.problem_features(problem, suite.config))
     flat = itertools.chain.from_iterable
-    vertex = dict(zip(vertex_keys, flat(vertex_scores)))
-    edge = dict(zip(edge_keys, flat(edge_scores)))
-    relevance = dict(zip(relevance_keys, flat(relevance_scores)))
-    shifted = ([s - top for s in scores] for scores, top in zip(lca_scores, map(max, lca_scores)))
-    lca = dict(zip(lca_keys, flat(shifted)))
-    return ScoreTables(n, vertex, edge, relevance, lca, table.denominators)
+    shifted = flat([s - top for s in scores] for scores, top in zip(lca, map(max, lca)))
+    return ScoreTables(
+        problem.n, tuple(flat(vertex)), tuple(flat(edge)), tuple(flat(relevance)), tuple(shifted), table.denominators
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +277,7 @@ def values_match(predicted: Fraction, gold: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# labeling entries
+# labeling rows
 
 #: A problem's edge row holds every pair's score under each label, pair by
 #: pair in ``vertex_pairs`` order: position p is pair p // 6 under
@@ -216,32 +285,9 @@ def values_match(predicted: Fraction, gold: Fraction) -> bool:
 _EDGE_TYPES = tuple(EdgeType)
 
 
-@dataclass
-class _LabelingEntry:
-    """One vertex labeling with its vertex sum and two edge picks, as
-    positions in the problem's edge row: each pair's best permitted label
-    (ties keep the earlier label), and each pair's first permitted label.
-    Its edge tuple is built only for a labeling a search returns."""
-
-    labeling: tuple[bool, ...]
-    vertex_sum: float
-    edge_sum_max: float
-    best: tuple[int, ...]
-    edge_sum_lex: float
-    first: tuple[int, ...]
-
-    def edge_sum(self, params: ScalingParams) -> float:
-        """The edge sum of the labeling's best graph. With a zero edge scale
-        every label ties, so the lexicographically first is taken."""
-        return self.edge_sum_max if params.lambda_edge > 0 else self.edge_sum_lex
-
-    def edges(self, params: ScalingParams) -> tuple[EdgeType, ...]:
-        """The edges of the labeling's best graph, as ``edge_sum`` picks them."""
-        positions = self.best if params.lambda_edge > 0 else self.first
-        return tuple([_EDGE_TYPES[p % len(_EDGE_TYPES)] for p in positions])
-
-    def score(self, params: ScalingParams) -> float:
-        return params.lambda_vertex * self.vertex_sum + params.lambda_edge * self.edge_sum(params)
+def _edges(positions: Iterable[int]) -> tuple[EdgeType, ...]:
+    """The labels at edge row ``positions``, one per pair: a graph's edges."""
+    return tuple([_EDGE_TYPES[p % len(_EDGE_TYPES)] for p in positions])
 
 
 class _Picks(dict):
@@ -250,23 +296,18 @@ class _Picks(dict):
     first use: ``best`` is a ``max`` over the options, which keeps the
     earlier of equal labels."""
 
-    def __init__(self, row: list[int], denominator: int):
+    def __init__(self, row: Sequence[int], denominator: int):
         self.row, self.denominator, self.best = row, denominator, partial(max, key=row.__getitem__)
 
     def __missing__(self, options: tuple[int, ...]) -> int:
         best = self[options] = self.best(options)
         return best
 
-
-def _labeling_entry(
-    labeling: tuple[bool, ...], vertex_sum: float, picks: _Picks, best: tuple[int, ...], first: tuple[int, ...]
-) -> _LabelingEntry:
-    """Score a labeling from each pair's best and first option position in
-    the edge row of ``picks``, in ``vertex_pairs`` order."""
-    get, denominator = picks.row.__getitem__, picks.denominator
-    return _LabelingEntry(
-        labeling, vertex_sum, sum(map(get, best)) / denominator, best, sum(map(get, first)) / denominator, first
-    )
+    def sums(self, labelings: Iterable[Iterable[int]]) -> list[float]:
+        """Each labeling's edge sum: its row positions' numerators added,
+        over the denominator."""
+        get, denominator = self.row.__getitem__, self.denominator
+        return [sum(map(get, positions)) / denominator for positions in labelings]
 
 
 def _options(choices: Sequence[Sequence[EdgeType]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -277,27 +318,85 @@ def _options(choices: Sequence[Sequence[EdgeType]]) -> tuple[tuple[tuple[int, ..
     return options, tuple([o[0] for o in options])
 
 
+class _Labelings(NamedTuple):
+    """Every vertex labeling over n quantities, lexicographically (not-rate
+    first), in parallel tuples, with the structurally valid labels of a
+    graph bound by no tree."""
+
+    labelings: tuple[tuple[bool, ...], ...]
+    #: each labeling's pair options, pair by pair, as indices in ``distinct``
+    ids: tuple[tuple[int, ...], ...]
+    #: each labeling's first option of each pair, as edge row positions
+    first: tuple[tuple[int, ...], ...]
+    #: every distinct pair options of the labelings, as edge row positions
+    distinct: tuple[tuple[int, ...], ...]
+    #: each labeling's index
+    index: dict[tuple[bool, ...], int]
+
+
 @lru_cache(maxsize=exprtree.MAX_ENUM_LEAVES)
-def _labelings(n: int) -> tuple[tuple, tuple, tuple, dict[tuple[bool, ...], int]]:
-    """The edge row's (i, j, label) keys over n quantities; every labeling,
-    lexicographically (not-rate first), as (labeling, rate vertices, each
-    pair's index in ``distinct``, each pair's first position); ``distinct``,
-    every distinct pair options of those labelings as row positions; and
-    each labeling's index."""
+def _labelings(n: int) -> _Labelings:
+    """The ``_Labelings`` over n quantities, built once per n."""
     distinct: dict[tuple[int, ...], int] = {}
-    rows = []
+    labelings, ids, firsts = [], [], []
     for labeling in itertools.product((False, True), repeat=n + 1):
         options, first = _options(udg.valid_edge_choices(labeling))
-        ids = tuple([distinct.setdefault(o, len(distinct)) for o in options])
-        rows.append((labeling, tuple(v for v, flag in enumerate(labeling) if flag), ids, first))
-    edge_keys = tuple((i, j, e) for i, j in udg.vertex_pairs(n) for e in _EDGE_TYPES)
-    return edge_keys, tuple(rows), tuple(distinct), {row[0]: k for k, row in enumerate(rows)}
+        labelings.append(labeling)
+        ids.append(tuple([distinct.setdefault(o, len(distinct)) for o in options]))
+        firsts.append(first)
+    index = {labeling: k for k, labeling in enumerate(labelings)}
+    return _Labelings(tuple(labelings), tuple(ids), tuple(firsts), tuple(distinct), index)
 
 
-def _unconstrained_rows(tables: ScoreTables) -> tuple[_Picks, tuple[_LabelingEntry, ...]]:
-    """The problem's picks, and every vertex labeling, in ``_labelings``
-    order, with the structurally valid labels of a graph bound by no tree;
-    each distinct pair options is picked once.
+class _GraphRows:
+    """A problem's vertex labelings (``_labelings``) scored once for graphs
+    bound by no tree, in parallel lists: each labeling's vertex sum and the
+    edge sum of each pair's best permitted label, where each distinct pair
+    options is picked once (``best``). The sums of each pair's first label,
+    which a zero edge scale reads, are summed on first use, and a
+    labeling's edges only for a graph a search returns. ``picks`` memoizes
+    the best position of other options, those of a tree's consistent
+    labelings."""
+
+    def __init__(self, tables: ScoreTables):
+        self.table = table = _labelings(tables.n_quantities)
+        vertex_denominator, edge_denominator, _, _ = tables.denominators
+        self.picks = picks = _Picks(tables.edge, edge_denominator)
+        self.best = list(map(picks.best, table.distinct))
+        scores = list(map(tables.edge.__getitem__, self.best))
+        # the labelings run vertex 0 slowest, so each vertex doubles the list
+        # of rate sums, not-rate first; int sums are exact in any order
+        rates = [0]
+        for rate in tables.vertex[_RATE :: len(learn.VERTEX_LABELS)]:
+            rates = [s + r for s in rates for r in (0, rate)]
+        self.vertex_sums = [s / vertex_denominator for s in rates]
+        self.edge_sums = [sum(map(scores.__getitem__, ids)) / edge_denominator for ids in table.ids]
+        self._first_sums: list[float] | None = None
+
+    def sums(self, params: ScalingParams) -> list[float]:
+        """Each labeling's edge sum of its best graph under ``params``. With
+        a zero edge scale every label ties, so each pair's first is taken."""
+        if params.lambda_edge > 0:
+            return self.edge_sums
+        if self._first_sums is None:
+            self._first_sums = self.picks.sums(self.table.first)
+        return self._first_sums
+
+    def graph(self, k: int, params: ScalingParams) -> UnitDependencyGraph:
+        """Labeling ``k``'s best graph under ``params``, as ``sums`` picks it."""
+        table = self.table
+        positions = map(self.best.__getitem__, table.ids[k]) if params.lambda_edge > 0 else table.first[k]
+        return UnitDependencyGraph.from_labeling(table.labelings[k], _edges(positions))
+
+    def best_graph(self, params: ScalingParams) -> UnitDependencyGraph:
+        """The best graph under ``params``; ties go to the earliest labeling."""
+        lambda_vertex, lambda_edge = params.lambda_vertex, params.lambda_edge
+        scores = [lambda_vertex * v + lambda_edge * e for v, e in zip(self.vertex_sums, self.sums(params))]
+        return self.graph(max(range(len(scores)), key=scores.__getitem__), params)  # first of equal scores
+
+
+def _unconstrained_rows(tables: ScoreTables) -> _GraphRows:
+    """The problem's labelings scored for graphs bound by no tree.
 
     There are 2^(n+1) labelings, so more quantities than a candidate tree
     may cover (``exprtree.MAX_ENUM_LEAVES``) are refused."""
@@ -306,39 +405,18 @@ def _unconstrained_rows(tables: ScoreTables) -> tuple[_Picks, tuple[_LabelingEnt
         raise InferenceError(
             f"refusing to label graphs over {n} quantities (max {exprtree.MAX_ENUM_LEAVES})"
         )
-    edge_keys, rows, distinct, _ = _labelings(n)
-    vertex_denominator, edge_denominator, _, _ = tables.denominators
-    picks = _Picks([tables.edge.get(key, 0) for key in edge_keys], edge_denominator)
-    best = list(map(picks.best, distinct))
-    rate = [tables.vertex_score(v, RATE) for v in range(n + 1)]
-    return picks, tuple(
-        _labeling_entry(
-            labeling,
-            sum(map(rate.__getitem__, rates)) / vertex_denominator,
-            picks,
-            tuple(map(best.__getitem__, ids)),
-            first,
-        )
-        for labeling, rates, ids, first in rows
-    )
+    return _GraphRows(tables)
 
 
 # ---------------------------------------------------------------------------
 # standalone graph prediction
-
-def _best_graph(rows: Sequence[_LabelingEntry], params: ScalingParams) -> UnitDependencyGraph:
-    """The best graph of the unconstrained labeling ``rows`` under ``params``;
-    ties go to the earliest row."""
-    best = max(rows, key=lambda e: e.score(params))  # first of equal scores
-    return UnitDependencyGraph.from_labeling(best.labeling, best.edges(params))
-
 
 def predict_udg_from_tables(tables: ScoreTables, params: ScalingParams) -> UnitDependencyGraph:
     """Argmax of score_udg over structurally valid graphs, exhaustive over
     vertex labelings; ties break toward the lexicographically smallest
     encoding. More than ``exprtree.MAX_ENUM_LEAVES`` quantities raise
     InferenceError."""
-    return _best_graph(_unconstrained_rows(tables)[1], params)
+    return _unconstrained_rows(tables).best_graph(params)
 
 
 def predict_udg(
@@ -387,25 +465,46 @@ class _TreeEntry:
     value: Fraction
     rel_sum: float
     lca_sum: float
-    # the tree's consistent labelings, built when a search first reaches it
-    consistent: tuple[_LabelingEntry, ...] | None = None
+    # the tree's consistent labelings (``_consistent``) and their best-edge
+    # sums, when a search first reaches it; their first labels' sums when a
+    # zero edge scale first reads them
+    consistent: tuple[tuple[int, tuple, tuple[int, ...]], ...] | None = None
+    edge_sums: list[float] | None = None
+    first_sums: list[float] | None = None
 
     def base(self, lambda_rel: float) -> float:
         return lambda_rel * self.rel_sum + self.lca_sum
+
+    def sums(self, params: ScalingParams, picks: _Picks) -> list[float]:
+        """Each ``consistent`` labeling's edge sum of its best graph under
+        ``params``, off the problem's ``picks``: each pair's first label
+        under a zero edge scale, as ``_GraphRows.sums``."""
+        if params.lambda_edge > 0:
+            if self.edge_sums is None:
+                self.edge_sums = picks.sums(map(picks.__getitem__, options) for _, options, _ in self.consistent)
+            return self.edge_sums
+        if self.first_sums is None:
+            self.first_sums = picks.sums(first for _, _, first in self.consistent)
+        return self.first_sums
 
 
 @lru_cache(maxsize=exprtree.MAX_ENUM_LEAVES)
 def _candidates(n: int) -> tuple[tuple, bytes, tuple, tuple]:
     """``exprtree.search_order(n)``; each candidate's subset id; and each
-    subset's unused quantities, and its pairs' positions in
-    ``combinations(range(n), 2)``, in order."""
+    subset's unused quantities, and the LCA row positions of its pairs'
+    operations, pair by pair in ``combinations`` order, so a plan's
+    ``op_positions`` index them."""
     order = exprtree.search_order(n)
     ids: dict[tuple[int, ...], int] = {}
     subset_ids = bytes(ids.setdefault(subset, len(ids)) for subset, _ in order)  # at most 63 subsets
+    width = len(exprtree.OPS)
     pair_ids = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
     unused = tuple(tuple(q for q in range(n) if q not in subset) for subset in ids)
-    pairs = tuple(tuple(pair_ids[pair] for pair in itertools.combinations(subset, 2)) for subset in ids)
-    return order, subset_ids, unused, pairs
+    positions = tuple(
+        tuple(pair_ids[pair] * width + op for pair in itertools.combinations(subset, 2) for op in range(width))
+        for subset in ids
+    )
+    return order, subset_ids, unused, positions
 
 
 # trees recur across problems (a benchmark pass pops 10-32 distinct ones); an
@@ -413,10 +512,10 @@ def _candidates(n: int) -> tuple[tuple, bytes, tuple, tuple]:
 @lru_cache(maxsize=64)
 def _consistent(tree: Expr, n: int) -> tuple[tuple[int, tuple, tuple[int, ...]], ...]:
     """Each labeling consistent with the tree (``udg.consistent_edge_choices``):
-    its row in ``_labelings(n)`` and the ``_options`` of its choices."""
-    row_of = _labelings(n)[3]
+    its index in ``_labelings(n)`` and the ``_options`` of its choices."""
+    index = _labelings(n).index
     return tuple(
-        (row_of[labeling], *_options(choices)) for labeling, choices in udg.consistent_edge_choices(tree, n)
+        (index[labeling], *_options(choices)) for labeling, choices in udg.consistent_edge_choices(tree, n)
     )
 
 
@@ -433,9 +532,9 @@ class JointCandidates:
     No scale is fixed here. Construction scores every placed plan
     (``exprtree.search_order``) with the term sums of ``tree_term_sums``,
     but evaluates and builds no tree.
-    The unconstrained labeling rows are scored once too, and ``best_graph``
-    takes the standalone graph prediction from them. A ``beam`` other than
-    None or an int >= 1 raises ValueError.
+    The unconstrained labelings are scored once too (``_GraphRows``), and
+    ``best_graph`` takes the standalone graph prediction from them. A
+    ``beam`` other than None or an int >= 1 raises ValueError.
 
     Under a ``lambda_rel``, candidates pop from a heap keyed by (negated
     tree score, candidate index), and a popped tree is evaluated: one that
@@ -466,25 +565,20 @@ class JointCandidates:
         self.tables = tables
         self.values = tuple(values)
         self.beam = beam
-        n = tables.n_quantities
-        self._order, subset_ids, unused, pairs = _candidates(n)
-        lca_rows = [
-            {op: tables.lca_score(i, j, op) for op in exprtree.OPS}
-            for i, j in itertools.combinations(range(n), 2)
-        ]
-        irrelevant = [tables.relevance_score(q, IRRELEVANT) for q in range(n)]
+        self._order, subset_ids, unused, positions = _candidates(tables.n_quantities)
         _, _, rel_denominator, lca_denominator = tables.denominators
-        # per subset: its rel_sum, and its pairs' LCA rows
+        irrelevant = tables.relevance[_IRRELEVANT :: len(learn.RELEVANCE_LABELS)]
+        # per subset: its rel_sum, and its pairs' LCA scores, read by a plan's op_positions
         rel_sums = [sum(map(irrelevant.__getitem__, qs)) / rel_denominator for qs in unused]
-        rows = [[lca_rows[k] for k in ks] for ks in pairs]
+        lca_rows = [list(map(tables.lca.__getitem__, ps)).__getitem__ for ps in positions]
         # per candidate, in search order; two lists, not a pair per candidate
         # (n=6 places about 1.3 M candidates)
         self._rel_sums = [rel_sums[s] for s in subset_ids]
         self._lca_sums = [
-            sum(map(getitem, rows[s], plan.pair_ops)) / lca_denominator
+            sum(map(lca_rows[s], plan.op_positions)) / lca_denominator
             for s, (_, plan) in zip(subset_ids, self._order)
         ]
-        self._picks, self._unconstrained = _unconstrained_rows(tables)
+        self._graphs = _unconstrained_rows(tables)
         # popped candidates by index, None for one that is not valid
         self._entries: dict[int, _TreeEntry | None] = {}
         # (lambda_rel, the heap left, the valid trees popped)
@@ -549,35 +643,30 @@ class JointCandidates:
         return tuple(self._popped(lambda_rel))
 
     def best_graph(self, params: ScalingParams) -> UnitDependencyGraph:
-        """``predict_udg_from_tables(tables, params)``, off the rows scored
-        once here."""
-        return _best_graph(self._unconstrained, params)
+        """``predict_udg_from_tables(tables, params)``, off the labelings
+        scored once here."""
+        return self._graphs.best_graph(params)
 
     def _tree_candidates(
         self, entry: _TreeEntry, params: ScalingParams
-    ) -> Iterator[tuple[tuple, _TreeEntry, _LabelingEntry]]:
-        """(key, tree, labeling) per consistent labeling of the tree. Keys
-        differ before any edge: candidate indices differ, and a tree has one
-        entry per labeling."""
+    ) -> Iterator[tuple[tuple, _TreeEntry, int]]:
+        """(key, tree, position in ``entry.consistent``) per consistent
+        labeling of the tree. Keys differ before any edge: candidate indices
+        differ, and a tree has one entry per labeling."""
         if entry.consistent is None:
-            rows, picks = self._unconstrained, self._picks
-            entry.consistent = tuple(
-                _labeling_entry(
-                    rows[k].labeling, rows[k].vertex_sum, picks, tuple(map(picks.__getitem__, options)), first
-                )
-                for k, options, first in _consistent(entry.tree, self.tables.n_quantities)
-            )
+            entry.consistent = _consistent(entry.tree, self.tables.n_quantities)
+        graphs = self._graphs
+        vertex_sums, labelings = graphs.vertex_sums, graphs.table.labelings
         base = entry.base(params.lambda_rel)
-        for lab in entry.consistent:
-            esum = lab.edge_sum(params)
-            total = base + params.lambda_vertex * lab.vertex_sum + params.lambda_edge * esum
-            yield (-total, entry.index, lab.labeling), entry, lab
+        lambda_vertex, lambda_edge = params.lambda_vertex, params.lambda_edge
+        for j, ((k, _, _), esum) in enumerate(zip(entry.consistent, entry.sums(params, graphs.picks))):
+            total = base + lambda_vertex * vertex_sums[k] + lambda_edge * esum
+            yield (-total, entry.index, labelings[k]), entry, j
 
     def solve(self, params: ScalingParams) -> ScoredTuple:
-        graph_terms = [
-            (params.lambda_vertex * lab.vertex_sum, params.lambda_edge * lab.edge_sum(params))
-            for lab in self._unconstrained
-        ]
+        lambda_vertex, lambda_edge = params.lambda_vertex, params.lambda_edge
+        graphs = self._graphs
+        graph_terms = [(lambda_vertex * v, lambda_edge * e) for v, e in zip(graphs.vertex_sums, graphs.sums(params))]
         best = None
 
         def reach(base: float) -> bool:
@@ -605,16 +694,19 @@ class JointCandidates:
         return [self._build(c, params) for c in ranked[:k]]
 
     def _build(self, cand, params: ScalingParams) -> ScoredTuple:
-        key, entry, lab = cand
+        key, entry, j = cand
+        k, options, first = entry.consistent[j]
+        graphs = self._graphs
+        positions = map(graphs.picks.__getitem__, options) if params.lambda_edge > 0 else first
         return ScoredTuple(
             tree=entry.tree,
-            graph=UnitDependencyGraph.from_labeling(lab.labeling, lab.edges(params)),
+            graph=UnitDependencyGraph.from_labeling(key[2], _edges(positions)),
             value=entry.value,
             score=-key[0],
             rel_sum=entry.rel_sum,
             lca_sum=entry.lca_sum,
-            vertex_sum=lab.vertex_sum,
-            edge_sum=lab.edge_sum(params),
+            vertex_sum=graphs.vertex_sums[k],
+            edge_sum=entry.sums(params, graphs.picks)[j],
             params=params,
         )
 

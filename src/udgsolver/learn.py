@@ -44,12 +44,13 @@ weights, still loads.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, product, repeat
 from operator import add, itemgetter, mul, ne, sub
 from struct import Struct
 from typing import Iterable, Mapping, Sequence
@@ -199,9 +200,21 @@ LCA_LAYOUT = PairLayout("lca_bias", "lcai|", "lcaj|", unit_flags=False)
 #: The relevance vector's prefix, on the quantity's features and its flags.
 RELEVANCE_PREFIX = "rel|"
 
-
-def _denominator_matches(rate: units.QuantityUnit, other: units.QuantityUnit) -> bool:
-    return bool(rate.den_unit and set(rate.den_unit) & set(other.surface_unit))
+#: A pair vector's unit flag names, by (the units share a token, the first
+#: vertex's denominator unit meets the second's unit, the second's meets
+#: the first's).
+_PAIR_FLAGS = {
+    (shared, i_den, j_den): ("shared_unit" if shared else "no_shared_unit",)
+    + ("i_den_matches_j",) * i_den
+    + ("j_den_matches_i",) * j_den
+    for shared, i_den, j_den in product((False, True), repeat=3)
+}
+#: A relevance vector's flag names, by (the quantity's unit shares a token
+#: with the question's, its denominator unit meets the question's unit).
+_RELEVANCE_FLAGS = {
+    (match, den): (f"unit_{'matches' if match else 'mismatch'}_question",) + ("den_matches_question",) * den
+    for match, den in product((False, True), repeat=2)
+}
 
 
 @dataclass(frozen=True)
@@ -214,50 +227,69 @@ class ProblemFeatures:
     prefix, of each vector that uses it. Bias and flag blocks are shared
     dicts (``_flag_block``). Training compiles each (role, vertex) block
     once, and inference reads each vertex vector once for all its roles
-    (``InferenceTable``)."""
+    (``InferenceTable``). The unit flags of each vertex pair and of each
+    quantity against the question are found once per pass, off each unit's
+    lemma sets, for training and scoring alike."""
 
     vectors: tuple[FeatureVector, ...]
     vertex_units: tuple[units.QuantityUnit, ...] | None
+    _pair_flags: dict[tuple[int, int], tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _relevance_flags: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Find each vertex pair's unit flags, by pair of ``vertex_pairs``,
+        and each quantity's relevance flags, unprefixed (the relevance
+        vector carries them under RELEVANCE_PREFIX); none without units.
+        Each unit's surface-lemma and denominator sets are built once."""
+        n = len(self.vectors) - 1
+        if self.vertex_units is None:
+            pairs, relevance = dict.fromkeys(vertex_pairs(n), ()), ((),) * n
+        else:
+            surfaces = [set(u.surface_unit) for u in self.vertex_units]
+            # only a rate has a denominator unit
+            dens = [set(u.den_unit) if u.den_unit else None for u in self.vertex_units]
+            pairs = {}
+            for i, j in vertex_pairs(n):
+                si, sj, di, dj = surfaces[i], surfaces[j], dens[i], dens[j]
+                pairs[i, j] = _PAIR_FLAGS[
+                    not si.isdisjoint(sj),
+                    di is not None and not di.isdisjoint(sj),
+                    dj is not None and not dj.isdisjoint(si),
+                ]
+            question = surfaces[n]
+            relevance = tuple(
+                _RELEVANCE_FLAGS[not s.isdisjoint(question), d is not None and not d.isdisjoint(question)]
+                for s, d in zip(surfaces, dens[:n])
+            )
+        object.__setattr__(self, "_pair_flags", pairs)
+        object.__setattr__(self, "_relevance_flags", relevance)
 
     def sharing(self, names: dict[str, str]) -> ProblemFeatures:
         """This pass with each feature name replaced by its equal in
         ``names`` (added there when new), so that the passes of one training
         walk hold each distinct name once."""
         vectors = tuple(dict(zip(map(names.setdefault, fv, fv), fv.values())) for fv in self.vectors)
-        return ProblemFeatures(vectors, self.vertex_units)
+        shared = copy.copy(self)  # the units, and so the flags, stay: no second flag search
+        object.__setattr__(shared, "vectors", vectors)
+        return shared
 
-    def _pair_flag_names(self, layout: PairLayout, i: int, j: int) -> tuple[str, ...]:
-        names = []
-        if layout.unit_flags and self.vertex_units is not None:
-            ui, uj = self.vertex_units[i], self.vertex_units[j]
-            names.append("shared_unit" if units.units_share_tokens(ui, uj) else "no_shared_unit")
-            if _denominator_matches(ui, uj):
-                names.append("i_den_matches_j")
-            if _denominator_matches(uj, ui):
-                names.append("j_den_matches_i")
-        return tuple(names)
-
-    def _relevance_flag_names(self, q: int) -> tuple[str, ...]:
-        # unprefixed: the relevance vector carries them under RELEVANCE_PREFIX
-        names = []
-        if self.vertex_units is not None:
-            unit_q, unit_question = self.vertex_units[q], self.vertex_units[-1]
-            match = "matches" if units.units_share_tokens(unit_q, unit_question) else "mismatch"
-            names.append(f"unit_{match}_question")
-            if _denominator_matches(unit_q, unit_question):
-                names.append("den_matches_question")
-        return tuple(names)
+    def pair_flags(self, layout: PairLayout, i: int, j: int) -> tuple[str, ...]:
+        """The flag names of pair (i, j)'s vector under ``layout``."""
+        return self._pair_flags[i, j] if layout.unit_flags else ()
 
     def pair_blocks(self, layout: PairLayout, i: int, j: int) -> BlockVector:
         return (
             ("", _flag_block((layout.bias,))),
             (layout.first, self.vectors[i]),
             (layout.second, self.vectors[j]),
-            ("", _flag_block(self._pair_flag_names(layout, i, j))),
+            ("", _flag_block(self.pair_flags(layout, i, j))),
         )
 
+    def relevance_flags(self, q: int) -> tuple[str, ...]:
+        return self._relevance_flags[q]
+
     def relevance_blocks(self, q: int) -> BlockVector:
-        flags = _flag_block(self._relevance_flag_names(q))
+        flags = _flag_block(self.relevance_flags(q))
         return ((RELEVANCE_PREFIX, self.vectors[q]), (RELEVANCE_PREFIX, flags))
 
 
@@ -647,7 +679,10 @@ class InferenceTable:
 
     Each role in ``VERTEX_ROLES`` reads a vertex vector under every label of
     its model, so a vertex has one field per (role, label): 2 + 6 + 6 + 2 +
-    6 + 6 = 28 fields for a trained suite, numbered in that order. ``_packed``
+    6 + 6 = 28 fields, numbered in that order, each role's labels in their
+    ``PARTS`` order. A model may list its labels in another order (a loaded
+    file may), so its weights are permuted into that order once, here, and
+    every score comes out in the layout of ``infer.ScoreTables``. ``_packed``
     maps each feature name to one int holding the low digit of its
     numerator of every field, field k at bit k * ``FIELD_BITS`` (SIMD within
     a register: Lamport 1975, "Multiple byte processing with full-word
@@ -662,19 +697,18 @@ class InferenceTable:
     fields in their roles, and its bias and flag blocks' sums, cached per
     block. That is the int ``LinearModel.scores`` gives for the query's
     expanded vector. The table holds the models' weight dicts but never the
-    suite, so it keeps no suite alive.
-
-    ``keys(n)`` gives the score tables' keys over n quantities, with the
-    edge labels as ``EdgeType``s, each built once; ``denominators`` holds
-    each model's denominator, in ``PARTS`` order."""
+    suite, so it keeps no suite alive. ``denominators`` holds each model's
+    denominator, in ``PARTS`` order. A model whose labels are not its part's
+    raises ValueError."""
 
     def __init__(self, suite: ClassifierSuite):
-        models = {part: getattr(suite, part) for part, _ in PARTS}
-        edge_types = tuple(map(EdgeType, suite.edge.labels))
-        self._labels = (suite.vertex.labels, edge_types, suite.relevance.labels, suite.lca.labels)
-        self.denominators = tuple(models[part].denominator for part, _ in PARTS)
-        self._keys: dict[int, tuple[tuple, ...]] = {}
-        self._weights = {part: [m.weights[label] for label in m.labels] for part, m in models.items()}
+        self._weights: dict[str, list[Mapping[str, int]]] = {}
+        for part, labels in PARTS:
+            model = getattr(suite, part)
+            if sorted(model.labels) != sorted(labels):
+                raise ValueError(f"{part} model labels must be {list(labels)}, got {list(model.labels)}")
+            self._weights[part] = [model.weights[label] for label in labels]
+        self.denominators = tuple(getattr(suite, part).denominator for part, _ in PARTS)
         names = {part: list(dict.fromkeys(chain.from_iterable(t))) for part, t in self._weights.items()}
         self._slices: list[slice] = []  # each role's fields
         for part, _ in VERTEX_ROLES:
@@ -711,19 +745,6 @@ class InferenceTable:
             # the inverse of the decode in _vertex_fields
             self._packed[name] = (int.from_bytes(words.pack(*row), "little") ^ offset) - offset
         self._blocks: dict[tuple[str, str, tuple[str, ...]], list[int]] = {}
-
-    def keys(self, n: int) -> tuple[tuple, ...]:
-        """The keys of ``scores``' ints over n quantities, in order: (vertex,
-        label), (i, j, ``EdgeType``), (quantity, label), (i, j, operation);
-        kept for n up to ``exprtree.MAX_ENUM_LEAVES`` (no wider n is cached)."""
-        keys = self._keys.get(n)
-        if keys is None:
-            vertices, quantities = [(v,) for v in range(n + 1)], [(q,) for q in range(n)]
-            queries = (vertices, vertex_pairs(n), quantities, combinations(range(n), 2))
-            keys = tuple(tuple((*q, label) for q in qs for label in ls) for qs, ls in zip(queries, self._labels))
-            if n <= exprtree.MAX_ENUM_LEAVES:
-                self._keys[n] = keys
-        return keys
 
     def _vertex_fields(self, fv: Mapping[str, float], vertex: int) -> Sequence[int]:
         """Each field's sum for one vertex vector, vertex ``vertex`` of its
@@ -780,13 +801,13 @@ class InferenceTable:
         second = self._slices[VERTEX_ROLES.index((part, layout.second))]
         return [
             list(map(add, map(add, fields[i][first], fields[j][second]), self._block_sums(
-                part, "", (layout.bias, *feats._pair_flag_names(layout, i, j))
+                part, "", (layout.bias, *feats.pair_flags(layout, i, j))
             )))
             for i, j in pairs
         ]
 
     def scores(self, feats: ProblemFeatures) -> tuple[list[Sequence[int]], ...]:
-        """Every query's scores, in each model's ``labels`` order, off one
+        """Every query's scores, in its part's ``PARTS`` label order, off one
         feature pass over n quantities and the question: the vertex model's
         for each vertex, the edge model's for each pair of
         ``vertex_pairs(n)``, the relevance model's for each quantity and the
@@ -802,7 +823,7 @@ class InferenceTable:
         edge = self._pair_scores(feats, fields, "edge", EDGE_LAYOUT, vertex_pairs(n))
         relevance = [
             list(map(add, fields[q][relevance_role], self._block_sums(
-                "relevance", RELEVANCE_PREFIX, feats._relevance_flag_names(q)
+                "relevance", RELEVANCE_PREFIX, feats.relevance_flags(q)
             )))
             for q in range(n)
         ]

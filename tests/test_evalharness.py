@@ -91,18 +91,23 @@ def test_classifier_accuracies_equal_a_per_example_oracle(monkeypatch, config):
 
 def test_classifier_accuracy_breaks_ties_as_predict_does(fig1_problem):
     # a suite with no weights scores every label 0, so each argmax is a tie
-    # that goes to the model's first label, as LinearModel.predict breaks it
-    models = {part: learn.LinearModel(labels, {label: {} for label in labels}) for part, labels in learn.PARTS}
-    suite = learn.ClassifierSuite(**models)
+    # that goes to the model's first label, as LinearModel.predict breaks it,
+    # also when the models list their labels in another order than the score
+    # tables' layout
     derived = annotate.derive_udg_gold(fig1_problem)
-    examples = learn.training_blocks([fig1_problem], suite.config, ("vertex", "edge"))
-    expected = [
-        sum(model.predict(learn.expand(blocks)) == gold for blocks, gold in examples[name]) / len(examples[name])
-        for name, model in (("vertex", suite.vertex), ("edge", suite.edge))
-    ]
-    assert 0 < expected[0] < 1
-    tables = infer.build_score_tables(fig1_problem, suite)
-    assert list(evalharness._classifier_accuracy(suite, [tables], [derived])) == expected
+    for order in (lambda labels: labels, lambda labels: labels[::-1]):
+        models = {
+            part: learn.LinearModel(order(labels), {label: {} for label in labels}) for part, labels in learn.PARTS
+        }
+        suite = learn.ClassifierSuite(**models)
+        examples = learn.training_blocks([fig1_problem], suite.config, ("vertex", "edge"))
+        expected = [
+            sum(model.predict(learn.expand(blocks)) == gold for blocks, gold in examples[name]) / len(examples[name])
+            for name, model in (("vertex", suite.vertex), ("edge", suite.edge))
+        ]
+        assert 0 < expected[0] < 1
+        tables = infer.build_score_tables(fig1_problem, suite)
+        assert list(evalharness._classifier_accuracy(suite, [tables], [derived])) == expected
 
 
 @pytest.mark.parametrize("beam", [0, -3, 2.0, True])

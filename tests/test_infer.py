@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -559,10 +560,11 @@ def _oracle_tables(problem, suite):
 
 
 def _bits(tables):
-    # every score, each checked to be an int numerator, as its exact value
+    # every score, each checked to be an int numerator, as its exact value,
+    # position by position in the tables' one layout
     parts = [(getattr(tables, part), d) for (part, _), d in zip(learn.PARTS, tables.denominators)]
-    assert all(type(v) is int for part, _ in parts for v in part.values())
-    return [[(k, Fraction(v, d)) for k, v in part.items()] for part, d in parts]
+    assert all(type(v) is int for part, _ in parts for v in part)
+    return [[Fraction(v, d) for v in part] for part, d in parts]
 
 
 def _thinned(model, rng):
@@ -697,6 +699,154 @@ def test_score_tables_run_one_feature_pass(monkeypatch, trained_suite, synthetic
         calls.clear()
         infer.build_score_tables(p, trained_suite)
         assert calls == {"vertex": p.n + 1, "unit": p.n + 1, "tag": 1, "pos_tag": len(p.tokens)}
+
+
+# --- positional score tables -------------------------------------------------------
+
+#: each classifier's labels in the tables' one layout, the edge labels as EdgeTypes
+_LAYOUT_LABELS = (learn.VERTEX_LABELS, tuple(EdgeType), learn.RELEVANCE_LABELS, exprtree.OPS)
+
+
+def _dict_keys(n, labels):
+    # the score dicts' keys over n quantities, query by query and each
+    # query's ``labels`` in order (``InferenceTable.keys`` before the tables
+    # were positional)
+    vertices, quantities = [(v,) for v in range(n + 1)], [(q,) for q in range(n)]
+    queries = (vertices, vertex_pairs(n), quantities, itertools.combinations(range(n), 2))
+    return tuple(tuple((*q, label) for q in qs for label in ls) for qs, ls in zip(queries, labels))
+
+
+def _dict_tables(problem, suite):
+    # build_score_tables before the tables were positional: every query's
+    # scores in its model's label order, one zip of the keys per classifier,
+    # each LCA pair shifted by its best score
+    feats = learn.problem_features(problem, suite.config)
+    n = problem.n
+    pairs = list(itertools.combinations(range(n), 2))
+    scores = (
+        [suite.vertex.scores(fv) for fv in feats.vectors],
+        [suite.edge.scores(learn.expand(feats.pair_blocks(learn.EDGE_LAYOUT, i, j))) for i, j in vertex_pairs(n)],
+        [suite.relevance.scores(learn.expand(feats.relevance_blocks(q))) for q in range(n)],
+        [suite.lca.scores(learn.expand(feats.pair_blocks(learn.LCA_LAYOUT, i, j))) for i, j in pairs],
+    )
+    labels = (suite.vertex.labels, tuple(map(EdgeType, suite.edge.labels)), suite.relevance.labels, suite.lca.labels)
+    flat = itertools.chain.from_iterable
+    shifted = ([s - top for s in row] for row, top in zip(scores[3], map(max, scores[3])))
+    rows = (flat(scores[0]), flat(scores[1]), flat(scores[2]), flat(shifted))
+    return [dict(zip(keys, row)) for keys, row in zip(_dict_keys(n, labels), rows)]
+
+
+def _reordered(suite, path):
+    # the suite saved, and loaded back from a file that lists every model's
+    # labels in reverse
+    suite.save(path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    for part, _ in learn.PARTS:
+        obj[part]["labels"].reverse()
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return learn.ClassifierSuite.load(path)
+
+
+@pytest.fixture(scope="module")
+def layout_suites(feature_variant_suites, synthetic_corpus, tmp_path_factory):
+    # the eval's feature configs (both families, no context, no rule
+    # features, neither) and a suite whose file lists its labels in reverse
+    neither = learn.FeatureConfig(context_features=False, rule_features=False)
+    reordered = _reordered(feature_variant_suites[0], tmp_path_factory.mktemp("reordered") / "model.json")
+    for part, labels in learn.PARTS:
+        assert getattr(reordered, part).labels == labels[::-1]
+    return [
+        *feature_variant_suites[:3],
+        learn.train_suite(synthetic_corpus[:150], neither, epochs=3, seed=1),
+        reordered,
+    ]
+
+
+def _layout_problems():
+    return [
+        *synth.gen_synthetic_corpus(seed=3, size=50)[::6],
+        corpus.build_problem("n1", "Tom has 5 apples. How many apples does Tom have?"),
+        corpus.build_problem(
+            "n4",
+            "A shop sold 12 pens on Monday and 7 pens on Tuesday. Each pen costs 3 "
+            "dollars and 2 pens broke. How many dollars did the shop earn?",
+        ),
+    ]
+
+
+def test_positional_tables_equal_the_dict_tables(layout_suites):
+    accessors = ("vertex_score", "edge_score", "relevance_score", "lca_score")
+    grid = (ScalingParams(), ScalingParams(0.5, 2.0, 0.0))
+    for suite in layout_suites:
+        for p in _layout_problems():
+            tables = infer.build_score_tables(p, suite)
+            dicts = _dict_tables(p, suite)
+            for accessor, table, keys in zip(accessors, dicts, _dict_keys(p.n, _LAYOUT_LABELS)):
+                assert sorted(table, key=repr) == sorted(keys, key=repr)
+                assert all(getattr(tables, accessor)(*key) == score for key, score in table.items())
+            # the same scores set by hand, in the dicts' key order, solve alike
+            by_hand = ScoreTables(p.n, *dicts, tables.denominators)
+            assert by_hand == tables
+            # with no beam, top_k at n=4 sorts every tuple of every tree (about 1 s)
+            for beam in (200, 5, None) if p.n <= 3 else (200, 5):
+                search, hand_search = JointCandidates(tables, p.values, beam), JointCandidates(by_hand, p.values, beam)
+                for params in grid:
+                    results = (search.solve(params), *search.top_k(params, 5))
+                    assert [_result_bits(r) for r in results] == [
+                        _result_bits(r) for r in (hand_search.solve(params), *hand_search.top_k(params, 5))
+                    ]
+
+
+def test_reordered_labels_score_and_solve_as_the_suite(layout_suites, feature_variant_suites):
+    # the table permutes a loaded model's labels into the one layout once
+    base, reordered = feature_variant_suites[0], layout_suites[-1]
+    for p in _layout_problems():
+        tables = infer.build_score_tables(p, reordered)
+        assert tables == infer.build_score_tables(p, base)
+        for beam in (200, 5, None):
+            params = ScalingParams(1.0, 0.5, 0.0)
+            assert _result_bits(JointCandidates(tables, p.values, beam).solve(params)) == _result_bits(
+                infer.solve_joint(p, base, params, beam)
+            )
+
+
+@pytest.mark.parametrize(
+    "part, key",
+    [
+        ("lca", (1, 0, "+")),  # a pair out of mention order
+        ("vertex", (7, "Rate")),  # no vertex 7 over 2 quantities
+        ("vertex", (0, "rate")),
+        ("edge", (0, 1, "SameUnit")),  # a label string, not an EdgeType
+        ("edge", (1, 0, EdgeType.SAME_UNIT)),
+        ("relevance", (2, "Irrelevant")),  # the question has no relevance score
+        ("lca", (0, 2, "+")),
+        ("lca", (0, 1)),
+    ],
+)
+def test_hand_set_tables_refuse_keys_that_name_no_query(part, key):
+    # before, such a key was kept and never read: (1, 0, "+") left the LCA
+    # "+" of the pair unscored, and the solve returned q0 with score 0.0
+    parts = {name: {} for name, _ in learn.PARTS}
+    parts[part][key] = 3
+    with pytest.raises(ValueError, match=f"{part} score key {re.escape(repr(key))} names no query over 2 quantities"):
+        ScoreTables(2, *parts.values())
+
+
+def test_positional_rows_need_their_layout_and_denominators():
+    tables = _lca_only((1, 2, 3, 4))
+    assert tables.lca == (3, 0, 0, 0, 0, 0) and tables.vertex == (0,) * 6 and len(tables.edge) == 18
+    rows = (tables.vertex, tables.edge, tables.relevance, tables.lca)
+    assert ScoreTables(2, *rows, (1, 2, 3, 4)) == tables
+    with pytest.raises(ValueError, match="score rows need their denominators"):
+        ScoreTables(2, *rows)
+    with pytest.raises(ValueError, match=r"score rows of lengths \(6, 18, 4, 5\) do not fit 2 quantities"):
+        ScoreTables(2, *rows[:3], tables.lca[:5], (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="lca scores must all be mappings or all tuples, got list"):
+        ScoreTables(2, {}, {}, {}, [3, 0, 0, 0, 0, 0])
+    # a query outside the layout has no score, rather than 0
+    for accessor, query in (("vertex_score", (3, "Rate")), ("edge_score", (0, 1, "SameUnit")), ("lca_score", (1, 0, "+"))):
+        with pytest.raises(KeyError):
+            getattr(tables, accessor)(*query)
 
 
 # --- one search per problem, ranked by each solve's own lambda_rel -------------
@@ -1018,9 +1168,23 @@ def _scanned_entry(tables, labeling, choices):
     return labeling, _float_bits(vertex_sum), _float_bits(e_max), edges_max, _float_bits(e_lex), edges_lex
 
 
-def _entry_bits(e):
-    edges_max, edges_lex = e.edges(ScalingParams()), e.edges(ScalingParams(lambda_edge=0.0))
-    return e.labeling, _float_bits(e.vertex_sum), _float_bits(e.edge_sum_max), edges_max, _float_bits(e.edge_sum_lex), edges_lex
+_LEX = ScalingParams(lambda_edge=0.0)
+
+
+def _row_bits(rows, k):
+    # labeling k of the unconstrained rows' parallel lists, as _scanned_entry gives it
+    best, first = rows.graph(k, ScalingParams()), rows.graph(k, _LEX)
+    sums = _float_bits(rows.sums(ScalingParams())[k]), _float_bits(rows.sums(_LEX)[k])
+    return rows.table.labelings[k], _float_bits(rows.vertex_sums[k]), sums[0], best.edges, sums[1], first.edges
+
+
+def _consistent_bits(cands, entry):
+    # each consistent labeling of a popped tree, as the search builds its tuple
+    bits = []
+    for best, first in zip(cands._tree_candidates(entry, ScalingParams()), cands._tree_candidates(entry, _LEX)):
+        b, f = cands._build(best, ScalingParams()), cands._build(first, _LEX)
+        bits.append((best[0][2], _float_bits(b.vertex_sum), _float_bits(b.edge_sum), b.graph.edges, _float_bits(f.edge_sum), f.graph.edges))
+    return bits
 
 
 def _random_tables(rng, n):
@@ -1048,7 +1212,8 @@ def test_labeling_rows_equal_the_option_scan():
             _scanned_entry(tables, labeling, udg.valid_edge_choices(labeling))
             for labeling in itertools.product((False, True), repeat=n + 1)
         ]
-        assert [_entry_bits(e) for e in infer._unconstrained_rows(tables)[1]] == expected
+        rows = infer._unconstrained_rows(tables)
+        assert [_row_bits(rows, k) for k in range(len(expected))] == expected
         if n > 3:
             continue
         cands = JointCandidates(tables, [Fraction(rng.randint(1, 9)) for _ in range(n)], beam=None)
@@ -1058,7 +1223,7 @@ def test_labeling_rows_equal_the_option_scan():
                 _scanned_entry(tables, labeling, choices)
                 for labeling, choices in udg.consistent_edge_choices(entry.tree, n)
             ]
-            assert [_entry_bits(e) for e in entry.consistent] == expected
+            assert _consistent_bits(cands, entry) == expected
 
 
 def _tuple_bits(tree, graph, value, score, sums):
@@ -1110,13 +1275,13 @@ def _scanned_graph(tables, params):
 
 def test_compiled_search_equals_the_scan(monkeypatch):
     built = []
-    edges = infer._LabelingEntry.edges
+    edges = infer._edges
 
-    def counted_edges(self, params):
-        built.append(self.labeling)
-        return edges(self, params)
+    def counted_edges(positions):
+        built.append(edges(positions))
+        return built[-1]
 
-    monkeypatch.setattr(infer._LabelingEntry, "edges", counted_edges)
+    monkeypatch.setattr(infer, "_edges", counted_edges)
     rng = random.Random(31)
     grid = (ScalingParams(), ScalingParams(1.0, 0.5, 0.0), ScalingParams(0.5, 2.0, 0.25), ScalingParams(0.0, 0.0, 0.0))
     for trial in range(30):
@@ -1133,14 +1298,14 @@ def test_compiled_search_equals_the_scan(monkeypatch):
             built.clear()
             result = cands.solve(params)
             assert _result_bits(result) == expected[0]
-            # the one edge tuple the solve built is the returned labeling's
-            assert built == [tuple(v in result.graph.rates for v in range(n + 1))]
+            # the one edge tuple the solve built is the returned graph's
+            assert built == [result.graph.edges]
             top = cands.top_k(params, 5)
             assert [_result_bits(r) for r in top] == expected[:5]
             built.clear()
             graph = cands.best_graph(params)
             assert graph == predict_udg_from_tables(tables, params) == _scanned_graph(tables, params)
-            assert built == [tuple(v in graph.rates for v in range(n + 1))] * 2
+            assert built == [graph.edges] * 2
 
 
 # --- joint search output, pinned ------------------------------------------------
@@ -1223,8 +1388,8 @@ def test_solve_path_output_pinned():
     for p in problems:
         tables = infer.build_score_tables(p, suite)
         digest.update(repr(tables.denominators).encode())
-        for part in ("vertex", "edge", "relevance", "lca"):
-            for key, v in getattr(tables, part).items():
+        for (part, _), keys in zip(learn.PARTS, _dict_keys(p.n, _LAYOUT_LABELS)):
+            for key, v in zip(keys, getattr(tables, part), strict=True):
                 assert type(v) is int
                 digest.update(repr((part, key, v)).encode())
         cands = JointCandidates(tables, p.values)
